@@ -23,7 +23,6 @@ from .simulation import (
     LANGUAGE_GAP,
     OUTPUT_VIOLATION,
     SimulationVerdict,
-    tensor_product,
     output_simulates,
 )
 from .minimize import (
@@ -103,6 +102,5 @@ __all__ = [
     "parse_string",
     "prime_family",
     "prime_family_minimizer",
-    "tensor_product",
     "verify_reduction",
 ]

@@ -94,8 +94,6 @@ def _cmd_check_sim(args):
 
 def _cmd_minimize(args):
     f = parse_filter(_read(args.filter))
-    if args.jobs is not None and args.jobs != 1:
-        print("note: --jobs is reserved; running single-process", file=sys.stderr)
     budget = SearchBudget(
         max_k=args.max_k,
         candidate_cap=args.candidate_cap,
@@ -184,7 +182,7 @@ def _build_parser():
     sub = commands.add_parser("check-sim", help="test whether CANDIDATE output-simulates REFERENCE")
     sub.add_argument("candidate")
     sub.add_argument("reference")
-    sub.add_argument("--cap", type=int, default=INCLUSION_CAP, help="abort past this many product states")
+    sub.add_argument("--cap", type=int, default=INCLUSION_CAP, help="abort past this many reached-set pairs")
     sub.set_defaults(handler=_cmd_check_sim)
 
     sub = commands.add_parser("minimize", help="search for a smallest equivalent filter")
@@ -193,7 +191,6 @@ def _build_parser():
     sub.add_argument("--max-k", type=int, default=None, help="only try sizes up to K")
     sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     sub.add_argument("--candidate-cap", type=int, default=250_000)
-    sub.add_argument("--jobs", type=int, default=None, help="reserved for parallel search")
     _output_flag(sub)
     sub.set_defaults(handler=_cmd_minimize)
 

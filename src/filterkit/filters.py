@@ -22,6 +22,27 @@ from .errors import (
 DETERMINIZE_CAP = 2 ** 20
 
 
+def _check_strings(values, what, error=FilterError):
+    """Return values if it is a list of strings; raise error otherwise."""
+    if not isinstance(values, list):
+        raise error(f"{what} must be a list")
+    for v in values:
+        if not isinstance(v, str):
+            raise error(f"{what} must be strings, not {v!r}")
+    return values
+
+
+def _fresh_name(base, taken):
+    """The first of base, base~2, base~3, ... not in taken; adds it there."""
+    name = base
+    bump = 2
+    while name in taken:
+        name = f"{base}~{bump}"
+        bump += 1
+    taken.add(name)
+    return name
+
+
 class TraceResult:
     """Outcome of tracing a string: the reached state set (empty = crash)."""
 
@@ -196,21 +217,6 @@ class Filter:
         if more than cap subset states appear.
         """
         start = frozenset(self.initial)
-        names = {}
-
-        def name_of(subset):
-            if subset in names:
-                return names[subset]
-            base = "{" + ",".join(sorted(subset)) + "}"
-            taken = set(names.values())
-            name = base
-            bump = 2
-            while name in taken:
-                name = f"{base}~{bump}"
-                bump += 1
-            names[subset] = name
-            return name
-
         order = [start]
         seen = {start}
         edges = {}  # (subset, symbol) -> subset
@@ -232,7 +238,9 @@ class Filter:
                     seen.add(nxt)
                     order.append(nxt)
 
-        states = tuple(name_of(s) for s in order)
+        taken = set()
+        names = {s: _fresh_name("{" + ",".join(sorted(s)) + "}", taken) for s in order}
+        states = tuple(names.values())
         transitions = {}
         for (subset, y), nxt in edges.items():
             key = (names[subset], names[nxt])
@@ -282,19 +290,26 @@ class Filter:
         for key in ("observations", "colors", "states", "initial", "transitions"):
             if key not in data:
                 raise FilterError(f"missing key {key!r}")
+            if not isinstance(data[key], list):
+                raise FilterError(f"{key!r} must be a list")
+        for key in ("observations", "colors", "initial"):
+            _check_strings(data[key], repr(key))
         states = []
         coloring = {}
         for entry in data["states"]:
             if not isinstance(entry, dict) or "id" not in entry:
                 raise FilterError("each state needs an 'id'")
+            _check_strings([entry["id"]], "state ids")
             states.append(entry["id"])
-            coloring[entry["id"]] = entry.get("colors", [])
+            coloring[entry["id"]] = _check_strings(entry.get("colors", []), "state colors")
         transitions = {}
         for entry in data["transitions"]:
             if not isinstance(entry, dict) or not {"from", "to", "symbols"} <= set(entry):
                 raise FilterError("each transition needs 'from', 'to' and 'symbols'")
+            _check_strings([entry["from"], entry["to"]], "transition ends")
             key = (entry["from"], entry["to"])
-            transitions.setdefault(key, set()).update(entry["symbols"])
+            transitions.setdefault(key, set()).update(
+                _check_strings(entry["symbols"], "transition symbols"))
         return cls(states, data["initial"], data["observations"], transitions,
                    data["colors"], coloring)
 

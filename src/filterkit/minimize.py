@@ -3,10 +3,11 @@
 decide_size_k enumerates candidate filters over the input's alphabet and
 colors in a fixed canonical order (initial sets by ascending bitmask, state
 colorings by declared color order, transition symbol-sets by symbol order)
-and tests each against the input.  Candidates are pruned with an exact
-bitmask product walk (incremental subset tracking); any surviving witness is
-re-verified through the tensor-product simulation checker, and the two
-methods must agree.
+and tests each against the input.  Each candidate is tested on its mask
+tables by the reached-set pair walk of the simulation module, which stops at
+the first failing pair of either kind.  A candidate that passes is built as
+a Filter and walked again from that Filter, so a fault in building it raises
+instead of returning a filter that does not simulate the input.
 
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
@@ -19,7 +20,7 @@ import time
 from collections import deque
 
 from .filters import DETERMINIZE_CAP, Filter
-from .simulation import output_simulates
+from .simulation import _bits, _RefTables, _walk
 
 YES = "yes"
 NO = "no"
@@ -93,85 +94,6 @@ class _Clock:
         return True
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _RefTables:
-    """Bitmask view of the reference filter for the fast product walk."""
-
-    def __init__(self, f):
-        self.filter = f
-        self.n = len(f.states)
-        self.obs = f.observations
-        self.colors = f.colors
-        idx = f._index
-        color_idx = {c: i for i, c in enumerate(f.colors)}
-        self.color_of = [
-            sum(1 << color_idx[c] for c in f.coloring[s]) for s in f.states
-        ]
-        self.init_mask = sum(1 << idx[s] for s in f.initial)
-        self.step = {y: [0] * self.n for y in self.obs}
-        for (src, dst), syms in f.transitions.items():
-            for y in syms:
-                self.step[y][idx[src]] |= 1 << idx[dst]
-        self._succ_cache = {}
-        self._color_cache = {}
-        self.eps_colors = self.colors_of(self.init_mask)
-
-    def succ(self, mask, y):
-        key = (mask, y)
-        out = self._succ_cache.get(key)
-        if out is None:
-            table = self.step[y]
-            out = 0
-            for i in _bits(mask):
-                out |= table[i]
-            self._succ_cache[key] = out
-        return out
-
-    def colors_of(self, mask):
-        out = self._color_cache.get(mask)
-        if out is None:
-            out = 0
-            for i in _bits(mask):
-                out |= self.color_of[i]
-            self._color_cache[mask] = out
-        return out
-
-
-def _quick_simulates(ref, cand_init, cand_colors, cand_step):
-    """Exact simulation test by walking reached-set pairs with bitmasks."""
-    start = (ref.init_mask, cand_init)
-    seen = {start}
-    stack = [start]
-    while stack:
-        rm, cm = stack.pop()
-        if cm == 0:
-            return False
-        ccol = 0
-        for i in _bits(cm):
-            ccol |= cand_colors[i]
-        if ccol & ~ref.colors_of(rm):
-            return False
-        for y in ref.obs:
-            rm2 = ref.succ(rm, y)
-            if rm2 == 0:
-                continue
-            table = cand_step[y]
-            cm2 = 0
-            for i in _bits(cm):
-                cm2 |= table[i]
-            node = (rm2, cm2)
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return True
-
-
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
     states = [f"s{i}" for i in range(n)]
     transitions = {}
@@ -201,26 +123,10 @@ def _is_trim_mask(n, init_mask, step_tables):
     return reach == full
 
 
-def _filter_as_candidate(ref, f):
-    """Express an arbitrary filter over ref's alphabet/colors as mask tables."""
-    idx = {s: i for i, s in enumerate(f.states)}
-    color_idx = {c: i for i, c in enumerate(ref.colors)}
-    init = sum(1 << idx[s] for s in f.initial)
-    colors = [
-        sum(1 << color_idx[c] for c in f.coloring[s]) for s in f.states
-    ]
-    step = {y: [0] * len(f.states) for y in ref.obs}
-    for (src, dst), syms in f.transitions.items():
-        for y in syms:
-            step[y][idx[src]] |= 1 << idx[dst]
-    return init, colors, step
-
-
 def _confirm(ref, candidate):
-    verdict = output_simulates(candidate, ref.filter)
-    assert verdict.holds, (
-        "incremental product walk and simulation checker disagree"
-    )
+    """Re-check a filter the search accepted, through its built Filter form."""
+    if _walk(ref, *ref.encode(candidate)) is not None:
+        raise RuntimeError("the search accepted a filter that fails output simulation")
     return candidate
 
 
@@ -250,7 +156,7 @@ def _search_size_nondet(ref, n, clock):
                         cell += 1
                 if not _is_trim_mask(n, init_mask, list(step.values())):
                     continue
-                if _quick_simulates(ref, init_mask, colors, step):
+                if _walk(ref, init_mask, colors, step) is None:
                     found = _candidate_filter(ref, n, init_mask, colors, step)
                     return _FOUND, _confirm(ref, found)
     return _EXHAUSTED, None
@@ -277,7 +183,7 @@ def _search_size_det(ref, n, clock):
                         step[obs[j]][u] |= 1 << (t - 1)
             if not _is_trim_mask(n, 1, list(step.values())):
                 continue
-            if _quick_simulates(ref, 1, colors, step):
+            if _walk(ref, 1, colors, step) is None:
                 found = _candidate_filter(ref, n, 1, colors, step)
                 return _FOUND, _confirm(ref, found)
     return _EXHAUSTED, None
@@ -559,13 +465,7 @@ def _merge_pair(d, u, v):
 
 
 def _verified(ref, candidate, clock):
-    if not clock.spend():
-        return False
-    init, colors, step = _filter_as_candidate(ref, candidate)
-    if not _quick_simulates(ref, init, colors, step):
-        return False
-    _confirm(ref, candidate)
-    return True
+    return clock.spend() and _walk(ref, *ref.encode(candidate)) is None
 
 
 def _greedy_merge(d, ref, clock):

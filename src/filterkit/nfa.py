@@ -3,18 +3,9 @@
 from collections import deque
 
 from .errors import CapExceeded, NfaError
-from .filters import Filter
+from .filters import _fresh_name
 
 INCLUSION_CAP = 2 ** 20
-
-
-def _dedupe_name(base, taken):
-    name = base
-    bump = 2
-    while name in taken:
-        name = f"{base}~{bump}"
-        bump += 1
-    return name
 
 
 class Nfa:
@@ -78,19 +69,6 @@ class Nfa:
         return f"<Nfa {len(self.states)} states, {len(self.alphabet)} symbols>"
 
 
-def filter_to_nfa(f, accepting):
-    """View a filter as an NFA with the given accepting states."""
-    accepting = set(accepting)
-    unknown = accepting - set(f.states)
-    if unknown:
-        raise NfaError(f"accepting states {sorted(unknown)} are not filter states")
-    transitions = {}
-    for (src, dst), syms in f.transitions.items():
-        for y in syms:
-            transitions.setdefault((src, y), set()).add(dst)
-    return Nfa(f.states, f.initial, f.observations, transitions, accepting)
-
-
 def subset_construct(n, cap=INCLUSION_CAP):
     """Determinize an NFA.  The result is complete (the empty subset is the
     explicit dead state) and accepts exactly the same language."""
@@ -110,10 +88,8 @@ def subset_construct(n, cap=INCLUSION_CAP):
                     raise CapExceeded(cap, "subset-constructing")
                 seen.add(nxt)
                 order.append(nxt)
-    names = {}
-    for subset in order:
-        base = "{" + ",".join(sorted(subset)) + "}"
-        names[subset] = _dedupe_name(base, set(names.values()))
+    taken = set()
+    names = {s: _fresh_name("{" + ",".join(sorted(s)) + "}", taken) for s in order}
     transitions = {
         (names[subset], y): {names[nxt]} for (subset, y), nxt in edges.items()
     }
@@ -136,7 +112,7 @@ def complete_dfa(d, alphabet=None):
     ]
     if not missing and alphabet == d.alphabet:
         return d
-    trap = _dedupe_name("trap", set(d.states))
+    trap = _fresh_name("trap", set(d.states))
     transitions = dict(d.transitions)
     for s, y in missing:
         transitions[(s, y)] = {trap}
@@ -148,45 +124,6 @@ def complete_dfa(d, alphabet=None):
 
 def _union_alphabet(a, b):
     return tuple(a.alphabet) + tuple(y for y in b.alphabet if y not in set(a.alphabet))
-
-
-def intersect(a, b):
-    """Product automaton accepting L(a) ∩ L(b); only reachable pairs kept."""
-    alphabet = _union_alphabet(a, b)
-    start = [
-        (x, y)
-        for x in sorted(a.initial, key=a._index.__getitem__)
-        for y in sorted(b.initial, key=b._index.__getitem__)
-    ]
-    order = list(start)
-    seen = set(start)
-    edges = {}
-    qi = 0
-    while qi < len(order):
-        (x, y) = order[qi]
-        qi += 1
-        for sym in alphabet:
-            xs = a.transitions.get((x, sym), ())
-            ys = b.transitions.get((y, sym), ())
-            for nx in sorted(xs, key=a._index.__getitem__):
-                for ny in sorted(ys, key=b._index.__getitem__):
-                    pair = (nx, ny)
-                    edges.setdefault(((x, y), sym), set()).add(pair)
-                    if pair not in seen:
-                        seen.add(pair)
-                        order.append(pair)
-    names = {}
-    for pair in order:
-        names[pair] = _dedupe_name(f"({pair[0]},{pair[1]})", set(names.values()))
-    transitions = {
-        ((names[pair]), sym): {names[p] for p in targets}
-        for (pair, sym), targets in edges.items()
-    }
-    accepting = [
-        names[p] for p in order if p[0] in a.accepting and p[1] in b.accepting
-    ]
-    return Nfa([names[p] for p in order], [names[p] for p in start], alphabet,
-               transitions, accepting)
 
 
 def union(automata):
@@ -221,9 +158,14 @@ def complement(d):
 def is_included(a, b, cap=INCLUSION_CAP):
     """Decide L(a) ⊆ L(b); on failure also return a shortest witness.
 
-    Works on the fly over pairs (state of a, subset of b) so b is never
-    determinized up front.  The witness is the first gap string in
-    breadth-first (shortest, then alphabet-order) order.
+    Walks breadth-first over pairs (one state of a, reached subset of b),
+    so b is determinized on the fly and a not at all; symbols are expanded
+    in a's alphabet order, then b's other symbols.  The witness is a
+    shortest gap string.  When a is deterministic, as sigma_star in
+    is_universal is, it is also the first gap string in that order; when a
+    is nondeterministic, a later string of the same length may be returned.
+    Output simulation between filters does not use this: see the
+    reached-set pair walk in filterkit.simulation.
     """
     alphabet = _union_alphabet(a, b)
     b_start = frozenset(b.initial)

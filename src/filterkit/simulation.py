@@ -2,14 +2,27 @@
 
 A candidate filter output-simulates a reference filter when (i) every string
 the reference survives is also survived by the candidate and (ii) on each such
-string the candidate's output colors are a subset of the reference's.  Both
-conditions are decided on the tensor product of the two filters: condition (i)
-reduces to an NFA language equivalence, condition (ii) to a family of NFA
-inclusions, each yielding a shortest witness string on failure.
+string the candidate's output colors are a subset of the reference's.
+
+Every observation string drives the two filters to a pair of reached state
+sets, and two strings that reach the same pair impose the same requirement.
+Both conditions are therefore decided by one breadth-first walk over the
+reachable pairs (reference set, candidate set), held as bitmasks.  A pair
+whose reference set is empty is never entered: the reference makes no demand
+there.  A pair fails with a language gap when its candidate set is empty and
+with an output violation when the candidate set carries a color the
+reference set does not.
+
+The walk expands the reference's observations in their declared order and
+checks each pair when it is first reached, so the first failing pair found
+is reached by the shortest failing string, and among those by the first in
+declared order.  A language gap takes precedence over an output violation:
+when the first failure is a violation, a second walk that ignores colors
+looks for a gap before the violation is reported.
 """
 
-from .errors import NfaError
-from .nfa import INCLUSION_CAP, Nfa, filter_to_nfa, intersect, is_included
+from .errors import CapExceeded
+from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
 OUTPUT_VIOLATION = "output-violation"
@@ -19,9 +32,10 @@ class SimulationVerdict:
     """Result of an output-simulation check.
 
     holds is the verdict; on failure kind is LANGUAGE_GAP or
-    OUTPUT_VIOLATION, witness is a shortest violating string (a tuple of
-    observation symbols) and color is the offending output color for
-    output violations.
+    OUTPUT_VIOLATION, witness is the shortest failing string of that kind
+    (a tuple of observation symbols), first in the reference's declared
+    observation order, and color is, for output violations, the first
+    offending color in the candidate's declared color order.
     """
 
     __slots__ = ("holds", "kind", "witness", "color")
@@ -44,173 +58,156 @@ class SimulationVerdict:
         return f"SimulationVerdict(fails, {detail})"
 
 
-class ProductGraph:
-    """Tensor product of two filters.
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Vertices are pairs (v, w): v runs in the first filter, w in the second,
-    with w = None once the second filter has crashed on some prefix while the
-    first survives.  Only vertices reachable from the initial pairs are kept.
+
+def _encode(f, obs, color_bit):
+    """Mask tables (initial mask, color mask per state, step) of filter f.
+
+    step[y][i] is the mask of the targets of state i under y, for every y
+    in obs; a symbol f does not declare has no targets.
     """
+    idx = f._index
+    init = sum(1 << idx[s] for s in f.initial)
+    colors = [sum(color_bit[c] for c in f.coloring[s]) for s in f.states]
+    step = {y: [0] * len(f.states) for y in obs}
+    for (src, dst), syms in f.transitions.items():
+        for y in syms:
+            if y in step:
+                step[y][idx[src]] |= 1 << idx[dst]
+    return init, colors, step
 
-    def __init__(self, f1, f2):
-        self.f1 = f1
-        self.f2 = f2
-        start = [
-            (v, w)
-            for v in sorted(f1.initial, key=f1._index.__getitem__)
-            for w in sorted(f2.initial, key=f2._index.__getitem__)
-        ]
-        order = list(start)
-        seen = set(start)
-        edges = {}
 
-        def push(src, y, dst):
-            edges.setdefault(src, {}).setdefault(y, []).append(dst)
-            if dst not in seen:
-                seen.add(dst)
-                order.append(dst)
+class _RefTables:
+    """Bitmask view of a reference filter, with cached successor and color
+    masks of its reached sets."""
 
-        qi = 0
-        while qi < len(order):
-            pair = order[qi]
-            qi += 1
-            v, w = pair
-            for y in f1.observations:
-                targets1 = f1.successors(v, y)
-                if not targets1:
-                    continue
-                if w is None:
-                    for v2 in targets1:
-                        push(pair, y, (v2, None))
-                    continue
-                targets2 = f2.successors(w, y)
-                if targets2:
-                    for v2 in targets1:
-                        for w2 in targets2:
-                            push(pair, y, (v2, w2))
-                else:
-                    for v2 in targets1:
-                        push(pair, y, (v2, None))
+    def __init__(self, f):
+        self.obs = f.observations
+        self.colors = f.colors
+        self._color_bit = {c: 1 << i for i, c in enumerate(f.colors)}
+        self.init_mask, self.color_of, self.step = _encode(f, self.obs, self._color_bit)
+        self._succ_cache = {}
+        self._color_cache = {}
+        self.eps_colors = self.colors_of(self.init_mask)
 
-        self.initial = tuple(start)
-        self.vertices = tuple(order)
-        self.edges = {
-            src: {y: tuple(dict.fromkeys(dsts)) for y, dsts in by_sym.items()}
-            for src, by_sym in edges.items()
-        }
-        names = {}
-        taken = set()
-        for pair in order:
-            v, w = pair
-            base = f"({v},{'⊖' if w is None else w})"
-            name = base
-            bump = 2
-            while name in taken:
-                name = f"{base}~{bump}"
-                bump += 1
-            taken.add(name)
-            names[pair] = name
-        self._names = names
+    def encode(self, f):
+        """Mask tables of a candidate filter over this reference's
+        observations; a color the reference lacks gets a bit of its own."""
+        color_bit = dict(self._color_bit)
+        for c in f.colors:
+            color_bit.setdefault(c, 1 << len(color_bit))
+        return _encode(f, self.obs, color_bit)
 
-    def crash_vertices(self):
-        return tuple(p for p in self.vertices if p[1] is None)
+    def succ(self, mask, y):
+        key = (mask, y)
+        out = self._succ_cache.get(key)
+        if out is None:
+            table = self.step[y]
+            out = 0
+            for i in _bits(mask):
+                out |= table[i]
+            self._succ_cache[key] = out
+        return out
 
-    def to_nfa(self, accepting, drop_crash=False):
-        """View as an NFA.  accepting is a collection of product vertices;
-        drop_crash removes every (v, None) vertex first."""
-        keep = [p for p in self.vertices if not (drop_crash and p[1] is None)]
-        keep_set = set(keep)
-        for p in accepting:
-            if p not in keep_set:
-                raise NfaError(f"accepting vertex {p!r} is not in the product")
-        transitions = {}
-        for src, by_sym in self.edges.items():
-            if src not in keep_set:
+    def colors_of(self, mask):
+        out = self._color_cache.get(mask)
+        if out is None:
+            out = 0
+            for i in _bits(mask):
+                out |= self.color_of[i]
+            self._color_cache[mask] = out
+        return out
+
+
+def _walk(ref, init, colors, step, check_colors=True, cap=None):
+    """Breadth-first walk over reached-set pairs (reference mask, candidate
+    mask), from the initial pair, expanding ref.obs in declared order.
+
+    The candidate is given as mask tables (see _RefTables.encode).  Returns
+    None when no reached pair fails, else (kind, pair, parent) for the first
+    failing pair in discovery order, where parent maps each reached pair to
+    (previous pair, symbol), or None for the initial pair.  Output colors
+    are only checked when check_colors is set.  Raises CapExceeded once more
+    than cap pairs would be reached.
+    """
+    # The candidate search runs this walk once per candidate, mostly to a
+    # quick failure, so the pair check is written out twice (for the initial
+    # pair and for each pair reached later) rather than called.
+    obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
+    rm, cm = start = (ref.init_mask, init)
+    parent = {start: None}
+    if not cm:
+        return LANGUAGE_GAP, start, parent
+    if check_colors:
+        ccol = 0
+        for i in _bits(cm):
+            ccol |= colors[i]
+        if ccol & ~colors_of(rm):
+            return OUTPUT_VIOLATION, start, parent
+    queue = [start]
+    for node in queue:
+        rm, cm = node
+        for y in obs:
+            rm2 = succ(rm, y)
+            if not rm2:
                 continue
-            for y, dsts in by_sym.items():
-                live = {self._names[d] for d in dsts if d in keep_set}
-                if live:
-                    transitions[(self._names[src], y)] = live
-        return Nfa(
-            [self._names[p] for p in keep],
-            [self._names[p] for p in self.initial],
-            self.f1.observations,
-            transitions,
-            [self._names[p] for p in accepting],
-        )
-
-
-def tensor_product(f1, f2):
-    """Build the (trimmed) tensor product of two filters."""
-    return ProductGraph(f1, f2)
-
-
-def check_language_inclusion(f, f_prime, cap=INCLUSION_CAP):
-    """Decide L(f) ⊆ L(f_prime); on failure return a shortest gap string.
-
-    If the product contains no crash vertex the inclusion holds outright.
-    Otherwise let A accept the product's strings that reach a crash vertex
-    and B accept all of f_prime's language; the inclusion holds iff
-    L(A) = L(A ∩ B).
-    """
-    product = tensor_product(f, f_prime)
-    crash = product.crash_vertices()
-    if not crash:
-        return True, None
-    a = product.to_nfa(crash)
-    b = filter_to_nfa(f_prime, f_prime.states)
-    both = intersect(a, b)
-    ok_back, _ = is_included(both, a, cap)
-    assert ok_back, "product intersection grew the language"
-    ok, witness = is_included(a, both, cap)
-    if ok:
-        return True, None
-    return False, witness
-
-
-def check_output_consistency(f, f_prime, cap=INCLUSION_CAP):
-    """Check that f_prime never outputs a color f forbids.
-
-    Assumes L(f) ⊆ L(f_prime) was already established.  For every product
-    vertex (v, w) whose w-colors are not covered by v's and every missing
-    color o, the strings reaching (v, w) must all reach an o-colored state of
-    f.  Returns (holds, witness, color); the reported witness is a shortest
-    violating string overall, with ties broken by symbol order, vertex order,
-    then color order.
-    """
-    product = tensor_product(f, f_prime)
-    live = [p for p in product.vertices if p[1] is not None]
-    color_nfas = {}
-    failures = []
-    for vi, pair in enumerate(live):
-        v, w = pair
-        missing = f_prime.coloring[w] - f.coloring[v]
-        if not missing:
-            continue
-        for ci, color in enumerate(f_prime.colors):
-            if color not in missing:
+            table = step[y]
+            cm2 = 0
+            for i in _bits(cm):
+                cm2 |= table[i]
+            nxt = (rm2, cm2)
+            if nxt in parent:
                 continue
-            m = product.to_nfa([pair], drop_crash=True)
-            if color not in color_nfas:
-                carriers = [u for u in f.states if color in f.coloring[u]]
-                color_nfas[color] = filter_to_nfa(f, carriers)
-            ok, witness = is_included(m, color_nfas[color], cap)
-            if not ok:
-                failures.append((len(witness), witness, vi, ci, color))
-    if failures:
-        _, witness, _, _, color = min(failures)
-        return False, witness, color
-    return True, None, None
+            if cap is not None and len(parent) >= cap:
+                raise CapExceeded(cap, "checking output simulation")
+            parent[nxt] = (node, y)
+            if not cm2:
+                return LANGUAGE_GAP, nxt, parent
+            if check_colors:
+                ccol = 0
+                for i in _bits(cm2):
+                    ccol |= colors[i]
+                if ccol & ~colors_of(rm2):
+                    return OUTPUT_VIOLATION, nxt, parent
+            queue.append(nxt)
+    return None
 
 
 def output_simulates(candidate, reference, cap=INCLUSION_CAP):
-    """Decide whether candidate output-simulates reference."""
-    ref = reference.trim()
-    cand = candidate.trim()
-    ok, witness = check_language_inclusion(ref, cand, cap)
-    if not ok:
-        return SimulationVerdict(False, LANGUAGE_GAP, witness)
-    ok, witness, color = check_output_consistency(ref, cand, cap)
-    if not ok:
-        return SimulationVerdict(False, OUTPUT_VIOLATION, witness, color)
-    return SimulationVerdict(True)
+    """Decide whether candidate output-simulates reference.
+
+    A language gap is reported whenever one exists, even if a shorter output
+    violation does; otherwise the first output violation is.  Either way
+    the witness is the shortest failing string of the reported kind, first
+    in the reference's declared observation order, and the color of a
+    violation is the first offending one in the candidate's declared color
+    order (colors are matched by name; one the reference lacks always
+    offends).  Raises CapExceeded when more than cap reached-set pairs are
+    needed.
+    """
+    ref = _RefTables(reference)
+    tables = ref.encode(candidate)
+    failure = _walk(ref, *tables, cap=cap)
+    if failure is None:
+        return SimulationVerdict(True)
+    if failure[0] == OUTPUT_VIOLATION:
+        failure = _walk(ref, *tables, check_colors=False, cap=cap) or failure
+    kind, node, parent = failure
+    witness = []
+    cur = node
+    while parent[cur] is not None:
+        cur, y = parent[cur]
+        witness.append(y)
+    witness = tuple(reversed(witness))
+    if kind == LANGUAGE_GAP:
+        return SimulationVerdict(False, kind, witness)
+    ref_mask, cand_mask = node
+    allowed = set().union(*(reference.coloring[reference.states[i]] for i in _bits(ref_mask)))
+    shown = set().union(*(candidate.coloring[candidate.states[i]] for i in _bits(cand_mask)))
+    color = next(c for c in candidate.colors if c in shown and c not in allowed)
+    return SimulationVerdict(False, kind, witness, color)

@@ -9,7 +9,7 @@ identical bytes.
 import json
 
 from .errors import FilterError, NfaError, UnknownSymbol
-from .filters import Filter
+from .filters import Filter, _check_strings
 from .nfa import Nfa
 
 
@@ -44,15 +44,22 @@ def parse_nfa(text):
     """Parse an NFA document: like a filter, but with ``accepting`` states
     in place of colors."""
     data = _load_json(text, NfaError)
+
+    def strings(values, what):
+        return _check_strings(values, what, NfaError)
+
     try:
-        alphabet = tuple(data["alphabet"])
-        states = list(data["states"])
-        initial = list(data["initial"])
-        accepting = set(data["accepting"])
+        alphabet = strings(data["alphabet"], "'alphabet'")
+        states = strings(data["states"], "'states'")
+        initial = strings(data["initial"], "'initial'")
+        accepting = strings(data["accepting"], "'accepting'")
         transitions = {}
-        for row in data.get("transitions", ()):
-            src, dst = row["from"], row["to"]
-            for symbol in row["symbols"]:
+        rows = data.get("transitions", [])
+        if not isinstance(rows, list):
+            raise NfaError("'transitions' must be a list")
+        for row in rows:
+            src, dst = strings([row["from"], row["to"]], "transition ends")
+            for symbol in strings(row["symbols"], "transition symbols"):
                 key = (src, symbol)
                 transitions[key] = transitions.get(key, frozenset()) | {dst}
     except (KeyError, TypeError, AttributeError) as exc:

@@ -3,7 +3,9 @@
 Nothing here shares code with the package's decision procedures.  The
 simulation oracle decides output simulation by a direct breadth-first walk
 over pairs of reached state sets, and the brute-force minimizer enumerates
-whole candidate filters and asks the oracle.  Both are written for
+whole candidate filters and asks the oracle.  A second simulation oracle
+works differently: it builds the tensor product of the two filters and
+reduces simulation to NFA language inclusions.  All are written for
 obviousness, not speed.
 """
 
@@ -166,3 +168,154 @@ def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5)
 
 def random_string(rng, observations, max_len=6):
     return tuple(rng.choice(observations) for _ in range(rng.randint(0, max_len)))
+
+
+# -- a second oracle: the tensor product and NFA language inclusion -------
+#
+# An automaton here is a tuple (initial, delta, accepting): a tuple of
+# initial states, a dict (state, symbol) -> tuple of targets, and a set of
+# accepting states.  Nothing below walks pairs of reached sets.
+
+
+def filter_automaton(f, accepting):
+    """Filter f read as an automaton with the given accepting states."""
+    delta = {}
+    for (src, dst), syms in f.transitions.items():
+        for y in syms:
+            delta.setdefault((src, y), []).append(dst)
+    return (
+        tuple(s for s in f.states if s in f.initial),
+        {key: tuple(targets) for key, targets in delta.items()},
+        set(accepting),
+    )
+
+
+def intersect_automata(a, b, alphabet):
+    """Product automaton accepting L(a) ∩ L(b); states are pairs."""
+    initial = tuple((x, y) for x in a[0] for y in b[0])
+    delta = {}
+    seen = set(initial)
+    queue = deque(initial)
+    while queue:
+        x, y = pair = queue.popleft()
+        for sym in alphabet:
+            targets = tuple(
+                (nx, ny) for nx in a[1].get((x, sym), ()) for ny in b[1].get((y, sym), ())
+            )
+            if targets:
+                delta[(pair, sym)] = targets
+            for t in targets:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    accepting = {p for p in seen if p[0] in a[2] and p[1] in b[2]}
+    return initial, delta, accepting
+
+
+def automaton_included(a, b, alphabet):
+    """Shortest string in L(a) but not in L(b), or None if L(a) ⊆ L(b).
+
+    Breadth-first over pairs (one state of a, subset of b): b is
+    determinized on the fly, a is not.
+    """
+
+    def gap(node):
+        return node[0] in a[2] and not node[1] & b[2]
+
+    b_start = frozenset(b[0])
+    queue = deque()
+    seen = set()
+    for x in a[0]:
+        node = (x, b_start)
+        if node not in seen:
+            if gap(node):
+                return ()
+            seen.add(node)
+            queue.append((node, ()))
+    while queue:
+        (x, subset), string = queue.popleft()
+        for sym in alphabet:
+            b_next = frozenset(t for s in subset for t in b[1].get((s, sym), ()))
+            for nx in a[1].get((x, sym), ()):
+                node = (nx, b_next)
+                if node in seen:
+                    continue
+                if gap(node):
+                    return string + (sym,)
+                seen.add(node)
+                queue.append((node, string + (sym,)))
+    return None
+
+
+def tensor_product(f1, f2):
+    """Reachable tensor product of two filters.
+
+    Vertices are pairs (v, w) of single states, with w = None once f2's run
+    crashed while f1's run survives.  Returns (vertices, initial, delta),
+    delta mapping (vertex, symbol) to a tuple of vertices.
+    """
+    initial = tuple((v, w) for v in f1.states if v in f1.initial
+                    for w in f2.states if w in f2.initial)
+    vertices = list(initial)
+    seen = set(initial)
+    delta = {}
+    qi = 0
+    while qi < len(vertices):
+        v, w = pair = vertices[qi]
+        qi += 1
+        for y in f1.observations:
+            targets1 = f1.successors(v, y)
+            targets2 = f2.successors(w, y) if w is not None else ()
+            targets = tuple((v2, w2) for v2 in targets1 for w2 in targets2 or (None,))
+            if targets:
+                delta[(pair, y)] = targets
+            for t in targets:
+                if t not in seen:
+                    seen.add(t)
+                    vertices.append(t)
+    return vertices, initial, delta
+
+
+def tensor_simulation_oracle(candidate, reference):
+    """Decide output simulation on the tensor product, by NFA inclusions.
+
+    Language: let A accept the product strings that reach a crash vertex and
+    B all of candidate's strings; L(reference) ⊆ L(candidate) iff
+    L(A) ⊆ L(A ∩ B).  Output, once the language holds: for every product
+    vertex (v, w) and every color o of w missing at v, each string reaching
+    (v, w) must also reach an o-colored state of the reference.  Returns
+    (holds, kind, witness, color); the witness is a shortest one of its
+    kind, not necessarily the first in any particular order.
+    """
+    alphabet = reference.observations
+    vertices, initial, delta = tensor_product(reference, candidate)
+    crash = {p for p in vertices if p[1] is None}
+    if crash:
+        a = (initial, delta, crash)
+        both = intersect_automata(a, filter_automaton(candidate, candidate.states), alphabet)
+        witness = automaton_included(a, both, alphabet)
+        if witness is not None:
+            return False, "language-gap", witness, None
+    live_delta = {}
+    for (p, y), targets in delta.items():
+        live = tuple(t for t in targets if t[1] is not None)
+        if p[1] is not None and live:
+            live_delta[(p, y)] = live
+    failures = []
+    for p in vertices:
+        if p[1] is None:
+            continue
+        v, w = p
+        for color in candidate.colors:
+            if color not in candidate.coloring[w] or color in reference.coloring[v]:
+                continue
+            carriers = [u for u in reference.states if color in reference.coloring[u]]
+            witness = automaton_included(
+                (initial, live_delta, {p}), filter_automaton(reference, carriers), alphabet
+            )
+            if witness is not None:
+                failures.append((len(witness), witness, color))
+    if failures:
+        _, witness, color = min(failures)
+        return False, "output-violation", witness, color
+    return True, None, None, None

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -144,6 +145,102 @@ def test_check_sim_holds_and_fails(tmp_path, capsys):
     assert "fails: output-violation" in out
     assert "witness:" in out
     assert "color:" in out
+
+
+def test_check_sim_cap(tmp_path, capsys):
+    from filterkit import fig3_minimizer
+
+    big = write_filter(tmp_path, fig3_input(), "big.json")
+    small = write_filter(tmp_path, fig3_minimizer(), "small.json")
+    assert main(["check-sim", "--cap", "1", small, big]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state cap 1 exceeded while checking output simulation\n"
+
+
+def _one_state_filter():
+    return {
+        "observations": ["a"],
+        "colors": ["c"],
+        "states": [{"id": "s", "colors": ["c"]}],
+        "initial": ["s"],
+        "transitions": [{"from": "s", "to": "s", "symbols": ["a"]}],
+    }
+
+
+def _numeric_ids(doc):
+    doc["states"][0]["id"] = 1
+    doc["initial"] = [1]
+    doc["transitions"][0].update({"from": 1, "to": 1})
+
+
+def _numeric_symbol(doc):
+    doc["observations"] = [1]
+    doc["transitions"][0]["symbols"] = [1]
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [
+        (["determinize"], _numeric_ids),
+        (["export-dot"], _numeric_symbol),
+        (["trace", "1"], _numeric_symbol),
+        (["validate"], lambda doc: doc.update(observations="ab")),
+        (["validate"], lambda doc: doc.update(initial="s")),
+        (["validate"], lambda doc: doc.update(colors="c")),
+        (["validate"], lambda doc: doc.update(states={"s": ["c"]})),
+        (["validate"], lambda doc: doc.update(transitions={})),
+        (["validate"], lambda doc: doc["states"][0].update(colors=[0])),
+        (["validate"], lambda doc: doc["transitions"][0].update(symbols="a")),
+    ],
+    ids=["numeric-ids", "numeric-symbol-dot", "numeric-symbol-trace",
+         "string-observations", "string-initial", "string-colors", "dict-states",
+         "dict-transitions", "numeric-color", "string-symbols"],
+)
+def test_non_string_filter_json_exits_2(tmp_path, capsys, command, mutate):
+    doc = _one_state_filter()
+    mutate(doc)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def _one_state_nfa():
+    return {
+        "alphabet": ["a"],
+        "states": ["s"],
+        "initial": ["s"],
+        "accepting": ["s"],
+        "transitions": [{"from": "s", "to": "s", "symbols": ["a"]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(alphabet="ab"),
+        lambda doc: doc.update(states=[1], initial=[1], accepting=[1]),
+        lambda doc: doc.update(initial="s"),
+        lambda doc: doc.update(accepting="s"),
+        lambda doc: doc.update(transitions={}),
+        lambda doc: doc["transitions"][0].update(symbols="a"),
+        lambda doc: doc["transitions"][0].update(symbols=[1]),
+    ],
+    ids=["string-alphabet", "numeric-states", "string-initial", "string-accepting",
+         "dict-transitions", "string-symbols", "numeric-symbol"],
+)
+def test_non_string_nfa_json_exits_2(tmp_path, capsys, mutate):
+    doc = _one_state_nfa()
+    mutate(doc)
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", "nfa-universality", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_minimize_det_donut(tmp_path, capsys):

@@ -151,6 +151,21 @@ def test_determinize_name_collision():
         assert det.output(tuple(s)) == f.output(tuple(s))
 
 
+def test_determinize_suffixes_subsets_that_print_alike():
+    # the subset {a, b} and the singleton {"a,b"} both print as {a,b}
+    f = Filter(
+        ["a", "b", "a,b"],
+        ["a", "b"],
+        ("y",),
+        {("a", "a,b"): {"y"}},
+        ("c",),
+        {"a": {"c"}, "b": {"c"}, "a,b": {"c"}},
+    )
+    det, mapping = f.determinize()
+    assert det.states == ("{a,b}", "{a,b}~2")
+    assert mapping == {"{a,b}": frozenset({"a", "b"}), "{a,b}~2": frozenset({"a,b"})}
+
+
 def test_roundtrip_dict():
     f = two_lamp()
     again = Filter.from_dict(f.to_dict())

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -10,11 +11,17 @@ from filterkit import (
     fig3_input,
     fig3_minimizer,
     output_simulates,
-    tensor_product,
+    prime_family,
+    prime_family_minimizer,
 )
-from filterkit.simulation import check_language_inclusion, check_output_consistency
 
-from oracles import language_gap_oracle, random_filter, simulates_oracle
+from oracles import (
+    language_gap_oracle,
+    random_filter,
+    simulates_oracle,
+    tensor_product,
+    tensor_simulation_oracle,
+)
 
 
 def chain(colors_by_state, observations=("y",)):
@@ -100,25 +107,26 @@ def test_tensor_product_tracks_crash_candidate():
     shorter = chain([{"red"}, {"red"}])
     # reference first: the second coordinate goes to None when the candidate
     # crashes on a string the reference survives
-    product = tensor_product(longer, shorter)
-    seconds = {pair[1] for pair in product.vertices}
+    vertices, _, _ = tensor_product(longer, shorter)
+    seconds = {pair[1] for pair in vertices}
     assert None in seconds
 
 
 def test_language_inclusion_piece():
     longer = chain([{"red"}, {"red"}, {"red"}])
     shorter = chain([{"red"}, {"red"}])
-    ok, witness = check_language_inclusion(longer, shorter)
-    assert not ok and witness == ("y", "y")
-    ok, witness = check_language_inclusion(shorter, longer)
-    assert ok and witness is None
+    assert tensor_simulation_oracle(shorter, longer) == (
+        False, LANGUAGE_GAP, ("y", "y"), None
+    )
+    assert tensor_simulation_oracle(longer, shorter) == (True, None, None, None)
 
 
 def test_output_consistency_piece():
     loose = chain([{"red"}, {"red", "blue"}])
     tight = chain([{"red"}, {"red"}])
-    ok, witness, color = check_output_consistency(tight, loose)
-    assert not ok and witness == ("y",) and color == "blue"
+    assert tensor_simulation_oracle(loose, tight) == (
+        False, OUTPUT_VIOLATION, ("y",), "blue"
+    )
 
 
 def test_disjoint_alphabets():
@@ -247,3 +255,87 @@ def test_failing_witness_is_genuine():
             assert verdict.color in cand.output(s)
             assert verdict.color not in ref.output(s)
     assert seen_failures > 10  # the sweep actually exercised failures
+
+
+def reordered(f, rng):
+    """f with its observations and colors declared in a shuffled order."""
+    observations = list(f.observations)
+    colors = list(f.colors)
+    rng.shuffle(observations)
+    rng.shuffle(colors)
+    return Filter(f.states, f.initial, observations, f.transitions, colors, f.coloring)
+
+
+def fails_as(kind, cand, ref, string):
+    """Does string break the simulation of ref by cand with this kind?"""
+    if any(y not in ref.observations for y in string) or not ref.in_language(string):
+        return False
+    cand_out = None
+    if all(y in cand.observations for y in string):
+        cand_out = cand.output(string)
+    if kind == LANGUAGE_GAP:
+        return cand_out is None
+    return cand_out is not None and not cand_out <= ref.output(string)
+
+
+def seeded_pairs(seed, count, max_states):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ref = reordered(random_filter(rng, max_states=max_states), rng)
+        cand = reordered(random_filter(rng, max_states=max_states), rng)
+        yield cand, ref
+
+
+def test_kernel_agrees_with_both_oracles():
+    failures = 0
+    for trial, (cand, ref) in enumerate(seeded_pairs(2024, 2000, 8)):
+        verdict = output_simulates(cand, ref)
+        holds, oracle_witness = simulates_oracle(cand, ref)
+        gap = language_gap_oracle(cand, ref)
+        t_holds, t_kind, t_witness, _ = tensor_simulation_oracle(cand, ref)
+        assert verdict.holds == holds == t_holds, trial
+        if holds:
+            continue
+        failures += 1
+        assert verdict.kind == t_kind, trial
+        assert len(verdict.witness) == len(t_witness), trial
+        if verdict.kind == LANGUAGE_GAP:
+            assert gap is not None and len(verdict.witness) == len(gap), trial
+        else:
+            assert gap is None and len(verdict.witness) == len(oracle_witness), trial
+    assert failures > 500  # the sweep exercised both outcomes
+
+
+def test_witness_is_first_in_declared_order():
+    kinds = set()
+    for trial, (cand, ref) in enumerate(seeded_pairs(77, 600, 6)):
+        verdict = output_simulates(cand, ref)
+        if verdict.holds:
+            continue
+        kinds.add(verdict.kind)
+        first = next(
+            s
+            for s in itertools.product(ref.observations, repeat=len(verdict.witness))
+            if fails_as(verdict.kind, cand, ref, s)
+        )
+        assert verdict.witness == first, trial
+        if verdict.kind == OUTPUT_VIOLATION:
+            extra = cand.output(first) - ref.output(first)
+            assert verdict.color == next(c for c in cand.colors if c in extra), trial
+    assert kinds == {LANGUAGE_GAP, OUTPUT_VIOLATION}
+
+
+def test_gap_reported_before_shorter_violation():
+    # "y" is an output violation, "yy" a language gap: the gap wins
+    ref = chain([{"red"}, {"red"}, {"red"}])
+    cand = chain([{"red"}, {"red", "blue"}])
+    verdict = output_simulates(cand, ref)
+    assert verdict.kind == LANGUAGE_GAP
+    assert verdict.witness == ("y", "y")
+
+
+def test_prime_family_minimizer_simulates_both_ways():
+    f, m = prime_family(5), prime_family_minimizer(5)
+    assert output_simulates(m, f).holds
+    assert output_simulates(f, m).holds
+
