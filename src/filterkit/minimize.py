@@ -3,11 +3,16 @@
 decide_size_k enumerates candidate filters over the input's alphabet and
 colors in a fixed canonical order (initial sets by ascending bitmask, state
 colorings by declared color order, transition symbol-sets by symbol order)
-and tests each against the input.  Each candidate is tested on its mask
-tables by the reached-set pair walk of the simulation module, which stops at
-the first failing pair of either kind.  A candidate that passes is built as
-a Filter and walked again from that Filter, so a fault in building it raises
-instead of returning a filter that does not simulate the input.
+and tests them against the input.  A candidate is tested on its mask tables
+by the reached-set pair walk of the simulation module, which stops at the
+first failing pair of either kind.  A failure rules out the block of later
+candidates that agree on the transition rows it read, and that block is
+counted without being walked.  So the `candidates` count (and the candidate
+cap) covers every candidate in canonical order up to where the search
+stopped, walked or ruled out in a block; stats report the walked ones as
+`walked`.  A candidate that passes is built as a Filter and walked again
+from that Filter, so a fault in building it raises instead of returning a
+filter that does not simulate the input.
 
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
@@ -75,22 +80,35 @@ class MinimizationResult:
 
 
 class _Clock:
+    """Candidates accounted for in canonical order, and how many of them a
+    check actually examined (walked); the rest were ruled out as a block."""
+
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
         self.candidates = 0
+        self.walked = 0
         self._deadline = None
         if self.budget.time_cap is not None:
             self._deadline = time.monotonic() + self.budget.time_cap
 
-    def spend(self):
-        """Account for one candidate; False once the budget is gone."""
-        self.candidates += 1
+    def spend(self, k=1):
+        """Account for k candidates; False once the budget is gone.
+
+        Stops the count exactly where k calls that each account for one
+        candidate would: at the first candidate past the cap, or at the
+        first multiple of 512 found past the deadline.
+        """
+        old = self.candidates
         cap = self.budget.candidate_cap
-        if cap is not None and self.candidates > cap:
-            return False
-        if self._deadline is not None and (self.candidates & 0x1FF) == 0:
+        last_checked = old + k if cap is None else min(old + k, cap)
+        if self._deadline is not None and last_checked >> 9 > old >> 9:
             if time.monotonic() > self._deadline:
+                self.candidates = ((old >> 9) + 1) << 9
                 return False
+        if cap is not None and old + k > cap:
+            self.candidates = max(old + 1, cap + 1)
+            return False
+        self.candidates = old + k
         return True
 
 
@@ -109,20 +127,6 @@ def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
     return Filter(states, initial, ref.obs, transitions, ref.colors, coloring)
 
 
-def _is_trim_mask(n, init_mask, step_tables):
-    reach = init_mask
-    frontier = init_mask
-    full = (1 << n) - 1
-    while frontier and reach != full:
-        nxt = 0
-        for i in _bits(frontier):
-            for table in step_tables:
-                nxt |= table[i]
-        frontier = nxt & ~reach
-        reach |= nxt
-    return reach == full
-
-
 def _confirm(ref, candidate):
     """Re-check a filter the search accepted, through its built Filter form."""
     if _walk(ref, *ref.encode(candidate)) is not None:
@@ -130,63 +134,113 @@ def _confirm(ref, candidate):
     return candidate
 
 
-def _search_size_nondet(ref, n, clock):
-    """Exhaust all n-state candidates in canonical order."""
-    y_count = len(ref.obs)
+def _search_size(ref, n, clock, det):
+    """Exhaust the n-state candidates in canonical order.
+
+    Deterministic candidates have s0 as their only initial state and at most
+    one target per (state, symbol).
+    """
     color_count = len(ref.colors)
-    table_size = 1 << y_count
-    syms_of = [tuple(j for j in range(y_count) if t >> j & 1) for t in range(table_size)]
-    obs = ref.obs
-    for init_mask in range(1, 1 << n):
+    for init_mask in (1,) if det else range(1, 1 << n):
         for colors in itertools.product(range(1, 1 << color_count), repeat=n):
             eps = 0
             for i in _bits(init_mask):
                 eps |= colors[i]
             if eps & ~ref.eps_colors:
                 continue
-            for trans in itertools.product(range(table_size), repeat=n * n):
-                if not clock.spend():
-                    return _CAPPED, None
-                step = {y: [0] * n for y in obs}
-                cell = 0
-                for u in range(n):
-                    for v in range(n):
-                        for j in syms_of[trans[cell]]:
-                            step[obs[j]][u] |= 1 << v
-                        cell += 1
-                if not _is_trim_mask(n, init_mask, list(step.values())):
-                    continue
-                if _walk(ref, init_mask, colors, step) is None:
-                    found = _candidate_filter(ref, n, init_mask, colors, step)
-                    return _FOUND, _confirm(ref, found)
+            status, witness = _search_tables(ref, n, init_mask, colors, clock, det)
+            if status != _EXHAUSTED:
+                return status, witness
     return _EXHAUSTED, None
 
 
-def _search_size_det(ref, n, clock):
-    """Exhaust deterministic n-state candidates (initial state fixed to s0)."""
-    y_count = len(ref.obs)
-    color_count = len(ref.colors)
+def _search_tables(ref, n, init_mask, colors, clock, det):
+    """Exhaust the transition tables of n-state candidates with a fixed
+    initial mask and coloring, in canonical order.
+
+    The tables are an odometer of digits grouped by source state, state 0
+    most significant: a nondeterministic row holds one symbol-set bitmask
+    per target state, a deterministic row one target per symbol (0 for
+    none, else target + 1).  A candidate that fails depends only on the rows
+    of the states its check read: the reached states when it is not trim,
+    else the candidate states of every pair the walk expanded.  Every
+    candidate that agrees with it up to the highest of those rows fails in
+    the same way, so the rest of that block is charged to the clock without
+    being checked.  The count and the first witness are those of checking
+    every candidate in turn.
+    """
     obs = ref.obs
-    for colors in itertools.product(range(1, 1 << color_count), repeat=n):
-        if colors[0] & ~ref.eps_colors:
-            continue
-        for targets in itertools.product(range(n + 1), repeat=n * y_count):
-            if not clock.spend():
-                return _CAPPED, None
-            step = {y: [0] * n for y in obs}
-            slot = 0
-            for u in range(n):
-                for j in range(y_count):
-                    t = targets[slot]
-                    slot += 1
-                    if t:
-                        step[obs[j]][u] |= 1 << (t - 1)
-            if not _is_trim_mask(n, 1, list(step.values())):
-                continue
-            if _walk(ref, 1, colors, step) is None:
-                found = _candidate_filter(ref, n, 1, colors, step)
+    if det:
+        width, radix = len(obs), n + 1
+    else:
+        width, radix = n, 1 << len(obs)
+    size = n * width
+    digits = [0] * size
+    step = {y: [0] * n for y in obs}
+    tables = list(step.values())
+    # targets[u]: mask of the states that row u reaches under any symbol
+    targets = [0] * n
+    full = (1 << n) - 1
+
+    def set_digit(pos, value):
+        u, k = divmod(pos, width)
+        old = digits[pos]
+        digits[pos] = value
+        if det:
+            tables[k][u] = 1 << (value - 1) if value else 0
+            reach = 0
+            for table in tables:
+                reach |= table[u]
+            targets[u] = reach
+        else:
+            bit = 1 << k
+            for j in _bits(old ^ value):
+                tables[j][u] ^= bit
+            if not old or not value:
+                targets[u] ^= bit
+
+    while True:
+        if not clock.spend():
+            return _CAPPED, None
+        clock.walked += 1
+        reach = frontier = init_mask
+        while frontier and reach != full:
+            nxt = 0
+            for i in _bits(frontier):
+                nxt |= targets[i]
+            frontier = nxt & ~reach
+            reach |= nxt
+        if reach == full:
+            failure = _walk(ref, init_mask, colors, step)
+            if failure is None:
+                found = _candidate_filter(ref, n, init_mask, colors, step)
                 return _FOUND, _confirm(ref, found)
-    return _EXHAUSTED, None
+            _, node, parent = failure
+            read = 0
+            if parent[node] is not None:
+                last_expanded = parent[node][0]
+                for pair in parent:
+                    read |= pair[1]
+                    if pair == last_expanded:
+                        break
+        else:
+            read = reach
+        # digits from `free` on belong to rows the failure does not depend on
+        free = read.bit_length() * width
+        skipped = 0
+        for pos in range(free, size):
+            skipped = skipped * radix + radix - 1 - digits[pos]
+            if digits[pos]:
+                set_digit(pos, 0)
+        if skipped and not clock.spend(skipped):
+            return _CAPPED, None
+        pos = free - 1
+        while pos >= 0 and digits[pos] == radix - 1:
+            set_digit(pos, 0)
+            pos -= 1
+        if pos < 0:
+            return _EXHAUSTED, None
+        set_digit(pos, digits[pos] + 1)
 
 
 def decide_size_k(f, k, budget=None):
@@ -210,7 +264,7 @@ def decide_size_k(f, k, budget=None):
         limit = budget.max_k
         capped_levels = True
     for n in range(1, limit + 1):
-        status, witness = _search_size_nondet(ref, n, clock)
+        status, witness = _search_size(ref, n, clock, det=False)
         if status == _FOUND:
             return SizeDecision(YES, witness, clock.candidates)
         if status == _CAPPED:
@@ -232,7 +286,7 @@ def minimize_nondet(f, budget=None):
         if budget is not None and budget.max_k is not None and n > budget.max_k:
             proven = False
             break
-        status, witness = _search_size_nondet(ref, n, clock)
+        status, witness = _search_size(ref, n, clock, det=False)
         if status == _FOUND:
             best = witness
             break
@@ -241,6 +295,7 @@ def minimize_nondet(f, budget=None):
             break
     stats = {
         "candidates": clock.candidates,
+        "walked": clock.walked,
         "wall_time_s": time.monotonic() - start,
         "trim_size": len(ft.states),
     }
@@ -309,39 +364,45 @@ class _CoverCapHit(Exception):
 
 
 def _feasible_coloring(inc, precolored, t, node_cap):
-    """Color the incompatibility graph with t colors, or prove impossible."""
-    n = len(inc)
-    color = [-1] * n
+    """Color the incompatibility graph with t colors, or prove impossible.
+
+    A depth-first search over the uncolored vertices, most incompatible
+    first, trying the colors in order.  It counts every node it enters and
+    raises _CoverCapHit past node_cap.  The stack holds, for each vertex
+    colored so far, its color and the number of colors in use before it.
+    """
     class_masks = [0] * t
     for c, v in enumerate(precolored):
-        color[v] = c
         class_masks[c] |= 1 << v
-    rest = [v for v in range(n) if color[v] < 0]
+    fixed = set(precolored)
+    rest = [v for v in range(len(inc)) if v not in fixed]
     rest.sort(key=lambda v: -bin(inc[v]).count("1"))
+    stack = []
+    used = len(precolored)
     nodes = 0
-
-    def assign(pos, used):
-        nonlocal nodes
+    while True:
+        # enter the node that colors rest[len(stack)]
         nodes += 1
         if nodes > node_cap:
             raise _CoverCapHit
-        if pos == len(rest):
-            return True
-        v = rest[pos]
-        for c in range(min(used + 1, t)):
-            if class_masks[c] & inc[v]:
-                continue
-            color[v] = c
-            class_masks[c] |= 1 << v
-            if assign(pos + 1, max(used, c + 1)):
-                return True
-            class_masks[c] &= ~(1 << v)
-            color[v] = -1
-        return False
-
-    if assign(0, len(precolored)):
-        return class_masks
-    return None
+        if len(stack) == len(rest):
+            return class_masks
+        c = 0
+        while True:
+            v = rest[len(stack)]
+            limit = min(used + 1, t)
+            while c < limit and class_masks[c] & inc[v]:
+                c += 1
+            if c < limit:
+                class_masks[c] |= 1 << v
+                stack.append((c, used))
+                used = max(used, c + 1)
+                break
+            if not stack:
+                return None
+            c, used = stack.pop()
+            class_masks[c] &= ~(1 << rest[len(stack)])
+            c += 1
 
 
 def _min_clique_cover(states, adj, node_cap=500_000):
@@ -397,7 +458,7 @@ def _min_clique_cover(states, adj, node_cap=500_000):
     return [[states[i] for i in part] for part in partition], lower, exact
 
 
-def _quotient_filter(d, partition, ref):
+def _quotient_filter(d, partition):
     """Collapse each partition class to one state; None if ill-defined."""
     part_of = {}
     for k, members in enumerate(partition):
@@ -440,7 +501,8 @@ def _merge_pair(d, u, v):
         return None
     rank = d._index
     merged = "+".join(sorted([u, v], key=rank.__getitem__))
-    while merged in set(d.states) - {u, v}:
+    taken = set(d.states) - {u, v}
+    while merged in taken:
         merged += "'"
 
     def rename(s):
@@ -465,7 +527,10 @@ def _merge_pair(d, u, v):
 
 
 def _verified(ref, candidate, clock):
-    return clock.spend() and _walk(ref, *ref.encode(candidate)) is None
+    if not clock.spend():
+        return False
+    clock.walked += 1
+    return _walk(ref, *ref.encode(candidate)) is None
 
 
 def _greedy_merge(d, ref, clock):
@@ -506,7 +571,7 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     partition, lower, cover_exact = _min_clique_cover(d.states, compat)
     best = d
     if len(best.states) > lower:
-        quotient = _quotient_filter(d, partition, ref)
+        quotient = _quotient_filter(d, partition)
         if quotient is not None and len(quotient.states) < len(best.states):
             if _verified(ref, quotient, clock):
                 best = quotient
@@ -521,7 +586,7 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
             if budget is not None and budget.max_k is not None and n > budget.max_k:
                 searched_all = False
                 break
-            status, witness = _search_size_det(ref, n, clock)
+            status, witness = _search_size(ref, n, clock, det=True)
             if status == _CAPPED:
                 searched_all = False
                 break
@@ -533,6 +598,7 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     _confirm(ref, best)
     stats = {
         "candidates": clock.candidates,
+        "walked": clock.walked,
         "wall_time_s": time.monotonic() - start,
         "determinized_size": len(d.states),
         "lower_bound": lower,

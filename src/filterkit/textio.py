@@ -120,7 +120,7 @@ def filter_to_dot(f):
         lines.append(f'  "__start{index}" -> "{state}";')
     for state in f.states:
         buckets = {}
-        for symbol in f.out_symbols(state):
+        for symbol in f.observations:
             for target in f.successors(state, symbol):
                 buckets.setdefault(target, []).append(symbol)
         for target in sorted(buckets):

@@ -5,8 +5,10 @@ simulation oracle decides output simulation by a direct breadth-first walk
 over pairs of reached state sets, and the brute-force minimizer enumerates
 whole candidate filters and asks the oracle.  A second simulation oracle
 works differently: it builds the tensor product of the two filters and
-reduces simulation to NFA language inclusions.  All are written for
-obviousness, not speed.
+reduces simulation to NFA language inclusions.  canonical_search checks the
+candidates of one search level one at a time, in the canonical order the
+package's search counts them in.  All are written for obviousness, not
+speed.
 """
 
 import itertools
@@ -143,6 +145,124 @@ def brute_force_min_size(reference):
             if holds:
                 return size
     return len(trimmed.states)
+
+
+# -- the per-level candidate search, one candidate at a time -------------
+#
+# A copy of the package's candidate order as two plain itertools.product
+# loops, with no backjumping: every candidate is built and checked.  The
+# reference handed in is the trimmed filter the search compares against.
+
+
+def canonical_candidates(reference, n, det):
+    """The n-state candidates the search accounts for, in canonical order.
+
+    Yields (initial states, coloring, successors) over states 0..n-1, with
+    successors mapping (state, symbol) to a set of states.  Initial sets go
+    by ascending bitmask, colorings by color bitmask with state 0 most
+    significant, and transition tables last: nondeterministically one symbol
+    bitmask per (state, target), deterministically one target + 1 (0 for
+    none) per (state, symbol), state 0 most significant either way.  A
+    deterministic candidate starts from state 0 alone.  Colorings whose
+    initial states show a color the reference's initial states do not are
+    left out, as the search never counts them.
+    """
+    obs = reference.observations
+    color_sets = [
+        frozenset(c for j, c in enumerate(reference.colors) if code >> j & 1)
+        for code in range(1, 1 << len(reference.colors))
+    ]
+    initial_colors = colors_of(reference, reference.initial)
+    if det:
+        inits = [(0,)]
+    else:
+        inits = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+    for init in inits:
+        for coloring in itertools.product(color_sets, repeat=n):
+            if not set().union(*(coloring[i] for i in init)) <= initial_colors:
+                continue
+            if det:
+                for targets in itertools.product(range(n + 1), repeat=n * len(obs)):
+                    succ = {(u, y): set() for u in range(n) for y in obs}
+                    for slot, t in enumerate(targets):
+                        if t:
+                            succ[slot // len(obs), obs[slot % len(obs)]].add(t - 1)
+                    yield init, coloring, succ
+            else:
+                for trans in itertools.product(range(1 << len(obs)), repeat=n * n):
+                    succ = {(u, y): set() for u in range(n) for y in obs}
+                    for cell, code in enumerate(trans):
+                        for j, y in enumerate(obs):
+                            if code >> j & 1:
+                                succ[cell // n, y].add(cell % n)
+                    yield init, coloring, succ
+
+
+def candidate_accepted(reference, n, init, coloring, succ):
+    """Is the candidate trim, and does it output-simulate the reference?
+
+    A direct breadth-first walk over pairs (reference states, candidate
+    states) reached by one string.
+    """
+    reached = set(init)
+    frontier = list(init)
+    while frontier:
+        u = frontier.pop()
+        for y in reference.observations:
+            for v in succ[u, y] - reached:
+                reached.add(v)
+                frontier.append(v)
+    if len(reached) < n:
+        return False
+    start = (frozenset(reference.initial), frozenset(init))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        ref_set, cand_set = queue.popleft()
+        if not cand_set:
+            return False
+        shown = set().union(*(coloring[u] for u in cand_set))
+        if not shown <= colors_of(reference, ref_set):
+            return False
+        for y in reference.observations:
+            nxt = (
+                step_set(reference, ref_set, y),
+                frozenset(v for u in cand_set for v in succ[u, y]),
+            )
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def canonical_search(reference, n, det, spent=0, cap=None):
+    """Check the n-state candidates one by one, in canonical order.
+
+    spent is the count of candidates already accounted for; cap, if given,
+    is the last one that may be checked.  Returns (status, witness, spent)
+    with status "found", "exhausted" or "capped", and the witness built the
+    way the package names it (states s0..s{n-1}).
+    """
+    for init, coloring, succ in canonical_candidates(reference, n, det):
+        spent += 1
+        if cap is not None and spent > cap:
+            return "capped", None, spent
+        if candidate_accepted(reference, n, init, coloring, succ):
+            states = [f"s{i}" for i in range(n)]
+            transitions = {}
+            for (u, y), targets in succ.items():
+                for v in targets:
+                    transitions.setdefault((states[u], states[v]), set()).add(y)
+            witness = Filter(
+                states,
+                [states[i] for i in init],
+                reference.observations,
+                transitions,
+                reference.colors,
+                {states[i]: coloring[i] for i in range(n)},
+            )
+            return "found", witness, spent
+    return "exhausted", None, spent
 
 
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):

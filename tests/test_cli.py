@@ -35,9 +35,11 @@ PACKAGE_PARENT = Path(filterkit.__file__).resolve().parents[1]
 PROJECT_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_filterkit(*args):
+def run_filterkit(*args, hash_seed=None):
     """Run ``python -m filterkit ARGS`` on the imported package, no install needed."""
     env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p
     )
@@ -71,6 +73,21 @@ def test_console_script_mapping_matches_pyproject():
     entry = EntryPoint(name="filterkit", value=target, group="console_scripts")
     assert entry.load() is main
     assert project["version"] == filterkit.__version__
+
+
+def test_export_dot_bytes_do_not_depend_on_hash_seed(tmp_path):
+    path = str(tmp_path / "fig3min.json")
+    assert main(["gen", "fig3", "minimizer", "-o", path]) == 0
+    runs = [run_filterkit("export-dot", path, hash_seed=seed) for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    rank = {y: i for i, y in enumerate(parse_filter(Path(path).read_text()).observations)}
+    labels = [line.split('label="')[1].split('"')[0]
+              for line in runs[0].stdout.splitlines() if "->" in line and "label=" in line]
+    assert labels
+    for label in labels:
+        symbols = label.split(",")
+        assert symbols == sorted(symbols, key=rank.__getitem__)
 
 
 def test_no_command_prints_help(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,13 @@ from filterkit import (
     prime_family_minimizer,
 )
 
-from oracles import all_filters, brute_force_min_size, random_filter, simulates_oracle
+from oracles import (
+    all_filters,
+    brute_force_min_size,
+    canonical_search,
+    random_filter,
+    simulates_oracle,
+)
 
 
 def mergeable_pair():
@@ -238,17 +245,179 @@ def test_det_level_search_semantics():
         _FOUND,
         _Clock,
         _RefTables,
-        _search_size_det,
+        _search_size,
     )
 
     ref = _RefTables(color_chain())
-    status, witness = _search_size_det(ref, 3, _Clock(None))
+    status, witness = _search_size(ref, 3, _Clock(None), det=True)
     assert status == _FOUND
     assert witness.is_deterministic() and witness.size() == 3
     assert output_simulates(witness, color_chain()).holds
     # no two-state deterministic filter can produce x, xy, y, x in order:
     # any walk of length four repeats a state under an impossible color
-    status, witness = _search_size_det(ref, 2, _Clock(None))
+    status, witness = _search_size(ref, 2, _Clock(None), det=True)
     assert status == _EXHAUSTED and witness is None
-    status, witness = _search_size_det(ref, 2, _Clock(SearchBudget(candidate_cap=1)))
+    status, witness = _search_size(ref, 2, _Clock(SearchBudget(candidate_cap=1)), det=True)
     assert status == _CAPPED
+
+
+def charged_blocks(ft, levels, det):
+    """(candidates before, size) of every block of more than one candidate
+    that an uncapped search of the given levels charges at once, and the
+    count at the end of that search."""
+    from filterkit.minimize import _EXHAUSTED, _Clock, _RefTables, _search_size
+
+    blocks = []
+
+    class RecordingClock(_Clock):
+        def spend(self, k=1):
+            if k > 1:
+                blocks.append((self.candidates, k))
+            return super().spend(k)
+
+    ref = _RefTables(ft)
+    clock = RecordingClock(SearchBudget(candidate_cap=None))
+    for n in levels:
+        if _search_size(ref, n, clock, det)[0] != _EXHAUSTED:
+            break
+    return blocks, clock.candidates
+
+
+def search_caps(rng, ft, levels, det, limit):
+    """A seeded cap below limit, two caps that fall inside charged blocks,
+    and no cap (None) when the whole search stays below 8,000 candidates.
+    Returns None when the search charges no block below limit."""
+    blocks, total = charged_blocks(ft, levels, det)
+    blocks = [(before, k) for before, k in blocks if before + k <= limit]
+    if not blocks:
+        return None
+    picked = rng.sample(blocks, min(2, len(blocks)))
+    inside = [before + rng.randint(1, k - 1) for before, k in picked]
+    return [rng.randint(1, limit)] + inside + [None] * (total <= 8000)
+
+
+def reference_levels(ft, levels, det, cap):
+    """canonical_search over the levels in turn: (status, witness, spent)."""
+    spent = 0
+    for n in levels:
+        status, witness, spent = canonical_search(ft, n, det, spent, cap)
+        if status != "exhausted":
+            return status, witness, spent
+    return "exhausted", None, spent
+
+
+def as_dict(f):
+    return None if f is None else f.to_dict()
+
+
+def test_nondet_search_matches_one_by_one_reference():
+    # backjumping must not change the answer, the witness or the count,
+    # also when the cap falls inside a block charged without a walk
+    rng = random.Random(9090)
+    statuses = []
+    while len(statuses) < 40:
+        f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
+        ft = f.trim()
+        caps = ft.size() == 3 and search_caps(rng, ft, (1, 2), det=False, limit=1500)
+        for cap in caps or ():
+            status, witness, spent = reference_levels(ft, (1, 2), False, cap)
+            statuses.append(status)
+            outcome = {"found": YES, "capped": BUDGET_EXHAUSTED, "exhausted": NO}[status]
+            decision = decide_size_k(f, 2, SearchBudget(candidate_cap=cap))
+            assert (decision.outcome, as_dict(decision.witness), decision.candidates) == (
+                outcome, as_dict(witness), spent)
+            result = minimize_nondet(f, SearchBudget(candidate_cap=cap))
+            assert (as_dict(result.minimizer), result.proven_optimal) == (
+                as_dict(witness or ft), status != "capped")
+            assert result.stats["candidates"] == spent
+            assert result.stats["walked"] <= spent
+    assert set(statuses) == {"found", "capped", "exhausted"}
+
+
+def test_det_search_matches_one_by_one_reference():
+    from filterkit.minimize import _Clock, _RefTables, _search_size
+
+    rng = random.Random(4242)
+    statuses = []
+    while len(statuses) < 60:
+        f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
+        ft = f.trim()
+        levels = tuple(range(1, ft.size()))
+        caps = ft.size() >= 3 and search_caps(rng, ft, levels, det=True, limit=1500)
+        for cap in caps or ():
+            ref = _RefTables(ft)
+            clock = _Clock(SearchBudget(candidate_cap=cap))
+            spent = 0
+            for n in levels:
+                status, witness, spent = canonical_search(ft, n, True, spent, cap)
+                statuses.append(status)
+                found_status, found = _search_size(ref, n, clock, det=True)
+                assert (found_status, as_dict(found), clock.candidates) == (
+                    status, as_dict(witness), spent)
+                assert clock.walked <= clock.candidates
+                if status != "exhausted":
+                    break
+    assert set(statuses) == {"found", "capped", "exhausted"}
+
+
+def test_clock_charges_a_block_as_one_at_a_time():
+    from filterkit.minimize import _Clock
+
+    rng = random.Random(512)
+    for cap in (None, 1, 7, 600, 2000):
+        clock = _Clock(SearchBudget(candidate_cap=cap))
+        count = 0
+        for _ in range(40):
+            k = rng.choice((1, 2, rng.randint(1, 900)))
+            ok = clock.spend(k)
+            # one candidate at a time, stopping at the first past the cap;
+            # callers may go on spending after a refusal
+            for _ in range(k):
+                count += 1
+                if cap is not None and count > cap:
+                    break
+            assert (ok, clock.candidates) == (cap is None or count <= cap, count)
+    # past the deadline, the count stops at the first multiple of 512
+    for blocks in ((511, 2), (512,), (1500,), (100, 2000)):
+        late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
+        time.sleep(0.001)
+        assert [late.spend(k) for k in blocks] == [True] * (len(blocks) - 1) + [False]
+        assert late.candidates == 512
+
+
+def test_time_cap_stops_search_unproven():
+    result = minimize_nondet(fig3_input(), SearchBudget(candidate_cap=None, time_cap=0.05))
+    assert not result.proven_optimal
+    assert result.size() == 10
+    assert output_simulates(result.minimizer, fig3_input()).holds
+
+
+def test_stats_count_walked_candidates():
+    # level 2 of the donut fails on the rows of state 0 alone, so most of
+    # its candidates are charged in blocks without a walk
+    result = minimize_nondet(donut_world(), SearchBudget(candidate_cap=800))
+    assert result.stats["candidates"] == 801
+    assert 0 < result.stats["walked"] < 80
+    det = minimize_det(color_chain())
+    assert 0 < det.stats["walked"] <= det.stats["candidates"]
+
+
+def test_clique_cover_of_deep_graph_returns():
+    # incompatibility K700,700 + C5: the exact coloring search goes about
+    # 1,400 vertices deep, past the interpreter's recursion limit
+    from filterkit.minimize import _min_clique_cover
+
+    left = [f"a{i}" for i in range(700)]
+    right = [f"b{i}" for i in range(700)]
+    ring = [f"c{i}" for i in range(5)]
+    states = left + right + ring
+    hostile = {u: set(right) for u in left}
+    hostile.update((v, set(left)) for v in right)
+    hostile.update((u, {ring[i - 1], ring[(i + 1) % 5]}) for i, u in enumerate(ring))
+    everyone = set(states)
+    adj = {s: everyone - hostile[s] - {s} for s in states}
+    partition, lower, exact = _min_clique_cover(states, adj)
+    assert (len(partition), lower, exact) == (3, 3, True)
+    assert sorted(s for part in partition for s in part) == sorted(states)
+    for part in partition:
+        assert all(v in adj[u] for u in part for v in part if u != v)
