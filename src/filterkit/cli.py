@@ -147,6 +147,17 @@ def _cmd_export_dot(args):
     return 0
 
 
+def _positive(kind):
+    """An argparse type: a number of the given kind above zero."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, not {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
 def _output_flag(sub):
     sub.add_argument("-o", "--output", metavar="PATH", help="write to PATH instead of stdout")
 
@@ -188,9 +199,9 @@ def _build_parser():
     sub = commands.add_parser("minimize", help="search for a smallest equivalent filter")
     sub.add_argument("filter")
     sub.add_argument("--mode", choices=("nondet", "det"), default="nondet")
-    sub.add_argument("--max-k", type=int, default=None, help="only try sizes up to K")
-    sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    sub.add_argument("--candidate-cap", type=int, default=250_000)
+    sub.add_argument("--max-k", type=_positive(int), default=None, help="only try sizes up to K")
+    sub.add_argument("--time-limit", type=_positive(float), default=None, metavar="SECONDS")
+    sub.add_argument("--candidate-cap", type=_positive(int), default=250_000)
     _output_flag(sub)
     sub.set_defaults(handler=_cmd_minimize)
 
@@ -241,6 +252,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

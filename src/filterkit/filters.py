@@ -8,6 +8,7 @@ is outside the filter's interaction language.  The output of a surviving
 string is the union of the colors of its reached states.
 """
 
+import itertools
 from collections import deque
 
 from .errors import (
@@ -30,6 +31,27 @@ def _check_strings(values, what, error=FilterError):
         if not isinstance(v, str):
             raise error(f"{what} must be strings, not {v!r}")
     return values
+
+
+def _all_of_type(values, kind):
+    """True if every value is exactly of type kind.  A subclass makes it
+    False, so such values go on to the per-value checks, which accept it."""
+    return set(map(type, values)) <= {kind}
+
+
+def _check_entries(entries, rows):
+    """The per-entry checks of the state and transition entries of a filter
+    document; raises the error that the first malformed entry earns."""
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise FilterError("each state needs an 'id'")
+        _check_strings([entry["id"]], "state ids")
+        _check_strings(entry.get("colors", []), "state colors")
+    for entry in rows:
+        if not isinstance(entry, dict) or not {"from", "to", "symbols"} <= set(entry):
+            raise FilterError("each transition needs 'from', 'to' and 'symbols'")
+        _check_strings([entry["from"], entry["to"]], "transition ends")
+        _check_strings(entry["symbols"], "transition symbols")
 
 
 def _fresh_name(base, taken):
@@ -89,10 +111,12 @@ class Filter:
             raise FilterError("duplicate color names")
         color_set = set(self.colors)
 
-        init = [s for s in self.states if s in set(initial)]
-        for s in initial:
-            if s not in state_set:
-                raise UnknownState(f"initial state {s!r} is not declared")
+        initial_set = set(initial)
+        if not initial_set <= state_set:
+            for s in initial:
+                if s not in state_set:
+                    raise UnknownState(f"initial state {s!r} is not declared")
+        init = [s for s in self.states if s in initial_set]
         if not init:
             raise NoInitialState("filter has no initial state")
         self.initial = frozenset(init)
@@ -104,9 +128,10 @@ class Filter:
             if dst not in state_set:
                 raise UnknownState(f"transition target {dst!r} is not declared")
             symset = frozenset(syms)
-            for y in symset:
-                if y not in obs_set:
-                    raise UnknownSymbol(f"transition symbol {y!r} is not declared")
+            if not symset <= obs_set:
+                for y in symset:
+                    if y not in obs_set:
+                        raise UnknownSymbol(f"transition symbol {y!r} is not declared")
             if symset:
                 trans[(src, dst)] = symset
         self.transitions = trans
@@ -120,25 +145,32 @@ class Filter:
             cs = self.coloring.get(s, frozenset())
             if not cs:
                 raise EmptyColorSet(s)
-            for c in cs:
-                if c not in color_set:
-                    raise FilterError(f"state {s!r} uses undeclared color {c!r}")
+            if not cs <= color_set:
+                for c in cs:
+                    if c not in color_set:
+                        raise FilterError(f"state {s!r} uses undeclared color {c!r}")
 
         self._index = {s: i for i, s in enumerate(self.states)}
         self._obs_set = obs_set
         # state -> symbol -> ordered tuple of targets
         step = {s: {} for s in self.states}
+        shared = []  # (by_sym, y) of the entries with more than one target
         for (src, dst), syms in self.transitions.items():
+            by_sym = step[src]
             for y in syms:
-                step[src].setdefault(y, []).append(dst)
-        for s, by_sym in step.items():
-            for y, targets in by_sym.items():
-                by_sym[y] = tuple(sorted(targets, key=self._index.__getitem__))
+                targets = by_sym.get(y)
+                if targets is None:
+                    by_sym[y] = (dst,)
+                elif len(targets) == 1:
+                    by_sym[y] = [targets[0], dst]
+                    shared.append((by_sym, y))
+                else:
+                    targets.append(dst)
+        rank = self._index.__getitem__
+        for by_sym, y in shared:
+            by_sym[y] = tuple(sorted(by_sym[y], key=rank))
         self._step = step
-
-        self._deterministic = len(self.initial) == 1 and all(
-            len(targets) == 1 for by_sym in step.values() for targets in by_sym.values()
-        )
+        self._deterministic = len(self.initial) == 1 and not shared
 
     # -- queries ---------------------------------------------------------
 
@@ -294,24 +326,33 @@ class Filter:
                 raise FilterError(f"{key!r} must be a list")
         for key in ("observations", "colors", "initial"):
             _check_strings(data[key], repr(key))
-        states = []
-        coloring = {}
-        for entry in data["states"]:
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise FilterError("each state needs an 'id'")
-            _check_strings([entry["id"]], "state ids")
-            states.append(entry["id"])
-            coloring[entry["id"]] = _check_strings(entry.get("colors", []), "state colors")
-        transitions = {}
-        for entry in data["transitions"]:
-            if not isinstance(entry, dict) or not {"from", "to", "symbols"} <= set(entry):
-                raise FilterError("each transition needs 'from', 'to' and 'symbols'")
-            _check_strings([entry["from"], entry["to"]], "transition ends")
-            key = (entry["from"], entry["to"])
-            transitions.setdefault(key, set()).update(
-                _check_strings(entry["symbols"], "transition symbols"))
+        entries, rows = data["states"], data["transitions"]
+        # The common case is checked in bulk; otherwise the per-entry checks
+        # find the first malformed entry and raise its usual error.
+        try:
+            states = [entry["id"] for entry in entries]
+            color_lists = [entry.get("colors", []) for entry in entries]
+            ends = [(entry["from"], entry["to"]) for entry in rows]
+            symbol_lists = [entry["symbols"] for entry in rows]
+            flat = itertools.chain.from_iterable
+            plain = (
+                _all_of_type(itertools.chain(entries, rows), dict)
+                and _all_of_type(itertools.chain(color_lists, symbol_lists), list)
+                and _all_of_type(itertools.chain(
+                    states, flat(ends), flat(color_lists), flat(symbol_lists)), str)
+            )
+        except (KeyError, TypeError, AttributeError):
+            plain = False
+        if not plain:
+            _check_entries(entries, rows)
+        transitions = dict(zip(ends, symbol_lists))
+        if len(transitions) < len(ends):
+            # an edge listed more than once carries the union of its symbols
+            transitions = {}
+            for key, symbols in zip(ends, symbol_lists):
+                transitions.setdefault(key, set()).update(symbols)
         return cls(states, data["initial"], data["observations"], transitions,
-                   data["colors"], coloring)
+                   data["colors"], dict(zip(states, color_lists)))
 
     # -- value semantics --------------------------------------------------
 

@@ -20,9 +20,10 @@ quotients and verified greedy merges supply upper bounds, and a complete
 per-level search closes any remaining gap while the budget lasts.
 """
 
+import functools
 import itertools
+import operator
 import time
-from collections import deque
 
 from .filters import DETERMINIZE_CAP, Filter
 from .simulation import _bits, _RefTables, _walk
@@ -87,6 +88,7 @@ class _Clock:
         self.budget = budget if budget is not None else SearchBudget()
         self.candidates = 0
         self.walked = 0
+        self.refused = False
         self._deadline = None
         if self.budget.time_cap is not None:
             self._deadline = time.monotonic() + self.budget.time_cap
@@ -96,7 +98,8 @@ class _Clock:
 
         Stops the count exactly where k calls that each account for one
         candidate would: at the first candidate past the cap, or at the
-        first multiple of 512 found past the deadline.
+        first multiple of 512 found past the deadline.  `refused` records
+        that a refusal happened.
         """
         old = self.candidates
         cap = self.budget.candidate_cap
@@ -104,9 +107,11 @@ class _Clock:
         if self._deadline is not None and last_checked >> 9 > old >> 9:
             if time.monotonic() > self._deadline:
                 self.candidates = ((old >> 9) + 1) << 9
+                self.refused = True
                 return False
         if cap is not None and old + k > cap:
             self.candidates = max(old + 1, cap + 1)
+            self.refused = True
             return False
         self.candidates = old + k
         return True
@@ -305,6 +310,14 @@ def minimize_nondet(f, budget=None):
 # -- deterministic minimization ------------------------------------------
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask):
+    """One byte per bit of mask, lowest first: 1 where the bit is set."""
+    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
+
+
 def compatibility_graph(d):
     """Undirected graph over a deterministic filter's states.
 
@@ -316,47 +329,62 @@ def compatibility_graph(d):
     graph.  The minimum clique cover size is therefore a lower bound on any
     deterministic simulator, though not always attainable: cliques need not
     merge into a consistent transition function.
+
+    Incompatibility is held as one bitmask row per state.  It is seeded with
+    the color-disjoint pairs, one row per distinct color set, and propagated
+    backwards by a worklist: when a and b are incompatible, so is every pair
+    of states that one symbol leads to a and b.  The worklist holds the
+    states whose rows gained bits that have not been propagated yet.
     """
     if not d.is_deterministic():
         raise ValueError("compatibility graph needs a deterministic filter")
     states = d.states
-    idx = d._index
-
-    def succ(s, y):
-        targets = d.successors(s, y)
-        return targets[0] if targets else None
-
-    bad = set()
-    rev = {}
-    pairs = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            u, v = states[i], states[j]
-            pair = (u, v)
-            pairs.append(pair)
-            if not (d.coloring[u] & d.coloring[v]):
-                bad.add(pair)
+    n = len(states)
+    index = d._index
+    color_bit = {c: 1 << k for k, c in enumerate(d.colors)}
+    palette = [sum(color_bit[c] for c in d.coloring[s]) for s in states]
+    holders = [0] * len(d.colors)  # holders[k]: the states that carry color k
+    for i, colors in enumerate(palette):
+        for k in _bits(colors):
+            holders[k] |= 1 << i
+    full = (1 << n) - 1
+    disjoint = {}
+    for colors in set(palette):
+        sharing = 0
+        for k in _bits(colors):
+            sharing |= holders[k]
+        disjoint[colors] = full & ~sharing
+    bad = [disjoint[colors] for colors in palette]
+    # per symbol y: into[b] is the mask, sources[b] the list, of the states
+    # that y leads to b
+    preds = {y: ([0] * n, [[] for _ in range(n)]) for y in d.observations}
+    for (src, dst), syms in d.transitions.items():
+        i, b = index[src], index[dst]
+        for y in syms:
+            into, sources = preds[y]
+            into[b] |= 1 << i
+            sources[b].append(i)
+    pending = list(bad)
+    work = [i for i in range(n) if bad[i]]
+    while work:
+        a = work.pop()
+        flags = _flags(pending[a])
+        pending[a] = 0
+        for into, sources in preds.values():
+            if not sources[a]:
                 continue
-            for y in d.out_symbols(u) & d.out_symbols(v):
-                a, b = succ(u, y), succ(v, y)
-                if a == b:
-                    continue
-                if idx[a] > idx[b]:
-                    a, b = b, a
-                rev.setdefault((a, b), []).append(pair)
-    queue = deque(bad)
-    while queue:
-        pair = queue.popleft()
-        for pred in rev.get(pair, ()):
-            if pred not in bad:
-                bad.add(pred)
-                queue.append(pred)
-    adj = {s: set() for s in states}
-    for (u, v) in pairs:
-        if (u, v) not in bad:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
+            behind = functools.reduce(operator.or_, itertools.compress(into, flags), 0)
+            for i in sources[a]:
+                new = behind & ~bad[i]
+                if new:
+                    bad[i] |= new
+                    if not pending[i]:
+                        work.append(i)
+                    pending[i] |= new
+    return {
+        s: set(itertools.compress(states, _flags(full & ~bad[i] & ~(1 << i))))
+        for i, s in enumerate(states)
+    }
 
 
 class _CoverCapHit(Exception):
@@ -414,12 +442,14 @@ def _min_clique_cover(states, adj, node_cap=500_000):
     sound as a bound on the optimum.
     """
     n = len(states)
-    inc = [0] * n
-    for i in range(n):
-        row = adj[states[i]]
-        for j in range(n):
-            if i != j and states[j] not in row:
-                inc[i] |= 1 << j
+    bit = {s: 1 << i for i, s in enumerate(states)}
+    full = (1 << n) - 1
+    inc = []
+    for s in states:
+        row = 0
+        for t in adj[s]:
+            row |= bit[t]
+        inc.append(full & ~row & ~bit[s])
     order = sorted(range(n), key=lambda i: -bin(inc[i]).count("1"))
     clique = []
     member_mask = 0
@@ -534,7 +564,8 @@ def _verified(ref, candidate, clock):
 
 
 def _greedy_merge(d, ref, clock):
-    """Upper-bound pass: keep merging verified compatible pairs."""
+    """Upper-bound pass: keep merging verified compatible pairs, until no
+    pair merges or the clock refuses."""
     cur = d
     while True:
         adj = compatibility_graph(cur)
@@ -547,6 +578,8 @@ def _greedy_merge(d, ref, clock):
                 if cand is not None and _verified(ref, cand, clock):
                     merged = cand
                     break
+                if clock.refused:
+                    return cur
             if merged is not None:
                 break
         if merged is None:
@@ -580,7 +613,7 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
         if len(smaller.states) < len(best.states):
             best = smaller
     proven = len(best.states) == lower
-    if not proven:
+    if not proven and not clock.refused:
         searched_all = True
         for n in range(lower, len(best.states)):
             if budget is not None and budget.max_k is not None and n > budget.max_k:

@@ -1,21 +1,32 @@
 """Reading and writing filters, automata, observation strings, and DOT.
 
-The on-disk format is JSON with one relaxation: lines whose first non-blank
-character is ``#`` are treated as comments and dropped before parsing.
+The on-disk format is JSON with one relaxation: a line whose first
+non-blank character is ``#`` is a comment.  Lines end at ``\n`` only, so a
+raw U+2028, U+2029 or U+0085 inside a string is part of that string, and a
+comment line is blanked in place rather than dropped, so a "not valid JSON"
+error gives the line and column of the file itself.
+
 Emitters are deterministic, so identical inputs always serialize to
-identical bytes.
+identical bytes.  ``emit_filter(f)`` is byte for byte
+``json.dumps(f.to_dict(), indent=2) + "\n"``, and ``emit_nfa`` keeps the
+same layout; both write it directly, quoting each name once.
 """
 
 import json
+import re
 
 from .errors import FilterError, NfaError, UnknownSymbol
 from .filters import Filter, _check_strings
 from .nfa import Nfa
 
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
+_quote = json.encoder.encode_basestring_ascii
+
 
 def _strip_comments(text):
-    kept = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
-    return "\n".join(kept)
+    if "#" not in text:
+        return text
+    return _COMMENT_LINE.sub(lambda line: " " * len(line.group()), text)
 
 
 def _load_json(text, error_cls):
@@ -23,6 +34,8 @@ def _load_json(text, error_cls):
         data = json.loads(_strip_comments(text))
     except json.JSONDecodeError as exc:
         raise error_cls(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error_cls("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise error_cls("top-level JSON value must be an object")
     return data
@@ -36,8 +49,55 @@ def parse_filter(text):
         raise FilterError(f"malformed filter document: {exc!r}") from None
 
 
+def _array(items, depth):
+    """Encoded JSON values as json.dumps(..., indent=2) lays out an array
+    that opens at nesting depth `depth`."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _object(fields, depth):
+    """(key, encoded value) pairs laid out as a JSON object, like _array."""
+    return "{" + _array([f"{_quote(key)}: {value}" for key, value in fields], depth)[1:-1] + "}"
+
+
+def _strings(values, depth):
+    return _array([_quote(v) for v in values], depth)
+
+
 def emit_filter(f):
-    return json.dumps(f.to_dict(), indent=2) + "\n"
+    """The filter document of f, equal to json.dumps(f.to_dict(), indent=2)
+    followed by a newline.  Each name is quoted once, and each distinct
+    color set and symbol set is laid out once."""
+    color_rank = {c: i for i, c in enumerate(f.colors)}
+    obs_rank = {y: i for i, y in enumerate(f.observations)}
+    name = {s: _quote(s) for s in f.states}
+    color_sets = {
+        cs: _strings(sorted(cs, key=color_rank.__getitem__), 3)
+        for cs in set(f.coloring.values())
+    }
+    symbol_sets = {
+        ys: _strings(sorted(ys, key=obs_rank.__getitem__), 3)
+        for ys in set(f.transitions.values())
+    }
+    index = f._index
+    edges = sorted(f.transitions.items(), key=lambda e: (index[e[0][0]], index[e[0][1]]))
+    # one layout per entry kind, filled in with %
+    state_form = _object((("id", "%s"), ("colors", "%s")), 2)
+    edge_form = _object((("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2)
+    states = [state_form % (name[s], color_sets[f.coloring[s]]) for s in f.states]
+    transitions = [
+        edge_form % (name[src], name[dst], symbol_sets[ys]) for (src, dst), ys in edges
+    ]
+    return _object((
+        ("observations", _strings(f.observations, 1)),
+        ("colors", _strings(f.colors, 1)),
+        ("states", _array(states, 1)),
+        ("initial", _array([name[s] for s in f.states if s in f.initial], 1)),
+        ("transitions", _array(transitions, 1)),
+    ), 0) + "\n"
 
 
 def parse_nfa(text):
@@ -75,15 +135,18 @@ def emit_nfa(n):
             for target in sorted(n.transitions.get((state, symbol), ())):
                 buckets.setdefault(target, []).append(symbol)
         for target in sorted(buckets):
-            rows.append({"from": state, "to": target, "symbols": buckets[target]})
-    data = {
-        "alphabet": list(n.alphabet),
-        "states": list(n.states),
-        "initial": sorted(n.initial),
-        "accepting": sorted(n.accepting),
-        "transitions": rows,
-    }
-    return json.dumps(data, indent=2) + "\n"
+            rows.append(_object((
+                ("from", _quote(state)),
+                ("to", _quote(target)),
+                ("symbols", _strings(buckets[target], 3)),
+            ), 2))
+    return _object((
+        ("alphabet", _strings(n.alphabet, 1)),
+        ("states", _strings(n.states, 1)),
+        ("initial", _strings(sorted(n.initial), 1)),
+        ("accepting", _strings(sorted(n.accepting), 1)),
+        ("transitions", _array(rows, 1)),
+    ), 0) + "\n"
 
 
 # Color names Graphviz understands directly; anything else falls back to a

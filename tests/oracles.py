@@ -7,8 +7,9 @@ whole candidate filters and asks the oracle.  A second simulation oracle
 works differently: it builds the tensor product of the two filters and
 reduces simulation to NFA language inclusions.  canonical_search checks the
 candidates of one search level one at a time, in the canonical order the
-package's search counts them in.  All are written for obviousness, not
-speed.
+package's search counts them in.  compatibility_graph_oracle builds the
+compatibility graph from a reverse map over every pair of states.  All are
+written for obviousness, not speed.
 """
 
 import itertools
@@ -263,6 +264,50 @@ def canonical_search(reference, n, det, spent=0, cap=None):
             )
             return "found", witness, spent
     return "exhausted", None, spent
+
+
+def compatibility_graph_oracle(d):
+    """The compatibility graph of a deterministic filter, by a reverse map
+    over all pairs: the color-disjoint pairs are incompatible, and so,
+    transitively, is every pair one symbol leads to an incompatible pair."""
+    states = d.states
+    idx = {s: i for i, s in enumerate(states)}
+
+    def succ(s, y):
+        targets = d.successors(s, y)
+        return targets[0] if targets else None
+
+    bad = set()
+    rev = {}
+    pairs = []
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            u, v = states[i], states[j]
+            pair = (u, v)
+            pairs.append(pair)
+            if not (d.coloring[u] & d.coloring[v]):
+                bad.add(pair)
+                continue
+            for y in d.out_symbols(u) & d.out_symbols(v):
+                a, b = succ(u, y), succ(v, y)
+                if a == b:
+                    continue
+                if idx[a] > idx[b]:
+                    a, b = b, a
+                rev.setdefault((a, b), []).append(pair)
+    queue = deque(bad)
+    while queue:
+        pair = queue.popleft()
+        for pred in rev.get(pair, ()):
+            if pred not in bad:
+                bad.add(pred)
+                queue.append(pred)
+    adj = {s: set() for s in states}
+    for (u, v) in pairs:
+        if (u, v) not in bad:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
 
 
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):

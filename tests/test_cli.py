@@ -115,6 +115,22 @@ def test_validate_bad_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_keeps_line_separators_in_ids(tmp_path, capsys):
+    f = Filter(["a\u2028b", "c\x85"], ["a\u2028b"], ("y",), {("a\u2028b", "c\x85"): {"y"}},
+               ("k",), {"a\u2028b": {"k"}, "c\x85": {"k"}})
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(f.to_dict(), indent=2, ensure_ascii=False), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert "states: 2" in capsys.readouterr().out
+
+
+def test_validate_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(emit_filter(fig3_input()).encode() + b"\xff")
+    assert main(["validate", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_trace_alive_and_crash(fig3_path, capsys):
     assert main(["trace", "1a", fig3_path]) == 0
     out = capsys.readouterr().out
@@ -283,6 +299,15 @@ def test_minimize_budget_exhaustion(fig3_path, capsys):
     out = capsys.readouterr().out
     assert "# proven_optimal: false" in out
     assert parse_filter(out).size() == 10
+
+
+@pytest.mark.parametrize("flag,value", [("--candidate-cap", "0"), ("--max-k", "-1"),
+                                        ("--time-limit", "0"), ("--time-limit", "nan")])
+def test_minimize_rejects_non_positive_budget(fig3_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["minimize", flag, value, fig3_path])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be positive" in capsys.readouterr().err
 
 
 def test_minimize_output_file(tmp_path, capsys):

@@ -193,3 +193,33 @@ def test_output_agrees_with_oracle_walk():
             assert f.output(s) == expect
         else:
             assert f.output(s) is None
+
+
+def test_all_initial_filter_builds_in_linear_time():
+    names = [f"s{i}" for i in range(50_000)]
+    f = Filter(names, names, ("y",), {}, ("c",), {s: {"c"} for s in names})
+    assert f.initial == frozenset(names)
+
+
+def test_from_dict_accepts_subclasses_and_merges_repeated_edges():
+    from collections import OrderedDict
+
+    class Name(str):
+        pass
+
+    data = {
+        "observations": ["a", "b"],
+        "colors": ["c"],
+        "states": [OrderedDict(id=Name("p"), colors=["c"]), {"id": "q", "colors": [Name("c")]}],
+        "initial": ["p"],
+        "transitions": [
+            {"from": "p", "to": "q", "symbols": ["a"]},
+            OrderedDict([("from", "p"), ("to", "q"), ("symbols", ["b"])]),
+        ],
+    }
+    f = Filter.from_dict(data)
+    assert f.transitions == {("p", "q"): frozenset({"a", "b"})}
+    assert f.states == ("p", "q")
+    data["transitions"].append({"from": "q", "to": 7, "symbols": ["a"]})
+    with pytest.raises(FilterError, match="transition ends must be strings, not 7"):
+        Filter.from_dict(data)

@@ -17,6 +17,7 @@ from filterkit import (
     minimize_det,
     minimize_nondet,
     output_simulates,
+    prime_family,
     prime_family_minimizer,
 )
 
@@ -24,6 +25,7 @@ from oracles import (
     all_filters,
     brute_force_min_size,
     canonical_search,
+    compatibility_graph_oracle,
     random_filter,
     simulates_oracle,
 )
@@ -421,3 +423,38 @@ def test_clique_cover_of_deep_graph_returns():
     assert sorted(s for part in partition for s in part) == sorted(states)
     for part in partition:
         assert all(v in adj[u] for u in part for v in part if u != v)
+
+
+def test_compatibility_graph_matches_rev_map_reference():
+    dets = [prime_family(r).determinize()[0] for r in range(1, 5)]
+    dets += [f.determinize()[0] for f in (donut_world(), fig3_input(), fig3_minimizer())]
+    rng = random.Random(2718)
+    for _ in range(300):
+        f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+        dets.append(f.determinize()[0])
+    for d in dets:
+        assert compatibility_graph(d) == compatibility_graph_oracle(d)
+
+
+def test_greedy_merge_stops_at_the_cap():
+    rng = random.Random(3)
+    for _ in range(9):
+        f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+    for cap in (1, 2):
+        result = minimize_det(f, SearchBudget(candidate_cap=cap))
+        assert result.stats["candidates"] == cap + 1
+        assert result.stats["walked"] == cap
+        assert not result.proven_optimal
+        assert result.size() > result.stats["lower_bound"]
+        assert output_simulates(result.minimizer, f).holds
+
+
+def test_capped_minimize_det_proves_only_at_the_lower_bound():
+    rng = random.Random(31)
+    for _ in range(60):
+        f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+        cap = rng.choice((1, 2, 3, 5, 8, 20))
+        result = minimize_det(f, SearchBudget(candidate_cap=cap))
+        assert result.stats["candidates"] <= cap + 1
+        if result.stats["candidates"] > cap:
+            assert result.proven_optimal == (result.size() == result.stats["lower_bound"])

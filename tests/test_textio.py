@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from filterkit import (
     parse_filter,
     parse_nfa,
     parse_string,
+    prime_family,
+    prime_family_minimizer,
 )
 
 from oracles import random_filter
@@ -41,6 +44,92 @@ def test_comment_lines_are_ignored():
     text = emit_filter(fig3_input())
     commented = "# a remark\n" + text.replace('"states"', '  # indented too\n  "states"', 1)
     assert parse_filter(commented) == fig3_input()
+
+
+def test_comment_lines_keep_file_positions():
+    text = '# remark\n{\n  # indented remark\n  "observations": ]\n}\n'
+    with pytest.raises(FilterError, match=r"line 4 column 19 \(char 49\)"):
+        parse_filter(text)
+
+
+def test_line_separators_inside_strings_are_not_line_breaks():
+    names = ["s\u2028t", "\u2029", "u\x85v"]
+    f = Filter(names, names[:1], ("a",), {(names[0], names[1]): {"a"}}, ("c",),
+               {s: {"c"} for s in names})
+    raw = json.dumps(f.to_dict(), indent=2, ensure_ascii=False)
+    assert "\u2028" in raw and "\x85" in raw
+    assert parse_filter(raw) == f
+    assert parse_filter("# comment \u2028 line\n" + raw) == f
+
+
+def test_form_feed_between_tokens_is_not_json():
+    text = emit_filter(fig3_input())
+    for blank in ("\x0c", "\x0b"):
+        with pytest.raises(FilterError, match="not valid JSON"):
+            parse_filter(text.replace(",\n", "," + blank + "\n", 1))
+
+
+def dumps_reference(f):
+    return json.dumps(f.to_dict(), indent=2) + "\n"
+
+
+def test_emit_filter_is_json_dumps_of_to_dict():
+    filters = [donut_world(), fig3_input()]
+    for r in range(1, 6):
+        filters.append(prime_family(r))
+        filters.append(prime_family_minimizer(min(r, 4)))
+    filters.append(prime_family(5).determinize()[0])
+    rng = random.Random(1618)
+    for _ in range(100):
+        f = random_filter(rng, max_states=6)
+        filters += [f, f.determinize()[0]]
+    # no transitions at all
+    filters.append(Filter(["only"], ["only"], ("a",), {}, ("c",), {"only": {"c"}}))
+    # names that need escaping: quotes, backslashes, control characters,
+    # non-ASCII, astral characters and line separators
+    odd = ['q"uote', "back\\slash", "tab\tnl\nnul\x00", "caf\u00e9", "\U0001f600",
+           "ls\u2028ps\u2029nel\x85", "", "/", "\x7f"]
+    symbols = ("\u00e9", 'y"', "\U0001d11e")
+    colors = ("gr\u00fcn", "\\c", "\u2028")
+    filters.append(Filter(
+        odd, odd[::3], symbols,
+        {(u, v): set(symbols[: 1 + (i + j) % 3])
+         for i, u in enumerate(odd) for j, v in enumerate(odd) if (i * j) % 4 == 1},
+        colors, {s: set(colors[: 1 + i % 3]) for i, s in enumerate(odd)}))
+    for f in filters:
+        assert emit_filter(f) == dumps_reference(f)
+
+
+def test_emit_nfa_is_json_dumps_layout():
+    rng = random.Random(99)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        states = [f"q\u00e9{i}" for i in range(n)]
+        alphabet = ("a", '"b', "\U0001f600")[: rng.randint(1, 3)]
+        transitions = {}
+        for s in states:
+            for y in alphabet:
+                targets = frozenset(t for t in states if rng.random() < 0.4)
+                if targets:
+                    transitions[(s, y)] = targets
+        accepting = [s for s in states if rng.random() < 0.5]
+        nfa = Nfa(states, states[:1], alphabet, transitions, accepting)
+        rows = []
+        for state in nfa.states:
+            buckets = {}
+            for symbol in nfa.alphabet:
+                for target in sorted(nfa.transitions.get((state, symbol), ())):
+                    buckets.setdefault(target, []).append(symbol)
+            for target in sorted(buckets):
+                rows.append({"from": state, "to": target, "symbols": buckets[target]})
+        data = {
+            "alphabet": list(nfa.alphabet),
+            "states": list(nfa.states),
+            "initial": sorted(nfa.initial),
+            "accepting": sorted(nfa.accepting),
+            "transitions": rows,
+        }
+        assert emit_nfa(nfa) == json.dumps(data, indent=2) + "\n"
 
 
 def test_parse_filter_rejects_garbage():
