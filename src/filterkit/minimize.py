@@ -14,6 +14,14 @@ stopped, walked or ruled out in a block; stats report the walked ones as
 from that Filter, so a fault in building it raises instead of returning a
 filter that does not simulate the input.
 
+minimize_nondet searches level 1, then bounds the optimum before it
+enumerates anything more.  Upper bounds come from the trimmed filter, its
+forward and backward bisimulation quotients and the deterministic pipeline
+below; the lower bound is a fooling set, a family of string pairs that no
+two simulator states can serve together.  Where the bounds meet, the upper
+bound is the answer, proven; otherwise only the levels between them are
+searched.  Every bound phase has a fixed work cap and checks the time cap.
+
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
 quotients and verified greedy merges supply upper bounds, and a complete
@@ -25,7 +33,8 @@ import itertools
 import operator
 import time
 
-from .filters import DETERMINIZE_CAP, Filter
+from .errors import CapExceeded
+from .filters import DETERMINIZE_CAP, Filter, _fresh_name
 from .simulation import _bits, _RefTables, _walk
 
 YES = "yes"
@@ -115,6 +124,16 @@ class _Clock:
             return False
         self.candidates = old + k
         return True
+
+    def expired(self):
+        """True once the time cap has passed."""
+        return self._deadline is not None and time.monotonic() > self._deadline
+
+    def sub(self, candidate_cap):
+        """A fresh clock with its own candidate cap and this clock's deadline."""
+        clock = _Clock(SearchBudget(candidate_cap=candidate_cap))
+        clock._deadline = self._deadline
+        return clock
 
 
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
@@ -280,31 +299,299 @@ def decide_size_k(f, k, budget=None):
 
 
 def minimize_nondet(f, budget=None):
-    """Exact minimization over all filters, by iterative deepening."""
+    """Exact minimization over all filters: bounds first, then a search of
+    the levels between them.
+
+    Level 1 is searched first.  If it fails, sound bounds come next: upper
+    bounds from the trimmed filter, its forward and backward bisimulation
+    quotients and the deterministic pipeline, each checked by the pair walk,
+    and a fooling-set lower bound, at least 2.  When the lower bound meets
+    the best upper bound, that filter is returned as proven optimal without
+    a search; otherwise the levels from the lower bound up to one below the
+    best upper bound are searched in turn, and the first level with a
+    simulator gives the canonically-first one.  The bounds are computed only
+    when max_k allows level 2.
+    """
     start = time.monotonic()
     ft = f.trim()
     ref = _RefTables(ft)
     clock = _Clock(budget)
-    best = ft
-    proven = True
-    for n in range(1, len(ft.states)):
-        if budget is not None and budget.max_k is not None and n > budget.max_k:
-            proven = False
-            break
-        status, witness = _search_size(ref, n, clock, det=False)
+    max_k = clock.budget.max_k
+    best, source, lower, lower_exact = ft, "trim", 1, True
+    status = _EXHAUSTED
+    if len(ft.states) > 1:
+        status, witness = _search_size(ref, 1, clock, det=False)
         if status == _FOUND:
-            best = witness
-            break
-        if status == _CAPPED:
-            proven = False
-            break
+            best, source = witness, "search"
+    if status == _EXHAUSTED and len(ft.states) > 1:
+        lower = 2
+        if max_k is None or max_k > 1:
+            best, source = _upper_bound(ft, ref, clock, lower)
+            if lower < len(best.states):
+                pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
+                lower = max(lower, len(pairs))
+        for n in range(lower, len(best.states)):
+            if max_k is not None and n > max_k:
+                status = _CAPPED
+                break
+            status, witness = _search_size(ref, n, clock, det=False)
+            if status == _FOUND:
+                best, source = witness, "search"
+                break
+            if status == _CAPPED:
+                break
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,
         "wall_time_s": time.monotonic() - start,
         "trim_size": len(ft.states),
+        "lower_bound": lower,
+        "lower_bound_exact": lower_exact,
+        "upper_bound_source": source,
     }
-    return MinimizationResult(best, proven, stats)
+    return MinimizationResult(best, status != _CAPPED, stats)
+
+
+# -- bounds for nondeterministic minimization ------------------------------
+
+# Work caps of the bound phases.  They are fixed, so every bound, and with it
+# every answer under a candidate cap, repeats exactly from run to run.
+_BOUND_SUBSETS = 1_000      # the deterministic bound is skipped past this many subsets
+_BOUND_CANDIDATES = 50      # verified merges the deterministic bound may try
+_BOUND_MERGES = 5_000       # state pairs its greedy merge pass may try in all
+_BOUND_COVER_NODES = 20_000  # clique-cover search nodes of the deterministic bound
+_BISIMULATION_WORK = 100_000  # state signatures one bisimulation quotient may compute
+_FOOLING_SETS = 64          # reached sets that fooling pairs start from
+_FOOLING_WORK = 50_000      # (reached set, tail) pairs the fooling-set bound walks
+_FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
+
+
+def _upper_bound(ft, ref, clock, lower):
+    """The smallest simulator among the trimmed filter, its two bisimulation
+    quotients and the deterministic pipeline's result, with the name of its
+    source.  Each one that is smaller than the best so far is walked against
+    the reference through _confirm, which raises if it fails.  Stops once
+    one has `lower` states, below which the search has ruled everything
+    out."""
+    best, source = ft, "trim"
+    for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
+        if len(best.states) <= lower or clock.expired():
+            break
+        if name == "deterministic":
+            bound = _det_bound(ft, ref, clock, len(best.states))
+        else:
+            bound = _bisimulation_quotient(ft, ref, clock, name == "backward-bisimulation")
+        if bound is not None and len(bound.states) < len(best.states):
+            best, source = _confirm(ref, bound), name
+    return best, source
+
+
+def _det_bound(ft, ref, clock, beat):
+    """The deterministic pipeline's simulator under the bound caps, or None
+    when the determinization passes _BOUND_SUBSETS subsets."""
+    try:
+        return _det_pipeline(ft, ref, clock.sub(_BOUND_CANDIDATES), _BOUND_SUBSETS,
+                             _BOUND_COVER_NODES, _BOUND_MERGES, beat)[1]
+    except CapExceeded:
+        return None
+
+
+def _bisimulation_quotient(ft, ref, clock, backward):
+    """The quotient of ft by its coarsest color-respecting forward (or
+    backward) bisimulation, or None if every block is a single state.
+
+    Forward-bisimilar states have the same colors and, under every symbol,
+    successors in the same blocks; backward-bisimilar ones the same colors,
+    the same initial status and predecessors in the same blocks.  Either way
+    the quotient reaches, on every string, exactly the blocks of the states
+    ft reaches, so it keeps the survival and output of every string.  The
+    partition is refined from the color classes until no block splits; a
+    round signs every state, and None is also the answer when that takes
+    more than _BISIMULATION_WORK signatures, or past the deadline.
+    """
+    n = len(ft.states)
+    if backward:
+        edges = []
+        for table in ref.step.values():
+            into = [0] * n
+            for i, targets in enumerate(table):
+                for j in _bits(targets):
+                    into[j] |= 1 << i
+            edges.append(into)
+        keys = [(ref.color_of[i], ref.init_mask >> i & 1) for i in range(n)]
+    else:
+        edges = list(ref.step.values())
+        keys = list(ref.color_of)
+    count = 0
+    for _ in range(max(1, _BISIMULATION_WORK // n)):
+        ids = {}
+        block = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            break
+        if len(ids) == n or clock.expired():
+            return None
+        count = len(ids)
+        keys = []
+        for i in range(n):
+            key = [block[i]]
+            for table in edges:
+                blocks = 0
+                for j in _bits(table[i]):
+                    blocks |= 1 << block[j]
+                key.append(blocks)
+            keys.append(tuple(key))
+    else:
+        return None
+    partition = [[] for _ in range(count)]
+    for i, s in enumerate(ft.states):
+        partition[block[i]].append(s)
+    return _quotient_filter(ft, partition)
+
+
+def _fooling_set(ref, target, clock):
+    """A fooling set of the reference: (pairs, exact).
+
+    Pairs (x_i, y_i) such that the reference survives every x_i y_i and, for
+    i != j, it survives x_j y_i with colors disjoint from its colors on
+    x_i y_i, or the same with i and j swapped.  Any simulator then needs a
+    distinct state for each pair: a state s_i reached on x_i that leads to
+    a state whose colors lie in ref(x_i y_i) under y_i, for if s_i = s_j
+    that state is also reached on x_j y_i, and its nonempty colors would lie
+    in two disjoint sets.  So the size of the set is a lower bound.
+
+    A pair depends only on the reference's reached set A after x and on y:
+    the x_i are access strings of the first _FOOLING_SETS reached sets in
+    breadth-first order, the y_i strings of length at most 2 in shortlex
+    order, as many as _FOOLING_WORK allows but at least those of length at
+    most 1.  A pair kills the reached sets B from which y leads to colors
+    disjoint from its own, and two pairs fit together when either kills the
+    other's set.  Two pairs with the same set never fit, so a fooling set
+    has at most _FOOLING_SETS pairs; of the pairs with one set, only those
+    whose killed sets are maximal are kept.  The largest fitting family is a
+    maximum clique, searched up to `target` pairs with at most
+    _FOOLING_NODES nodes; exact is False when that cap or the deadline cut
+    the search short.
+    """
+    obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
+    pool, access = [ref.init_mask], {ref.init_mask: ()}
+    for A in pool:
+        for y in obs:
+            B = succ(A, y)
+            if B and B not in access and len(pool) < _FOOLING_SETS:
+                access[B] = access[A] + (y,)
+                pool.append(B)
+    tails = itertools.chain([()], ((y,) for y in obs), ((y, z) for y in obs for z in obs))
+    found = {}  # (pool index, killed mask) -> the first tail giving it
+    for tail in itertools.islice(tails, max(1 + len(obs), _FOOLING_WORK // len(pool))):
+        if clock.expired():
+            return [], False
+        holders = {}  # colors reached on the tail -> mask of the pool sets reaching them
+        for k, A in enumerate(pool):
+            for y in tail:
+                A = succ(A, y)
+            colors = colors_of(A)
+            if colors:
+                holders[colors] = holders.get(colors, 0) | 1 << k
+        for own, at in holders.items():
+            killed = 0
+            for other, there in holders.items():
+                if not other & own:
+                    killed |= there
+            for k in _bits(at):
+                found.setdefault((k, killed), tail)
+    by_set = {}
+    for k, killed in found:
+        by_set.setdefault(k, []).append(killed)
+    nodes = []
+    for k, kills in by_set.items():
+        kept = []
+        for killed in sorted(kills, key=lambda mask: -bin(mask).count("1")):
+            if not any(killed & other == killed for other in kept):
+                kept.append(killed)
+                nodes.append((k, killed))
+    members = [0] * len(pool)
+    killers = [0] * len(pool)
+    for v, (k, killed) in enumerate(nodes):
+        members[k] |= 1 << v
+        for j in _bits(killed):
+            killers[j] |= 1 << v
+    rows = []
+    for k, killed in nodes:
+        row = killers[k]
+        for j in _bits(killed):
+            row |= members[j]
+        rows.append(row)
+    clique, exact = _max_clique(rows, target, _FOOLING_NODES, clock)
+    return [(access[pool[nodes[v][0]]], found[nodes[v]]) for v in clique], exact
+
+
+class _NodeCapHit(Exception):
+    pass
+
+
+class _CliqueDone(Exception):
+    pass
+
+
+def _max_clique(rows, target, node_cap, clock):
+    """A largest clique of the graph with adjacency bitmask rows, found by
+    branch and bound with greedy-coloring bounds (Tomita & Seki 2003).
+
+    Returns (clique, exact).  The search stops at the first clique it finds
+    with at least `target` vertices.  exact is False when it stopped at
+    node_cap nodes or at the deadline, with the largest clique found so far.
+    The recursion goes one level deeper per clique vertex.
+    """
+    order = sorted(range(len(rows)), key=lambda v: -bin(rows[v]).count("1"))
+    rank = {v: i for i, v in enumerate(order)}
+    # renumber so that low bits are the vertices of highest degree
+    ranked = []
+    for v in order:
+        row = 0
+        for u in _bits(rows[v]):
+            row |= 1 << rank[u]
+        ranked.append(row)
+    best = []
+    nodes = 0
+
+    def expand(clique, cands):
+        nonlocal best, nodes
+        colored = []  # (vertex, color bound), in coloring order
+        color = 0
+        rest = cands
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~ranked[v] & ~(1 << v)
+                rest &= ~(1 << v)
+                colored.append((v, color))
+        for v, bound in reversed(colored):
+            if len(clique) + bound <= len(best):
+                return
+            nodes += 1
+            if nodes > node_cap or (nodes & 255 == 0 and clock.expired()):
+                raise _NodeCapHit
+            clique.append(v)
+            inner = cands & ranked[v]
+            if inner:
+                expand(clique, inner)
+            elif len(clique) > len(best):
+                best = list(clique)
+                if len(best) >= target:
+                    raise _CliqueDone
+            clique.pop()
+            cands &= ~(1 << v)
+
+    exact = True
+    try:
+        expand([], (1 << len(rows)) - 1)
+    except _CliqueDone:
+        pass
+    except _NodeCapHit:
+        exact = False
+    return [order[v] for v in best], exact
 
 
 # -- deterministic minimization ------------------------------------------
@@ -387,16 +674,12 @@ def compatibility_graph(d):
     }
 
 
-class _CoverCapHit(Exception):
-    pass
-
-
 def _feasible_coloring(inc, precolored, t, node_cap):
     """Color the incompatibility graph with t colors, or prove impossible.
 
     A depth-first search over the uncolored vertices, most incompatible
     first, trying the colors in order.  It counts every node it enters and
-    raises _CoverCapHit past node_cap.  The stack holds, for each vertex
+    raises _NodeCapHit past node_cap.  The stack holds, for each vertex
     colored so far, its color and the number of colors in use before it.
     """
     class_masks = [0] * t
@@ -412,7 +695,7 @@ def _feasible_coloring(inc, precolored, t, node_cap):
         # enter the node that colors rest[len(stack)]
         nodes += 1
         if nodes > node_cap:
-            raise _CoverCapHit
+            raise _NodeCapHit
         if len(stack) == len(rest):
             return class_masks
         c = 0
@@ -471,7 +754,7 @@ def _min_clique_cover(states, adj, node_cap=500_000):
         for t in range(lower, len(classes)):
             try:
                 found = _feasible_coloring(inc, clique, t, node_cap)
-            except _CoverCapHit:
+            except _NodeCapHit:
                 break
             if found is None:
                 lower = t + 1
@@ -488,40 +771,32 @@ def _min_clique_cover(states, adj, node_cap=500_000):
     return [[states[i] for i in part] for part in partition], lower, exact
 
 
-def _quotient_filter(d, partition):
-    """Collapse each partition class to one state; None if ill-defined."""
+def _quotient_filter(f, partition):
+    """Collapse each partition class to one state, colored by the colors its
+    members share and with the union of their edges; None if a class shares
+    no color."""
     part_of = {}
     for k, members in enumerate(partition):
         for s in members:
             part_of[s] = k
-    rank = d._index
-    names = ["+".join(sorted(members, key=rank.__getitem__)) for members in partition]
-    colorings = []
-    for members in partition:
-        shared = frozenset.intersection(*(d.coloring[s] for s in members))
+    rank = f._index
+    taken = set()
+    names = [
+        _fresh_name("+".join(sorted(members, key=rank.__getitem__)), taken)
+        for members in partition
+    ]
+    colorings = {}
+    for name, members in zip(names, partition):
+        shared = frozenset.intersection(*(f.coloring[s] for s in members))
         if not shared:
             return None
-        colorings.append(shared)
-    edges = {}
-    for k, members in enumerate(partition):
-        for y in d.observations:
-            targets = {
-                part_of[d.successors(s, y)[0]] for s in members if d.successors(s, y)
-            }
-            if len(targets) > 1:
-                return None
-            if targets:
-                edges.setdefault((k, targets.pop()), set()).add(y)
-    (init,) = d.initial
-    transitions = {(names[a], names[b]): syms for (a, b), syms in edges.items()}
-    return Filter(
-        names,
-        [names[part_of[init]]],
-        d.observations,
-        transitions,
-        d.colors,
-        {names[k]: colorings[k] for k in range(len(partition))},
-    )
+        colorings[name] = shared
+    transitions = {}
+    for (src, dst), syms in f.transitions.items():
+        key = (names[part_of[src]], names[part_of[dst]])
+        transitions[key] = transitions.get(key, frozenset()) | syms
+    initial = {names[part_of[s]] for s in f.initial}
+    return Filter(names, initial, f.observations, transitions, f.colors, colorings)
 
 
 def _merge_pair(d, u, v):
@@ -529,6 +804,11 @@ def _merge_pair(d, u, v):
     shared = d.coloring[u] & d.coloring[v]
     if not shared:
         return None
+    # only the merged state's own edges can now leave toward two targets
+    for y in d.out_symbols(u) & d.out_symbols(v):
+        (a,), (b,) = d.successors(u, y), d.successors(v, y)
+        if a != b and not {a, b} <= {u, v}:
+            return None
     rank = d._index
     merged = "+".join(sorted([u, v], key=rank.__getitem__))
     taken = set(d.states) - {u, v}
@@ -542,13 +822,6 @@ def _merge_pair(d, u, v):
     for (src, dst), syms in d.transitions.items():
         key = (rename(src), rename(dst))
         transitions[key] = transitions.get(key, frozenset()) | syms
-    # determinism: no symbol may now leave a state toward two targets
-    seen = {}
-    for (src, dst), syms in transitions.items():
-        for y in syms:
-            if (src, y) in seen and seen[(src, y)] != dst:
-                return None
-            seen[(src, y)] = dst
     states = [rename(s) for s in d.states if s != v]
     coloring = {rename(s): d.coloring[s] for s in d.states}
     coloring[merged] = shared
@@ -563,10 +836,11 @@ def _verified(ref, candidate, clock):
     return _walk(ref, *ref.encode(candidate)) is None
 
 
-def _greedy_merge(d, ref, clock):
+def _greedy_merge(d, ref, clock, merge_cap=None):
     """Upper-bound pass: keep merging verified compatible pairs, until no
-    pair merges or the clock refuses."""
+    pair merges, the clock refuses, or merge_cap pairs have been tried."""
     cur = d
+    tries = 0
     while True:
         adj = compatibility_graph(cur)
         merged = None
@@ -574,6 +848,9 @@ def _greedy_merge(d, ref, clock):
             for v in cur.states[i + 1:]:
                 if v not in adj[u]:
                     continue
+                tries += 1
+                if merge_cap is not None and tries > merge_cap:
+                    return cur
                 cand = _merge_pair(cur, u, v)
                 if cand is not None and _verified(ref, cand, clock):
                     merged = cand
@@ -587,6 +864,41 @@ def _greedy_merge(d, ref, clock):
         cur = merged
 
 
+def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=None,
+                  beat=None):
+    """The deterministic pipeline: determinize, cover, quotient, greedy merge.
+
+    Returns (determinization, best verified deterministic simulator, cover
+    lower bound, cover exact).  node_cap caps the cover search, merge_cap
+    the pairs the greedy merge pass tries.  The quotient of the cover's
+    partition and the merge pass run only while the simulator is above the
+    lower bound, and not once the clock's deadline has passed.  When beat is
+    given, each runs only if it can still bring the simulator below beat
+    states.
+    Raises CapExceeded past determinize_cap subsets.
+    """
+    d, _ = ft.determinize(determinize_cap)
+    best = d
+    partition, lower, cover_exact = _min_clique_cover(d.states, compatibility_graph(d), node_cap)
+    if beat is not None and lower >= beat:
+        return d, best, lower, cover_exact
+    if len(best.states) > lower and not clock.expired():
+        quotient = _quotient_filter(d, partition)
+        if (quotient is not None and quotient.is_deterministic()
+                and len(quotient.states) < len(best.states)):
+            if _verified(ref, quotient, clock):
+                best = quotient
+    # each verified merge spends a candidate and removes one state
+    cap = clock.budget.candidate_cap
+    if beat is not None and cap is not None and len(best.states) - (cap - clock.candidates) >= beat:
+        return d, best, lower, cover_exact
+    if len(best.states) > lower and not clock.expired():
+        smaller = _greedy_merge(best, ref, clock, merge_cap)
+        if len(smaller.states) < len(best.states):
+            best = smaller
+    return d, best, lower, cover_exact
+
+
 def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     """Exact minimization over deterministic filters only.
 
@@ -597,21 +909,9 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     """
     start = time.monotonic()
     ft = f.trim()
-    d, _ = ft.determinize(determinize_cap)
     ref = _RefTables(ft)
     clock = _Clock(budget)
-    compat = compatibility_graph(d)
-    partition, lower, cover_exact = _min_clique_cover(d.states, compat)
-    best = d
-    if len(best.states) > lower:
-        quotient = _quotient_filter(d, partition)
-        if quotient is not None and len(quotient.states) < len(best.states):
-            if _verified(ref, quotient, clock):
-                best = quotient
-    if len(best.states) > lower:
-        smaller = _greedy_merge(best, ref, clock)
-        if len(smaller.states) < len(best.states):
-            best = smaller
+    d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, determinize_cap)
     proven = len(best.states) == lower
     if not proven and not clock.refused:
         searched_all = True

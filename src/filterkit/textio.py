@@ -16,7 +16,7 @@ import json
 import re
 
 from .errors import FilterError, NfaError, UnknownSymbol
-from .filters import Filter, _check_strings
+from .filters import Filter, _check_strings, _fresh_name
 from .nfa import Nfa
 
 _COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
@@ -162,8 +162,18 @@ _DOT_PALETTE = (
 _DOT_DARK = {"black", "blue", "purple", "red", "brown", "#1f78b4", "#33a02c", "#e31a1c"}
 
 
+def _dot_escape(text):
+    """text for the inside of a double-quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def filter_to_dot(f):
+    """Graphviz DOT of f.  Names and labels are quoted with backslash and
+    double quote escaped, and the point nodes that mark the initial states
+    are named __start0, __start1, ... unless a state already has that
+    name, in which case the name gets a ~2, ~3, ... suffix."""
     lines = ["digraph filter {", "  rankdir=LR;", '  node [shape=circle, style=filled];']
+    node = {state: '"' + _dot_escape(state) + '"' for state in f.states}
     assigned = {}
     for state in f.states:
         colors = sorted(f.coloring[state])
@@ -175,20 +185,24 @@ def filter_to_dot(f):
                 assigned[key] = _DOT_PALETTE[len(assigned) % len(_DOT_PALETTE)]
             fill = assigned[key]
         font = ", fontcolor=white" if fill in _DOT_DARK else ""
-        label = state if len(colors) == 1 else f"{state}\\n{','.join(colors)}"
-        lines.append(f'  "{state}" [label="{label}", fillcolor="{fill}"{font}];')
+        label = _dot_escape(state)
+        if len(colors) > 1:
+            label += "\\n" + _dot_escape(",".join(colors))
+        lines.append(f'  {node[state]} [label="{label}", fillcolor="{fill}"{font}];')
     # Initial states get an incoming arrow from an unlabeled point node.
+    taken = set(f.states)
     for index, state in enumerate(s for s in f.states if s in f.initial):
-        lines.append(f'  "__start{index}" [shape=point, style=solid];')
-        lines.append(f'  "__start{index}" -> "{state}";')
+        start = '"' + _fresh_name(f"__start{index}", taken) + '"'
+        lines.append(f"  {start} [shape=point, style=solid];")
+        lines.append(f"  {start} -> {node[state]};")
     for state in f.states:
         buckets = {}
         for symbol in f.observations:
             for target in f.successors(state, symbol):
                 buckets.setdefault(target, []).append(symbol)
         for target in sorted(buckets):
-            label = ",".join(buckets[target])
-            lines.append(f'  "{state}" -> "{target}" [label="{label}"];')
+            label = _dot_escape(",".join(buckets[target]))
+            lines.append(f'  {node[state]} -> {node[target]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

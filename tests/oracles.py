@@ -8,8 +8,9 @@ works differently: it builds the tensor product of the two filters and
 reduces simulation to NFA language inclusions.  canonical_search checks the
 candidates of one search level one at a time, in the canonical order the
 package's search counts them in.  compatibility_graph_oracle builds the
-compatibility graph from a reverse map over every pair of states.  All are
-written for obviousness, not speed.
+compatibility graph from a reverse map over every pair of states.
+fooling_set_error re-checks a claimed fooling set by walking every string
+it names.  All are written for obviousness, not speed.
 """
 
 import itertools
@@ -308,6 +309,30 @@ def compatibility_graph_oracle(d):
             adj[u].add(v)
             adj[v].add(u)
     return adj
+
+
+def fooling_set_error(reference, pairs):
+    """Why the (x, y) string pairs are not a fooling set of reference, or
+    None if they are.
+
+    Each x y must be survived, and for every two pairs i, j the reference
+    must survive x_j y_i with colors disjoint from its colors on x_i y_i, or
+    the same with i and j swapped.  Then no two pairs can share a simulator
+    state, so a simulator has at least len(pairs) states.
+    """
+    def output(string):
+        reached = walk(reference, string)
+        return colors_of(reference, reached) if reached else None
+
+    for x, y in pairs:
+        if output(x + y) is None:
+            return f"the reference crashes on {x + y!r}"
+    for (xi, yi), (xj, yj) in itertools.combinations(pairs, 2):
+        cross, back = output(xj + yi), output(xi + yj)
+        if not ((cross is not None and not cross & output(xi + yi))
+                or (back is not None and not back & output(xj + yj))):
+            return f"pairs {(xi, yi)!r} and {(xj, yj)!r} can share a state"
+    return None
 
 
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):

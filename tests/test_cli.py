@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -291,6 +292,19 @@ def test_minimize_det_donut(tmp_path, capsys):
     # stdout is byte-identical on a second run
     assert main(["minimize", "--mode", "det", path]) == 0
     assert capsys.readouterr().out == body
+
+
+def test_minimize_nondet_donut_is_proven_by_bounds(tmp_path, capsys):
+    from filterkit import donut_world
+
+    path = write_filter(tmp_path, donut_world())
+    start = time.monotonic()
+    assert main(["minimize", path, "--mode", "nondet"]) == 0
+    assert time.monotonic() - start < 1.0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "# states: 4\n# proven_optimal: true\n# lower_bound: 4\n# candidates: 8\n")
+    assert parse_filter(out).size() == 4
 
 
 def test_minimize_budget_exhaustion(fig3_path, capsys):

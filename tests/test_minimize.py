@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -26,6 +27,7 @@ from oracles import (
     brute_force_min_size,
     canonical_search,
     compatibility_graph_oracle,
+    fooling_set_error,
     random_filter,
     simulates_oracle,
 )
@@ -314,12 +316,14 @@ def as_dict(f):
 
 def test_nondet_search_matches_one_by_one_reference():
     # backjumping must not change the answer, the witness or the count,
-    # also when the cap falls inside a block charged without a walk
+    # also when the cap falls inside a block charged without a walk; the
+    # bounds of minimize_nondet may only shrink its answer or prove it
     rng = random.Random(9090)
     statuses = []
     while len(statuses) < 40:
         f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
         ft = f.trim()
+        smallest = None
         caps = ft.size() == 3 and search_caps(rng, ft, (1, 2), det=False, limit=1500)
         for cap in caps or ():
             status, witness, spent = reference_levels(ft, (1, 2), False, cap)
@@ -328,11 +332,16 @@ def test_nondet_search_matches_one_by_one_reference():
             decision = decide_size_k(f, 2, SearchBudget(candidate_cap=cap))
             assert (decision.outcome, as_dict(decision.witness), decision.candidates) == (
                 outcome, as_dict(witness), spent)
+            # before the bounds, minimize_nondet answered with these levels
             result = minimize_nondet(f, SearchBudget(candidate_cap=cap))
-            assert (as_dict(result.minimizer), result.proven_optimal) == (
-                as_dict(witness or ft), status != "capped")
-            assert result.stats["candidates"] == spent
-            assert result.stats["walked"] <= spent
+            assert result.size() <= (witness or ft).size()
+            assert result.proven_optimal or status == "capped"
+            if result.proven_optimal:
+                smallest = smallest or brute_force_min_size(f)
+                assert result.size() == smallest
+            assert simulates_oracle(result.minimizer, f)[0]
+            assert result.stats["candidates"] <= spent
+            assert result.stats["walked"] <= result.stats["candidates"]
     assert set(statuses) == {"found", "capped", "exhausted"}
 
 
@@ -397,9 +406,17 @@ def test_time_cap_stops_search_unproven():
 def test_stats_count_walked_candidates():
     # level 2 of the donut fails on the rows of state 0 alone, so most of
     # its candidates are charged in blocks without a walk
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _RefTables, _search_size
+
+    ref = _RefTables(donut_world())
+    clock = _Clock(SearchBudget(candidate_cap=800))
+    assert _search_size(ref, 1, clock, det=False) == (_EXHAUSTED, None)
+    assert _search_size(ref, 2, clock, det=False) == (_CAPPED, None)
+    assert clock.candidates == 801
+    assert 0 < clock.walked < 80
+    # minimize_nondet searches level 1 only: the bounds meet at 4 states
     result = minimize_nondet(donut_world(), SearchBudget(candidate_cap=800))
-    assert result.stats["candidates"] == 801
-    assert 0 < result.stats["walked"] < 80
+    assert (result.stats["candidates"], result.stats["walked"]) == (8, 8)
     det = minimize_det(color_chain())
     assert 0 < det.stats["walked"] <= det.stats["candidates"]
 
@@ -458,3 +475,201 @@ def test_capped_minimize_det_proves_only_at_the_lower_bound():
         assert result.stats["candidates"] <= cap + 1
         if result.stats["candidates"] > cap:
             assert result.proven_optimal == (result.size() == result.stats["lower_bound"])
+
+
+def one_color_filter(rng, n, symbols):
+    """A seeded n-state filter whose states carry one of two colors each:
+    such filters often need more than one state."""
+    states = [f"s{i}" for i in range(n)]
+    observations = ("a", "b")[:symbols]
+    transitions = {}
+    for u in states:
+        for v in states:
+            syms = {y for y in observations if rng.random() < 0.4}
+            if syms:
+                transitions[(u, v)] = syms
+    coloring = {s: {rng.choice("xy")} for s in states}
+    initial = rng.sample(states, rng.randint(1, 2))
+    return Filter(states, initial, observations, transitions, ("x", "y"), coloring)
+
+
+def test_fooling_pairs_hold_by_direct_trace():
+    from filterkit.minimize import _Clock, _fooling_set, _RefTables
+
+    filters = [prime_family(r) for r in (1, 2, 3)]
+    filters += [donut_world(), fig3_input(), fig3_minimizer()]
+    rng = random.Random(5150)
+    filters += [one_color_filter(rng, rng.randint(2, 6), 1 + i % 2) for i in range(100)]
+    sizes = []
+    for f in filters:
+        ft = f.trim()
+        pairs, exact = _fooling_set(_RefTables(ft), ft.size(), _Clock(None))
+        assert fooling_set_error(ft, pairs) is None, f
+        sizes.append(len(pairs))
+    assert sizes[:6] == [5, 9, 16, 4, 7, 7]
+
+
+def test_bounds_bracket_the_brute_force_size():
+    rng = random.Random(7337)
+    gaps = 0
+    for i in range(300):
+        f = one_color_filter(rng, 3, 1 + i % 2)
+        result = minimize_nondet(f)
+        smallest = brute_force_min_size(f)
+        assert result.stats["lower_bound"] <= smallest <= result.size(), f
+        assert result.proven_optimal and result.size() == smallest, f
+        assert simulates_oracle(result.minimizer, f)[0]
+        gaps += result.stats["lower_bound"] < smallest
+    assert gaps < 10
+
+
+def test_bisimulation_quotients_simulate_both_ways():
+    from filterkit.minimize import _bisimulation_quotient, _Clock, _RefTables
+
+    filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
+    rng = random.Random(818)
+    filters += [random_filter(rng, max_states=6, max_symbols=2, max_colors=2)
+                for _ in range(150)]
+    shrunk = {False: 0, True: 0}
+    for f in filters:
+        ft = f.trim()
+        for backward in (False, True):
+            quotient = _bisimulation_quotient(ft, _RefTables(ft), _Clock(None), backward)
+            if quotient is None:
+                continue
+            shrunk[backward] += 1
+            assert quotient.size() < ft.size()
+            assert simulates_oracle(quotient, ft)[0], (f, backward)
+            assert simulates_oracle(ft, quotient)[0], (f, backward)
+    assert min(shrunk.values()) >= 10
+    forward = _bisimulation_quotient(prime_family(2), _RefTables(prime_family(2)),
+                                     _Clock(None), False)
+    assert forward.size() == 9
+
+
+def test_prime_family_nondet_minimum_is_proven_fast():
+    # the paper's gap: the deterministic minimizers have 5, 10, 36 and 218
+    # states; the nondeterministic minimum is found and proven
+    for r, size in ((1, 5), (2, 9), (3, 16), (4, 25)):
+        start = time.monotonic()
+        result = minimize_nondet(prime_family(r))
+        elapsed = time.monotonic() - start
+        assert (result.size(), result.proven_optimal) == (size, True)
+        assert result.stats["lower_bound"] == size
+        assert result.stats["candidates"] == 2 ** (r + 1)  # level 1 alone
+        if r <= 2:
+            assert elapsed < 1.0
+        assert output_simulates(result.minimizer, prime_family(r)).holds
+
+
+def test_fig3_stays_best_known_above_the_fooling_bound():
+    result = minimize_nondet(fig3_input())
+    assert (result.size(), result.proven_optimal) == (10, False)
+    assert result.stats["lower_bound"] >= 7
+    assert result.stats["upper_bound_source"] == "trim"
+
+
+def test_donut_nondet_is_proven_by_the_bounds():
+    result = minimize_nondet(donut_world())
+    assert (result.size(), result.proven_optimal) == (4, True)
+    assert result.stats["lower_bound"] == 4
+    assert result.stats["lower_bound_exact"] is True
+    assert result.stats["upper_bound_source"] == "deterministic"
+    assert output_simulates(result.minimizer, donut_world()).holds
+
+
+def test_nondet_bounds_stay_on_the_clock():
+    from filterkit import CapExceeded
+    from filterkit.minimize import _BOUND_SUBSETS
+
+    # the deterministic bound is skipped from prime r=5 on: its subset
+    # construction passes the bound's subset cap
+    with pytest.raises(CapExceeded):
+        prime_family(5).determinize(_BOUND_SUBSETS)
+    start = time.monotonic()
+    result = minimize_nondet(prime_family(6), SearchBudget(time_cap=5))
+    assert time.monotonic() - start < 15
+    assert not result.proven_optimal
+    assert result.stats["upper_bound_source"] == "forward-bisimulation"
+    # a deadline that has passed before the bounds skips every one of them
+    start = time.monotonic()
+    result = minimize_nondet(prime_family(6), SearchBudget(candidate_cap=None, time_cap=1e-9))
+    assert time.monotonic() - start < 5
+    assert (result.size(), result.proven_optimal) == (83, False)
+
+
+def test_max_clique_matches_brute_force():
+    from filterkit.minimize import _Clock, _max_clique
+
+    rng = random.Random(404)
+    for _ in range(200):
+        n = rng.randint(1, 11)
+        density = rng.random()
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        largest = max(
+            len(group) for size in range(1, n + 1)
+            for group in itertools.combinations(range(n), size)
+            if all(rows[u] >> v & 1 for u, v in itertools.combinations(group, 2))
+        )
+        clique, exact = _max_clique(rows, n, 10_000, _Clock(None))
+        assert exact and len(clique) == largest
+        assert all(rows[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+        # the search stops at the first clique that reaches the target, and
+        # a node cap leaves it inexact
+        target = rng.randint(1, largest)
+        assert len(_max_clique(rows, target, 10_000, _Clock(None))[0]) >= target
+        if largest > 1:
+            assert _max_clique(rows, n, 1, _Clock(None))[1] is False
+
+
+def test_merge_pair_refuses_exactly_the_nondeterministic_merges():
+    from filterkit.minimize import _merge_pair
+
+    rng = random.Random(1212)
+    merged = refused = 0
+    for _ in range(80):
+        f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
+        d, _ = f.determinize()
+        for u, v in itertools.combinations(d.states, 2):
+            if not d.coloring[u] & d.coloring[v]:
+                continue
+            ends = {}
+            for (src, dst), syms in d.transitions.items():
+                src, dst = ("m" if s in (u, v) else s for s in (src, dst))
+                for y in syms:
+                    ends.setdefault((src, y), set()).add(dst)
+            deterministic = all(len(targets) == 1 for targets in ends.values())
+            result = _merge_pair(d, u, v)
+            assert (result is not None) == deterministic, (d, u, v)
+            if result is not None:
+                assert result.is_deterministic() and result.size() == d.size() - 1
+            merged += deterministic
+            refused += not deterministic
+    assert merged >= 20 and refused >= 20
+
+
+def test_det_bound_skips_only_what_cannot_win():
+    # with beat set, the pipeline may stop early, but only when its result
+    # could not have fewer than beat states
+    from filterkit.minimize import _Clock, _det_pipeline, _RefTables
+
+    rng = random.Random(2626)
+    skipped = 0
+    for _ in range(150):
+        f = random_filter(rng, max_states=6, max_symbols=2, max_colors=2)
+        ft = f.trim()
+        ref = _RefTables(ft)
+        cap = rng.choice((2, 4, 20))
+        full = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000)[1]
+        for beat in range(1, ft.size() + 2):
+            quick = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000,
+                                  beat=beat)[1]
+            if full.size() < beat:
+                assert quick == full, (f, beat)
+            skipped += quick.size() > full.size()
+    assert skipped >= 20

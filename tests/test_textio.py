@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+import re
 
 import pytest
 
@@ -193,6 +195,54 @@ def test_dot_palette_for_unknown_colors():
     assert 'fillcolor="#' in dot
     # multi-colored states list their colors in the label
     assert "smalt,verdigris" in dot
+
+
+_DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_DOT_STATEMENT = re.compile(rf"  {_DOT_QUOTED}(?: -> {_DOT_QUOTED})?(?: \[(.*?)\])?;\n", re.DOTALL)
+_DOT_HEAD = "digraph filter {\n  rankdir=LR;\n  node [shape=circle, style=filled];\n"
+
+
+def dot_statements(dot):
+    """(node, target or None, attribute values) of each statement of a DOT
+    graph written by filter_to_dot, with the quoted strings unescaped.
+    Fails unless every statement is one quoted node, or two joined by an
+    arrow, with an optional bracketed attribute list."""
+    assert dot.startswith(_DOT_HEAD) and dot.endswith("}\n")
+    body = dot[len(_DOT_HEAD):-2]
+    assert re.fullmatch(f"(?:{_DOT_STATEMENT.pattern})*", body, re.DOTALL)
+    # \n in a label is Graphviz's line break; any other escaped character
+    # stands for itself
+    unescape = functools.partial(
+        re.sub, r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), flags=re.DOTALL)
+    return [
+        (unescape(node), unescape(target) if target else None,
+         [unescape(value) for value in re.findall(_DOT_QUOTED, attrs)])
+        for node, target, attrs in _DOT_STATEMENT.findall(body)
+    ]
+
+
+def test_dot_quotes_names_and_keeps_start_nodes_apart():
+    names = ['p"q', "back\\slash", "ends\\", "__start0", "two\nlines"]
+    f = Filter(names, names[:2], ('say "a"', "b\\"),
+               {(names[0], names[3]): {'say "a"'}, (names[3], names[2]): {"b\\"},
+                (names[1], names[4]): {'say "a"', "b\\"}},
+               ("red", "sea green"),
+               {n: {"red"} if i % 2 else {"red", "sea green"} for i, n in enumerate(names)})
+    statements = dot_statements(filter_to_dot(f))
+    nodes = [node for node, target, _ in statements if target is None]
+    starts = nodes[len(names):]
+    assert nodes[:len(names)] == names
+    assert len(starts) == 2 and not set(starts) & set(names)
+    assert [(n, t) for n, t, _ in statements if n in starts and t] == [
+        (starts[0], names[0]), (starts[1], names[1])]
+    assert statements[0][2] == ['p"q\nred,sea green', "#a6cee3"]
+    assert statements[1][2] == ["back\\slash", "red"]
+    edges = {(n, t): attrs for n, t, attrs in statements if t and n not in starts}
+    assert edges == {(names[0], names[3]): ['say "a"'], (names[3], names[2]): ["b\\"],
+                     (names[1], names[4]): ['say "a",b\\']}
+    # plain names print as before
+    plain = filter_to_dot(donut_world())
+    assert '"__start0" -> "00";' in plain and "\\" not in plain
 
 
 def test_parse_string_forms():
