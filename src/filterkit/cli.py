@@ -113,6 +113,7 @@ def _cmd_minimize(args):
     footer.append(f"# candidates: {stats['candidates']}")
     _emit(args, emit_filter(result.minimizer) + "\n".join(footer) + "\n")
     print(f"wall time: {stats['wall_time_s']:.3f}s", file=sys.stderr)
+    print(f"level: {stats['level']}", file=sys.stderr)
     return 0 if result.proven_optimal else 3
 
 

@@ -3,15 +3,15 @@
 decide_size_k enumerates candidate filters over the input's alphabet and
 colors in a fixed canonical order (initial sets by ascending bitmask, state
 colorings by declared color order, transition symbol-sets by symbol order)
-and tests them against the input.  A candidate is tested on its mask tables
-by the reached-set pair walk of the simulation module, which stops at the
-first failing pair of either kind.  A failure rules out the block of later
-candidates that agree on the transition rows it read, and that block is
-counted without being walked.  So the `candidates` count (and the candidate
-cap) covers every candidate in canonical order up to where the search
-stopped, walked or ruled out in a block; stats report the walked ones as
-`walked`.  A candidate that passes is built as a Filter and walked again
-from that Filter, so a fault in building it raises instead of returning a
+and tests them by the reached-set pair walk of the simulation module, which
+stops at the first failing pair of either kind.  A failure rules out the
+block of later candidates that agree on the transition rows it read, counted
+without being walked; level 1 takes one walk of the input's reached sets and
+counts its candidates as one block.  So the `candidates` count (and the cap)
+covers every candidate in canonical order up to where the search stopped,
+walked or ruled out in a block, as if each were checked in turn; stats count
+the walks as `walked`.  A candidate that passes is built as a Filter and
+walked again, so a fault in building it raises instead of returning a
 filter that does not simulate the input.
 
 minimize_nondet searches level 1, then bounds the optimum before it
@@ -90,8 +90,8 @@ class MinimizationResult:
 
 
 class _Clock:
-    """Candidates accounted for in canonical order, and how many of them a
-    check actually examined (walked); the rest were ruled out as a block."""
+    """Candidates accounted for in canonical order, and the walks that checked
+    them (walked; level 1 takes one); the rest were ruled out in blocks."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
@@ -164,6 +164,8 @@ def _search_size(ref, n, clock, det):
     Deterministic candidates have s0 as their only initial state and at most
     one target per (state, symbol).
     """
+    if n == 1:
+        return _level_one(ref, clock, det)
     color_count = len(ref.colors)
     for init_mask in (1,) if det else range(1, 1 << n):
         for colors in itertools.product(range(1, 1 << color_count), repeat=n):
@@ -176,6 +178,43 @@ def _search_size(ref, n, clock, det):
             if status != _EXHAUSTED:
                 return status, witness
     return _EXHAUSTED, None
+
+
+def _level_one(ref, clock, det):
+    """Level 1 of _search_size, decided by one walk of the reference.
+
+    A one-state candidate with color mask c and self-loop mask d simulates
+    the reference iff c lies in `common`, the colors that every reached set
+    shows, and d holds `survive`, the symbols some reached set survives.  The
+    candidates up to the first such one, or all, are charged as one block:
+    2^|Y| tables per coloring within the initial colors, a deterministic
+    table ranked by d bit-reversed (obs[0] is its most significant digit).
+    """
+    obs = ref.obs
+    common, survive = ref.eps_colors, 0
+    queue, seen = [ref.init_mask], {0, ref.init_mask}  # the empty set is never entered
+    for A in queue:
+        common &= ref.colors_of(A)
+        if not common:
+            break
+        for k, y in enumerate(obs):
+            B = ref.succ(A, y)
+            survive |= bool(B) << k
+            if B not in seen:
+                seen.add(B)
+                queue.append(B)
+    clock.walked += 1
+    c = common & -common
+    # 2^|Y| tables per coloring below c; all colorings when common is empty (c - 1 = -1)
+    count = ((1 << bin(ref.eps_colors & (c - 1)).count("1")) - 1) << len(obs)
+    if c:
+        count += (int(format(survive, f"0{len(obs)}b")[::-1], 2) if det else survive) + 1
+    if not clock.spend(count):
+        return _CAPPED, None
+    if not c:
+        return _EXHAUSTED, None
+    step = {y: [survive >> k & 1] for k, y in enumerate(obs)}
+    return _FOUND, _confirm(ref, _candidate_filter(ref, 1, 1, [c], step))
 
 
 def _search_tables(ref, n, init_mask, colors, clock, det):
@@ -318,7 +357,7 @@ def minimize_nondet(f, budget=None):
     clock = _Clock(budget)
     max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
-    status = _EXHAUSTED
+    status, level = _EXHAUSTED, 1
     if len(ft.states) > 1:
         status, witness = _search_size(ref, 1, clock, det=False)
         if status == _FOUND:
@@ -330,11 +369,11 @@ def minimize_nondet(f, budget=None):
             if lower < len(best.states):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
-        for n in range(lower, len(best.states)):
-            if max_k is not None and n > max_k:
+        for level in range(lower, len(best.states)):
+            if max_k is not None and level > max_k:
                 status = _CAPPED
                 break
-            status, witness = _search_size(ref, n, clock, det=False)
+            status, witness = _search_size(ref, level, clock, det=False)
             if status == _FOUND:
                 best, source = witness, "search"
                 break
@@ -343,6 +382,7 @@ def minimize_nondet(f, budget=None):
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,
+        "level": level if status == _CAPPED else len(best.states),
         "wall_time_s": time.monotonic() - start,
         "trim_size": len(ft.states),
         "lower_bound": lower,
@@ -913,25 +953,24 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     clock = _Clock(budget)
     d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, determinize_cap)
     proven = len(best.states) == lower
+    level = lower
     if not proven and not clock.refused:
-        searched_all = True
-        for n in range(lower, len(best.states)):
-            if budget is not None and budget.max_k is not None and n > budget.max_k:
-                searched_all = False
+        for level in range(lower, len(best.states)):
+            if clock.budget.max_k is not None and level > clock.budget.max_k:
                 break
-            status, witness = _search_size(ref, n, clock, det=True)
+            status, witness = _search_size(ref, level, clock, det=True)
             if status == _CAPPED:
-                searched_all = False
                 break
             if status == _FOUND:
-                best = witness
-                searched_all = True
+                best, proven = witness, True
                 break
-        proven = searched_all
+        else:
+            proven = True
     _confirm(ref, best)
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,
+        "level": len(best.states) if proven else level,
         "wall_time_s": time.monotonic() - start,
         "determinized_size": len(d.states),
         "lower_bound": lower,

@@ -289,6 +289,7 @@ def test_minimize_det_donut(tmp_path, capsys):
     assert "# lower_bound: 4" in body
     assert parse_filter(body).size() == 4  # footer comments parse away
     assert "wall time" in captured.err
+    assert captured.err.splitlines()[-1] == "level: 4"
     # stdout is byte-identical on a second run
     assert main(["minimize", "--mode", "det", path]) == 0
     assert capsys.readouterr().out == body
@@ -310,9 +311,13 @@ def test_minimize_nondet_donut_is_proven_by_bounds(tmp_path, capsys):
 def test_minimize_budget_exhaustion(fig3_path, capsys):
     code = main(["minimize", "--mode", "nondet", "--candidate-cap", "50", fig3_path])
     assert code == 3
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "# proven_optimal: false" in out
     assert parse_filter(out).size() == 10
+    # the cap falls inside level 1; the level goes to stderr only
+    assert captured.err.splitlines()[-1] == "level: 1"
+    assert "level" not in out
 
 
 @pytest.mark.parametrize("flag,value", [("--candidate-cap", "0"), ("--max-k", "-1"),

@@ -317,10 +317,14 @@ def as_dict(f):
 def test_nondet_search_matches_one_by_one_reference():
     # backjumping must not change the answer, the witness or the count,
     # also when the cap falls inside a block charged without a walk; the
-    # bounds of minimize_nondet may only shrink its answer or prove it
+    # bounds of minimize_nondet may only shrink its answer or prove it.
+    # Level 1 is one charged block, so most caps drawn inside blocks stop
+    # there: filters are drawn until every status has occurred, at most 2,000
     rng = random.Random(9090)
     statuses = []
-    while len(statuses) < 40:
+    for _ in range(2000):
+        if len(statuses) >= 40 and set(statuses) == {"found", "capped", "exhausted"}:
+            break
         f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
         ft = f.trim()
         smallest = None
@@ -342,6 +346,7 @@ def test_nondet_search_matches_one_by_one_reference():
             assert simulates_oracle(result.minimizer, f)[0]
             assert result.stats["candidates"] <= spent
             assert result.stats["walked"] <= result.stats["candidates"]
+            assert_level(result)
     assert set(statuses) == {"found", "capped", "exhausted"}
 
 
@@ -369,6 +374,55 @@ def test_det_search_matches_one_by_one_reference():
                 if status != "exhausted":
                     break
     assert set(statuses) == {"found", "capped", "exhausted"}
+
+
+def test_level_one_matches_one_by_one_reference():
+    # level 1 is decided by one walk and charged as one block: the status,
+    # the witness and the count are those of checking every candidate in
+    # turn, under every cap up to one past the uncapped count
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _RefTables, _search_size
+
+    def level_one(ref, det, budget):
+        clock = _Clock(budget)
+        status, witness = _search_size(ref, 1, clock, det)
+        return (status, as_dict(witness), clock.candidates), clock.walked
+
+    rng = random.Random(1701)
+    filters = [random_filter(rng, max_states=4) for _ in range(300)]
+    statuses = set()
+    for f in filters + [donut_world()]:
+        ft = f.trim()
+        if not ft.states:
+            continue
+        ref = _RefTables(ft)
+        for det in (False, True):
+            total = canonical_search(ft, 1, det)[2]
+            for cap in range(1, total + 2):
+                status, witness, spent = canonical_search(ft, 1, det, 0, cap)
+                statuses.add(status)
+                assert level_one(ref, det, SearchBudget(candidate_cap=cap)) == (
+                    (status, as_dict(witness), spent), 1)
+    assert statuses == {"found", "capped", "exhausted"}
+    # fig3's level 1 has 32,768 candidates and no simulator; under a cap
+    # the one-by-one search stops at the first candidate past it.  The two
+    # orders hold the same one-state candidates, so one of them per filter
+    # is checked one by one
+    for f, oracle_det in ((fig3_input(), False), (fig3_minimizer(), True)):
+        ft = f.trim()
+        ref = _RefTables(ft)
+        status, witness, spent = canonical_search(ft, 1, oracle_det)
+        assert (status, spent) == ("exhausted", 32768)
+        for det in (False, True):
+            assert level_one(ref, det, SearchBudget(candidate_cap=None)) == (
+                (_EXHAUSTED, None, spent), 1)
+            for cap in range(1, spent + 2):
+                expected = (_CAPPED, None, cap + 1) if cap < spent else (_EXHAUSTED, None, spent)
+                assert level_one(ref, det, SearchBudget(candidate_cap=cap))[0] == expected
+    # past the deadline the count stops at the first multiple of 512
+    late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
+    time.sleep(0.001)
+    assert _search_size(_RefTables(fig3_input()), 1, late, False) == (_CAPPED, None)
+    assert (late.candidates, late.walked) == (512, 1)
 
 
 def test_clock_charges_a_block_as_one_at_a_time():
@@ -414,9 +468,10 @@ def test_stats_count_walked_candidates():
     assert _search_size(ref, 2, clock, det=False) == (_CAPPED, None)
     assert clock.candidates == 801
     assert 0 < clock.walked < 80
-    # minimize_nondet searches level 1 only: the bounds meet at 4 states
+    # minimize_nondet searches level 1 only, in one walk: the bounds meet
+    # at 4 states
     result = minimize_nondet(donut_world(), SearchBudget(candidate_cap=800))
-    assert (result.stats["candidates"], result.stats["walked"]) == (8, 8)
+    assert (result.stats["candidates"], result.stats["walked"]) == (8, 1)
     det = minimize_det(color_chain())
     assert 0 < det.stats["walked"] <= det.stats["candidates"]
 
@@ -475,6 +530,17 @@ def test_capped_minimize_det_proves_only_at_the_lower_bound():
         assert result.stats["candidates"] <= cap + 1
         if result.stats["candidates"] > cap:
             assert result.proven_optimal == (result.size() == result.stats["lower_bound"])
+        assert_level(result)
+
+
+def assert_level(result):
+    """The stats' level is the size proven, else one at or above the lower
+    bound and below the size returned."""
+    stats = result.stats
+    if result.proven_optimal:
+        assert stats["level"] == result.size()
+    else:
+        assert stats["lower_bound"] <= stats["level"] < result.size()
 
 
 def one_color_filter(rng, n, symbols):
@@ -591,11 +657,16 @@ def test_nondet_bounds_stay_on_the_clock():
     assert time.monotonic() - start < 15
     assert not result.proven_optimal
     assert result.stats["upper_bound_source"] == "forward-bisimulation"
-    # a deadline that has passed before the bounds skips every one of them
+    # every level below the lower bound is ruled out, and the search stops
+    # in the first one it enters
+    assert 2 <= result.stats["level"] == result.stats["lower_bound"] < result.size()
+    # a deadline that has passed before the bounds skips every one of them;
+    # level 1 has fewer than 512 candidates, so the search stops in level 2
     start = time.monotonic()
     result = minimize_nondet(prime_family(6), SearchBudget(candidate_cap=None, time_cap=1e-9))
     assert time.monotonic() - start < 5
     assert (result.size(), result.proven_optimal) == (83, False)
+    assert (result.stats["level"], result.stats["candidates"]) == (2, 512)
 
 
 def test_max_clique_matches_brute_force():
