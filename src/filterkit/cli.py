@@ -60,7 +60,7 @@ def _cmd_trace(args):
         print("crash")
         return 1
     print("states: " + ",".join(sorted(result.reached)))
-    reached_colors = set().union(*(f.coloring[v] for v in result.reached))
+    reached_colors = f.output(seq)
     print("output: " + ",".join(c for c in f.colors if c in reached_colors))
     return 0
 
@@ -182,7 +182,7 @@ def _build_parser():
 
     sub = commands.add_parser("determinize", help="subset-construct an equivalent deterministic filter")
     sub.add_argument("filter")
-    sub.add_argument("--cap", type=int, default=DETERMINIZE_CAP, help="abort past this many subsets")
+    sub.add_argument("--cap", type=_positive(int), default=DETERMINIZE_CAP, help="abort past this many subsets")
     _output_flag(sub)
     sub.set_defaults(handler=_cmd_determinize)
 
@@ -194,7 +194,7 @@ def _build_parser():
     sub = commands.add_parser("check-sim", help="test whether CANDIDATE output-simulates REFERENCE")
     sub.add_argument("candidate")
     sub.add_argument("reference")
-    sub.add_argument("--cap", type=int, default=INCLUSION_CAP, help="abort past this many reached-set pairs")
+    sub.add_argument("--cap", type=_positive(int), default=INCLUSION_CAP, help="abort past this many reached-set pairs")
     sub.set_defaults(handler=_cmd_check_sim)
 
     sub = commands.add_parser("minimize", help="search for a smallest equivalent filter")

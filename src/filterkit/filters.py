@@ -6,10 +6,18 @@ set of colors on every state.  Tracing a string of observations yields the set
 of states reachable under it; an empty reached set is a crash, and the string
 is outside the filter's interaction language.  The output of a surviving
 string is the union of the colors of its reached states.
+
+A filter is held as integer tables over the state indexes 0..n-1:
+succ[k][i] is the ascending tuple of the states observation k leads state i
+to, color[i] the bitmask of the colors of state i (bit j for colors[j]), and
+the initial states an ascending tuple.  Names are read when a filter is
+built and written when it is emitted; the name-keyed views `initial`,
+`transitions` and `coloring` are built on first use.
 """
 
+import functools
 import itertools
-from collections import deque
+import operator
 
 from .errors import (
     CapExceeded,
@@ -65,6 +73,11 @@ def _fresh_name(base, taken):
     return name
 
 
+def _names(mask, names):
+    """The names whose bits are set in mask, in declared order."""
+    return [name for j, name in enumerate(names) if mask >> j & 1]
+
+
 class TraceResult:
     """Outcome of tracing a string: the reached state set (empty = crash)."""
 
@@ -94,83 +107,123 @@ class Filter:
     """
 
     def __init__(self, states, initial, observations, transitions, colors, coloring):
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        states, observations, colors = tuple(states), tuple(observations), tuple(colors)
+        index = {s: i for i, s in enumerate(states)}
+        obs_index = {y: k for k, y in enumerate(observations)}
+        color_bit = {c: 1 << j for j, c in enumerate(colors)}
+        if len(index) != len(states):
             raise FilterError("duplicate state ids")
-        state_set = set(self.states)
-
-        self.observations = tuple(observations)
-        if not self.observations:
+        if not observations:
             raise FilterError("observation alphabet is empty")
-        if len(set(self.observations)) != len(self.observations):
+        if len(obs_index) != len(observations):
             raise FilterError("duplicate observation symbols")
-        obs_set = set(self.observations)
-
-        self.colors = tuple(colors)
-        if len(set(self.colors)) != len(self.colors):
+        if len(color_bit) != len(colors):
             raise FilterError("duplicate color names")
-        color_set = set(self.colors)
 
-        initial_set = set(initial)
-        if not initial_set <= state_set:
-            for s in initial:
-                if s not in state_set:
-                    raise UnknownState(f"initial state {s!r} is not declared")
-        init = [s for s in self.states if s in initial_set]
+        for s in initial:
+            if s not in index:
+                raise UnknownState(f"initial state {s!r} is not declared")
+        init = tuple(sorted({index[s] for s in initial}))
         if not init:
             raise NoInitialState("filter has no initial state")
-        self.initial = frozenset(init)
 
-        trans = {}
+        n = len(states)
+        single = [(j,) for j in range(n)]
+        succ = [[()] * n for _ in observations]
+        shared = []  # (table, source) of the cells given more than one target
         for (src, dst), syms in dict(transitions).items():
-            if src not in state_set:
+            i = index.get(src)
+            if i is None:
                 raise UnknownState(f"transition source {src!r} is not declared")
-            if dst not in state_set:
+            j = index.get(dst)
+            if j is None:
                 raise UnknownState(f"transition target {dst!r} is not declared")
-            symset = frozenset(syms)
-            if not symset <= obs_set:
-                for y in symset:
-                    if y not in obs_set:
-                        raise UnknownSymbol(f"transition symbol {y!r} is not declared")
-            if symset:
-                trans[(src, dst)] = symset
-        self.transitions = trans
-
-        self.coloring = {}
-        for s, cs in dict(coloring).items():
-            if s not in state_set:
-                raise UnknownState(f"colored state {s!r} is not declared")
-            self.coloring[s] = frozenset(cs)
-        for s in self.states:
-            cs = self.coloring.get(s, frozenset())
-            if not cs:
-                raise EmptyColorSet(s)
-            if not cs <= color_set:
-                for c in cs:
-                    if c not in color_set:
-                        raise FilterError(f"state {s!r} uses undeclared color {c!r}")
-
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self._obs_set = obs_set
-        # state -> symbol -> ordered tuple of targets
-        step = {s: {} for s in self.states}
-        shared = []  # (by_sym, y) of the entries with more than one target
-        for (src, dst), syms in self.transitions.items():
-            by_sym = step[src]
+            one = single[j]
             for y in syms:
-                targets = by_sym.get(y)
-                if targets is None:
-                    by_sym[y] = (dst,)
-                elif len(targets) == 1:
-                    by_sym[y] = [targets[0], dst]
-                    shared.append((by_sym, y))
-                else:
-                    targets.append(dst)
-        rank = self._index.__getitem__
-        for by_sym, y in shared:
-            by_sym[y] = tuple(sorted(by_sym[y], key=rank))
-        self._step = step
-        self._deterministic = len(self.initial) == 1 and not shared
+                k = obs_index.get(y)
+                if k is None:
+                    raise UnknownSymbol(f"transition symbol {y!r} is not declared")
+                table = succ[k]
+                cell = table[i]
+                if not cell:
+                    table[i] = one
+                elif cell.__class__ is list:
+                    cell.append(j)
+                elif cell is not one:  # a cell of j alone needs nothing
+                    table[i] = [cell[0], j]
+                    shared.append((table, i))
+        for table, i in shared:
+            table[i] = tuple(sorted(set(table[i])))
+
+        coloring = dict(coloring)
+        color = [0] * n  # -1 where a color is not declared
+        for s, cs in coloring.items():
+            i = index.get(s)
+            if i is None:
+                raise UnknownState(f"colored state {s!r} is not declared")
+            mask = 0
+            for c in cs:
+                mask |= color_bit.get(c, -1)
+            color[i] = mask
+        if min(color) <= 0:
+            for i, s in enumerate(states):
+                if color[i] < 0:
+                    c = next(c for c in coloring[s] if c not in color_bit)
+                    raise FilterError(f"state {s!r} uses undeclared color {c!r}")
+                if not color[i]:
+                    raise EmptyColorSet(s)
+
+        self._store(states, observations, colors, init, succ, color)
+
+    def _store(self, states, observations, colors, initial, succ, color):
+        self.states = states
+        self.observations = observations
+        self.colors = colors
+        self._init = initial
+        self._succ = succ
+        self._color = color
+        self._obs_index = {y: k for k, y in enumerate(observations)}
+        self._deterministic = (
+            len(initial) == 1 and max(map(len, itertools.chain.from_iterable(succ))) < 2)
+
+    @classmethod
+    def _from_tables(cls, states, observations, colors, initial, succ, color):
+        """A filter on tables already known to be valid, built without checks:
+        state names unique, every color mask nonempty, every cell an
+        ascending tuple of state indexes."""
+        f = cls.__new__(cls)
+        f._store(states, observations, colors, initial, succ, color)
+        return f
+
+    # -- name-keyed views ------------------------------------------------
+
+    @functools.cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(self.states)}
+
+    @functools.cached_property
+    def initial(self):
+        return frozenset(self.states[i] for i in self._init)
+
+    @functools.cached_property
+    def coloring(self):
+        sets = {mask: frozenset(_names(mask, self.colors)) for mask in set(self._color)}
+        return {s: sets[mask] for s, mask in zip(self.states, self._color)}
+
+    @functools.cached_property
+    def transitions(self):
+        states, obs = self.states, self.observations
+        return {(states[i], states[j]): frozenset(_names(m, obs)) for i, j, m in self._edges()}
+
+    def _edges(self):
+        """(source, target, symbol mask) of every edge, by source index, then
+        target index; bit k of the mask stands for observations[k]."""
+        n = len(self.states)
+        pairs = {}  # source * n + target -> symbol mask
+        for k, table in enumerate(self._succ):
+            for key in [i * n + j for i, cell in enumerate(table) for j in cell]:
+                pairs[key] = pairs.get(key, 0) | 1 << k
+        return [(*divmod(key, n), pairs[key]) for key in sorted(pairs)]
 
     # -- queries ---------------------------------------------------------
 
@@ -179,66 +232,68 @@ class Filter:
 
     def out_symbols(self, state):
         """Observations with at least one outgoing edge from state."""
-        return frozenset(self._step[state])
+        i = self._index[state]
+        return frozenset(y for y, table in zip(self.observations, self._succ) if table[i])
 
     def successors(self, state, symbol):
-        return self._step[state].get(symbol, ())
+        i = self._index[state]
+        cell = self._succ[self._obs_index[symbol]][i] if symbol in self._obs_index else ()
+        return tuple(self.states[j] for j in cell)
 
     def is_deterministic(self):
         """True iff one initial state and no symbol leaves a state twice."""
         return self._deterministic
 
-    def trace(self, string):
-        """Trace a sequence of observations; returns a TraceResult."""
-        reached = set(self.initial)
+    def _reach(self, string):
+        """The ascending index tuple of the states reached on string."""
+        obs_index = self._obs_index
+        reached = self._init
         for y in string:
-            if y not in self._obs_set:
+            k = obs_index.get(y)
+            if k is None:
                 raise UnknownSymbol(f"symbol {y!r} is not in the alphabet")
-            nxt = set()
-            for s in reached:
-                nxt.update(self._step[s].get(y, ()))
-            reached = nxt
+            reached = tuple(sorted(set().union(*map(self._succ[k].__getitem__, reached))))
             if not reached:
                 break
-        return TraceResult(reached)
+        return reached
+
+    def trace(self, string):
+        """Trace a sequence of observations; returns a TraceResult."""
+        return TraceResult(self.states[i] for i in self._reach(string))
 
     def output(self, string):
         """Union of colors over the reached states, or None on crash."""
-        result = self.trace(string)
-        if result.crashed:
+        reached = self._reach(string)
+        if not reached:
             return None
-        out = set()
-        for s in result.reached:
-            out.update(self.coloring[s])
-        return frozenset(out)
+        mask = functools.reduce(operator.or_, map(self._color.__getitem__, reached))
+        return frozenset(_names(mask, self.colors))
 
     def in_language(self, string):
-        return not self.trace(string).crashed
+        return bool(self._reach(string))
 
     # -- transformations -------------------------------------------------
 
     def trim(self):
         """Restrict to states reachable from the initial set."""
-        seen = set(self.initial)
-        queue = deque(sorted(self.initial, key=self._index.__getitem__))
-        while queue:
-            s = queue.popleft()
-            for targets in self._step[s].values():
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
+        seen = set(self._init)
+        stack = list(seen)
+        while stack:
+            i = stack.pop()
+            for table in self._succ:
+                for j in table[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
         if len(seen) == len(self.states):
             return self
-        states = tuple(s for s in self.states if s in seen)
-        transitions = {
-            (src, dst): syms
-            for (src, dst), syms in self.transitions.items()
-            if src in seen and dst in seen
-        }
-        coloring = {s: self.coloring[s] for s in states}
-        return Filter(states, self.initial, self.observations, transitions,
-                      self.colors, coloring)
+        keep = sorted(seen)
+        new = {i: p for p, i in enumerate(keep)}
+        return Filter._from_tables(
+            tuple(self.states[i] for i in keep), self.observations, self.colors,
+            tuple(new[i] for i in self._init),
+            [[tuple(new[j] for j in table[i]) for i in keep] for table in self._succ],
+            [self._color[i] for i in keep])
 
     def determinize(self, cap=DETERMINIZE_CAP):
         """Subset construction.
@@ -248,70 +303,48 @@ class Filter:
         the frozenset of original states it stands for.  Raises CapExceeded
         if more than cap subset states appear.
         """
-        start = frozenset(self.initial)
-        order = [start]
-        seen = {start}
-        edges = {}  # (subset, symbol) -> subset
-        qi = 0
-        while qi < len(order):
-            subset = order[qi]
-            qi += 1
-            for y in self.observations:
-                nxt = set()
-                for s in subset:
-                    nxt.update(self._step[s].get(y, ()))
-                if not nxt:
+        order = [self._init]  # subsets as ascending index tuples
+        seen = {self._init: 0}
+        single = [(0,)]
+        succ = [[] for _ in self._succ]  # succ[k][p]: (q,), or () for none
+        for subset in order:
+            for table, row in zip(self._succ, succ):
+                cells = [cell for cell in map(table.__getitem__, subset) if cell]
+                if not cells:
+                    row.append(())
                     continue
-                nxt = frozenset(nxt)
-                edges[(subset, y)] = nxt
-                if nxt not in seen:
+                nxt = cells[0] if len(cells) == 1 else tuple(sorted(set().union(*cells)))
+                q = seen.get(nxt)
+                if q is None:
                     if len(seen) >= cap:
                         raise CapExceeded(cap, "determinizing")
-                    seen.add(nxt)
+                    q = seen[nxt] = len(order)
                     order.append(nxt)
+                    single.append((q,))
+                row.append(single[q])
 
+        names = self.states
         taken = set()
-        names = {s: _fresh_name("{" + ",".join(sorted(s)) + "}", taken) for s in order}
-        states = tuple(names.values())
-        transitions = {}
-        for (subset, y), nxt in edges.items():
-            key = (names[subset], names[nxt])
-            transitions.setdefault(key, set()).add(y)
-        coloring = {}
-        for subset in order:
-            out = set()
-            for s in subset:
-                out.update(self.coloring[s])
-            coloring[names[subset]] = frozenset(out)
-        det = Filter(states, [names[start]], self.observations, transitions,
-                     self.colors, coloring)
-        mapping = {names[s]: s for s in order}
+        states = tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
+                       for subset in order)
+        color = [functools.reduce(operator.or_, map(self._color.__getitem__, subset))
+                 for subset in order]
+        det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, color)
+        mapping = {name: frozenset([names[i] for i in subset])
+                   for name, subset in zip(states, order)}
         return det, mapping
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self):
-        obs_rank = {y: i for i, y in enumerate(self.observations)}
-        color_rank = {c: i for i, c in enumerate(self.colors)}
+        states, obs, colors = self.states, self.observations, self.colors
         return {
-            "observations": list(self.observations),
-            "colors": list(self.colors),
-            "states": [
-                {"id": s, "colors": sorted(self.coloring[s], key=color_rank.__getitem__)}
-                for s in self.states
-            ],
-            "initial": [s for s in self.states if s in self.initial],
-            "transitions": [
-                {
-                    "from": src,
-                    "to": dst,
-                    "symbols": sorted(self.transitions[(src, dst)], key=obs_rank.__getitem__),
-                }
-                for (src, dst) in sorted(
-                    self.transitions,
-                    key=lambda e: (self._index[e[0]], self._index[e[1]]),
-                )
-            ],
+            "observations": list(obs),
+            "colors": list(colors),
+            "states": [{"id": s, "colors": _names(m, colors)} for s, m in zip(states, self._color)],
+            "initial": [states[i] for i in self._init],
+            "transitions": [{"from": states[i], "to": states[j], "symbols": _names(m, obs)}
+                            for i, j, m in self._edges()],
         }
 
     @classmethod
@@ -357,9 +390,8 @@ class Filter:
     # -- value semantics --------------------------------------------------
 
     def _key(self):
-        return (self.states, self.initial, self.observations,
-                frozenset(self.transitions.items()), self.colors,
-                frozenset(self.coloring.items()))
+        return (self.states, self._init, self.observations, self.colors,
+                tuple(self._color), tuple(map(tuple, self._succ)))
 
     def __eq__(self, other):
         return isinstance(other, Filter) and self._key() == other._key()

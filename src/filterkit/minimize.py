@@ -137,18 +137,9 @@ class _Clock:
 
 
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
-    states = [f"s{i}" for i in range(n)]
-    transitions = {}
-    for y in ref.obs:
-        table = cand_step[y]
-        for u in range(n):
-            for v in _bits(table[u]):
-                transitions.setdefault((states[u], states[v]), set()).add(y)
-    coloring = {
-        states[i]: {ref.colors[j] for j in _bits(cand_colors[i])} for i in range(n)
-    }
-    initial = [states[i] for i in _bits(init_mask)]
-    return Filter(states, initial, ref.obs, transitions, ref.colors, coloring)
+    succ = [[tuple(_bits(mask)) for mask in cand_step[y]] for y in ref.obs]
+    return Filter._from_tables(tuple(f"s{i}" for i in range(n)), ref.obs, ref.colors,
+                               tuple(_bits(init_mask)), succ, list(cand_colors))
 
 
 def _confirm(ref, candidate):
@@ -369,6 +360,8 @@ def minimize_nondet(f, budget=None):
             if lower < len(best.states):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
+            if best is not ft:
+                _confirm(ref, best)
         for level in range(lower, len(best.states)):
             if max_k is not None and level > max_k:
                 status = _CAPPED
@@ -409,10 +402,10 @@ _FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
 def _upper_bound(ft, ref, clock, lower):
     """The smallest simulator among the trimmed filter, its two bisimulation
     quotients and the deterministic pipeline's result, with the name of its
-    source.  Each one that is smaller than the best so far is walked against
-    the reference through _confirm, which raises if it fails.  Stops once
-    one has `lower` states, below which the search has ruled everything
-    out."""
+    source.  Stops once one has `lower` states, below which the search has
+    ruled everything out.  The caller walks the one returned against the
+    reference through _confirm, which raises if it fails; that walk is not
+    on the clock, so it comes after the timed fooling-set bound."""
     best, source = ft, "trim"
     for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
         if len(best.states) <= lower or clock.expired():
@@ -422,7 +415,7 @@ def _upper_bound(ft, ref, clock, lower):
         else:
             bound = _bisimulation_quotient(ft, ref, clock, name == "backward-bisimulation")
         if bound is not None and len(bound.states) < len(best.states):
-            best, source = _confirm(ref, bound), name
+            best, source = bound, name
     return best, source
 
 
@@ -483,8 +476,8 @@ def _bisimulation_quotient(ft, ref, clock, backward):
     else:
         return None
     partition = [[] for _ in range(count)]
-    for i, s in enumerate(ft.states):
-        partition[block[i]].append(s)
+    for i in range(n):
+        partition[block[i]].append(i)
     return _quotient_filter(ft, partition)
 
 
@@ -667,9 +660,7 @@ def compatibility_graph(d):
         raise ValueError("compatibility graph needs a deterministic filter")
     states = d.states
     n = len(states)
-    index = d._index
-    color_bit = {c: 1 << k for k, c in enumerate(d.colors)}
-    palette = [sum(color_bit[c] for c in d.coloring[s]) for s in states]
+    palette = d._color
     holders = [0] * len(d.colors)  # holders[k]: the states that carry color k
     for i, colors in enumerate(palette):
         for k in _bits(colors):
@@ -682,22 +673,23 @@ def compatibility_graph(d):
             sharing |= holders[k]
         disjoint[colors] = full & ~sharing
     bad = [disjoint[colors] for colors in palette]
-    # per symbol y: into[b] is the mask, sources[b] the list, of the states
-    # that y leads to b
-    preds = {y: ([0] * n, [[] for _ in range(n)]) for y in d.observations}
-    for (src, dst), syms in d.transitions.items():
-        i, b = index[src], index[dst]
-        for y in syms:
-            into, sources = preds[y]
-            into[b] |= 1 << i
-            sources[b].append(i)
+    # per symbol: into[b] is the mask, sources[b] the list, of the states
+    # that it leads to b
+    preds = []
+    for table in d._succ:
+        into, sources = [0] * n, [[] for _ in range(n)]
+        for i, cell in enumerate(table):
+            for b in cell:
+                into[b] |= 1 << i
+                sources[b].append(i)
+        preds.append((into, sources))
     pending = list(bad)
     work = [i for i in range(n) if bad[i]]
     while work:
         a = work.pop()
         flags = _flags(pending[a])
         pending[a] = 0
-        for into, sources in preds.values():
+        for into, sources in preds:
             if not sources[a]:
                 continue
             behind = functools.reduce(operator.or_, itertools.compress(into, flags), 0)
@@ -811,62 +803,48 @@ def _min_clique_cover(states, adj, node_cap=500_000):
     return [[states[i] for i in part] for part in partition], lower, exact
 
 
-def _quotient_filter(f, partition):
-    """Collapse each partition class to one state, colored by the colors its
-    members share and with the union of their edges; None if a class shares
-    no color."""
-    part_of = {}
+def _quotient_filter(f, partition, names=None):
+    """Collapse each class of partition, a list of index lists, to one state,
+    colored by the colors its members share and with the union of their
+    edges; None if a class shares no color.  The states are named by their
+    members joined with + unless names are given."""
+    new = [0] * len(f.states)
+    color = []
     for k, members in enumerate(partition):
-        for s in members:
-            part_of[s] = k
-    rank = f._index
-    taken = set()
-    names = [
-        _fresh_name("+".join(sorted(members, key=rank.__getitem__)), taken)
-        for members in partition
-    ]
-    colorings = {}
-    for name, members in zip(names, partition):
-        shared = frozenset.intersection(*(f.coloring[s] for s in members))
+        shared = -1
+        for i in members:
+            new[i] = k
+            shared &= f._color[i]
         if not shared:
             return None
-        colorings[name] = shared
-    transitions = {}
-    for (src, dst), syms in f.transitions.items():
-        key = (names[part_of[src]], names[part_of[dst]])
-        transitions[key] = transitions.get(key, frozenset()) | syms
-    initial = {names[part_of[s]] for s in f.initial}
-    return Filter(names, initial, f.observations, transitions, f.colors, colorings)
+        color.append(shared)
+    if names is None:
+        taken = set()
+        names = [_fresh_name("+".join(f.states[i] for i in sorted(members)), taken)
+                 for members in partition]
+    succ = [[tuple(sorted({new[j] for i in members for j in table[i]})) for members in partition]
+            for table in f._succ]
+    initial = tuple(sorted({new[i] for i in f._init}))
+    return Filter._from_tables(tuple(names), f.observations, f.colors, initial, succ, color)
 
 
 def _merge_pair(d, u, v):
     """Merge two states of a deterministic filter; None if it breaks."""
-    shared = d.coloring[u] & d.coloring[v]
-    if not shared:
-        return None
+    a, b = d._index[u], d._index[v]
     # only the merged state's own edges can now leave toward two targets
-    for y in d.out_symbols(u) & d.out_symbols(v):
-        (a,), (b,) = d.successors(u, y), d.successors(v, y)
-        if a != b and not {a, b} <= {u, v}:
+    for table in d._succ:
+        ta, tb = table[a], table[b]
+        if ta and tb and ta != tb and not {ta[0], tb[0]} <= {a, b}:
             return None
-    rank = d._index
-    merged = "+".join(sorted([u, v], key=rank.__getitem__))
+    merged = "+".join(d.states[i] for i in sorted((a, b)))
     taken = set(d.states) - {u, v}
     while merged in taken:
         merged += "'"
-
-    def rename(s):
-        return merged if s in (u, v) else s
-
-    transitions = {}
-    for (src, dst), syms in d.transitions.items():
-        key = (rename(src), rename(dst))
-        transitions[key] = transitions.get(key, frozenset()) | syms
-    states = [rename(s) for s in d.states if s != v]
-    coloring = {rename(s): d.coloring[s] for s in d.states}
-    coloring[merged] = shared
-    initial = {rename(s) for s in d.initial}
-    return Filter(states, initial, d.observations, transitions, d.colors, coloring)
+    # v's state goes; the merged one takes u's place
+    partition = [[i] for i in range(len(d.states)) if i != b]
+    partition[a - (a > b)] = [a, b]
+    names = [merged if i == a else s for i, s in enumerate(d.states) if i != b]
+    return _quotient_filter(d, partition, names)
 
 
 def _verified(ref, candidate, clock):
@@ -923,7 +901,7 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=N
     if beat is not None and lower >= beat:
         return d, best, lower, cover_exact
     if len(best.states) > lower and not clock.expired():
-        quotient = _quotient_filter(d, partition)
+        quotient = _quotient_filter(d, [[d._index[s] for s in part] for part in partition])
         if (quotient is not None and quotient.is_deterministic()
                 and len(quotient.states) < len(best.states)):
             if _verified(ref, quotient, clock):

@@ -22,6 +22,7 @@ looks for a gap before the violation is reported.
 """
 
 from .errors import CapExceeded
+from .filters import _names
 from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
@@ -65,21 +66,8 @@ def _bits(mask):
         mask ^= low
 
 
-def _encode(f, obs, color_bit):
-    """Mask tables (initial mask, color mask per state, step) of filter f.
-
-    step[y][i] is the mask of the targets of state i under y, for every y
-    in obs; a symbol f does not declare has no targets.
-    """
-    idx = f._index
-    init = sum(1 << idx[s] for s in f.initial)
-    colors = [sum(color_bit[c] for c in f.coloring[s]) for s in f.states]
-    step = {y: [0] * len(f.states) for y in obs}
-    for (src, dst), syms in f.transitions.items():
-        for y in syms:
-            if y in step:
-                step[y][idx[src]] |= 1 << idx[dst]
-    return init, colors, step
+def _mask(indexes):
+    return sum(map((1).__lshift__, indexes))
 
 
 class _RefTables:
@@ -90,18 +78,26 @@ class _RefTables:
         self.obs = f.observations
         self.colors = f.colors
         self._color_bit = {c: 1 << i for i, c in enumerate(f.colors)}
-        self.init_mask, self.color_of, self.step = _encode(f, self.obs, self._color_bit)
+        self.init_mask, self.color_of, self.step = self.encode(f)
         self._succ_cache = {}
         self._color_cache = {}
         self.eps_colors = self.colors_of(self.init_mask)
 
     def encode(self, f):
-        """Mask tables of a candidate filter over this reference's
-        observations; a color the reference lacks gets a bit of its own."""
-        color_bit = dict(self._color_bit)
-        for c in f.colors:
-            color_bit.setdefault(c, 1 << len(color_bit))
-        return _encode(f, self.obs, color_bit)
+        """Mask tables (initial mask, color mask per state, step) of a
+        candidate filter over this reference's observations and colors.
+        step[y][i] is the mask of the targets of state i under y; a symbol f
+        does not declare has none, and a color the reference lacks gets a
+        bit of its own."""
+        empty = [()] * len(f.states)
+        step = {y: list(map(_mask, f._succ[f._obs_index[y]] if y in f._obs_index else empty))
+                for y in self.obs}
+        colors = f._color
+        if f.colors != self.colors:
+            color_bit = dict(self._color_bit)
+            bits = [color_bit.setdefault(c, 1 << len(color_bit)) for c in f.colors]
+            colors = [sum(bit for j, bit in enumerate(bits) if mask >> j & 1) for mask in colors]
+        return _mask(f._init), colors, step
 
     def succ(self, mask, y):
         key = (mask, y)
@@ -207,7 +203,9 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     if kind == LANGUAGE_GAP:
         return SimulationVerdict(False, kind, witness)
     ref_mask, cand_mask = node
-    allowed = set().union(*(reference.coloring[reference.states[i]] for i in _bits(ref_mask)))
-    shown = set().union(*(candidate.coloring[candidate.states[i]] for i in _bits(cand_mask)))
-    color = next(c for c in candidate.colors if c in shown and c not in allowed)
+    allowed = set(_names(ref.colors_of(ref_mask), reference.colors))
+    shown = 0
+    for i in _bits(cand_mask):
+        shown |= candidate._color[i]
+    color = next(c for c in _names(shown, candidate.colors) if c not in allowed)
     return SimulationVerdict(False, kind, witness, color)

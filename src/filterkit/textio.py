@@ -16,7 +16,7 @@ import json
 import re
 
 from .errors import FilterError, NfaError, UnknownSymbol
-from .filters import Filter, _check_strings, _fresh_name
+from .filters import Filter, _check_strings, _fresh_name, _names
 from .nfa import Nfa
 
 _COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
@@ -69,33 +69,25 @@ def _strings(values, depth):
 
 def emit_filter(f):
     """The filter document of f, equal to json.dumps(f.to_dict(), indent=2)
-    followed by a newline.  Each name is quoted once, and each distinct
-    color set and symbol set is laid out once."""
-    color_rank = {c: i for i, c in enumerate(f.colors)}
-    obs_rank = {y: i for i, y in enumerate(f.observations)}
-    name = {s: _quote(s) for s in f.states}
-    color_sets = {
-        cs: _strings(sorted(cs, key=color_rank.__getitem__), 3)
-        for cs in set(f.coloring.values())
-    }
-    symbol_sets = {
-        ys: _strings(sorted(ys, key=obs_rank.__getitem__), 3)
-        for ys in set(f.transitions.values())
-    }
-    index = f._index
-    edges = sorted(f.transitions.items(), key=lambda e: (index[e[0][0]], index[e[0][1]]))
-    # one layout per entry kind, filled in with %
-    state_form = _object((("id", "%s"), ("colors", "%s")), 2)
-    edge_form = _object((("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2)
-    states = [state_form % (name[s], color_sets[f.coloring[s]]) for s in f.states]
-    transitions = [
-        edge_form % (name[src], name[dst], symbol_sets[ys]) for (src, dst), ys in edges
-    ]
+    followed by a newline.  Each name is quoted once, each distinct color
+    set and symbol set is laid out once, and an entry is joined from pieces
+    of one layout per entry kind."""
+    name = [_quote(s) for s in f.states]
+    edges = f._edges()
+    before, between, after = _object((("id", "%s"), ("colors", "%s")), 2).split("%s")
+    colored = {m: between + _strings(_names(m, f.colors), 3) + after for m in set(f._color)}
+    states = [before + s + colored[mask] for s, mask in zip(name, f._color)]
+    before, between, labeled, after = _object(
+        (("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2).split("%s")
+    sources = [before + s + between for s in name]
+    labels = {m: labeled + _strings(_names(m, f.observations), 3) + after
+              for m in {edge[2] for edge in edges}}
+    transitions = [sources[i] + name[j] + labels[mask] for i, j, mask in edges]
     return _object((
         ("observations", _strings(f.observations, 1)),
         ("colors", _strings(f.colors, 1)),
         ("states", _array(states, 1)),
-        ("initial", _array([name[s] for s in f.states if s in f.initial], 1)),
+        ("initial", _array([name[i] for i in f._init], 1)),
         ("transitions", _array(transitions, 1)),
     ), 0) + "\n"
 
@@ -173,10 +165,11 @@ def filter_to_dot(f):
     are named __start0, __start1, ... unless a state already has that
     name, in which case the name gets a ~2, ~3, ... suffix."""
     lines = ["digraph filter {", "  rankdir=LR;", '  node [shape=circle, style=filled];']
-    node = {state: '"' + _dot_escape(state) + '"' for state in f.states}
+    node = ['"' + _dot_escape(state) + '"' for state in f.states]
     assigned = {}
-    for state in f.states:
-        colors = sorted(f.coloring[state])
+    shown = {mask: sorted(_names(mask, f.colors)) for mask in set(f._color)}
+    for i, state in enumerate(f.states):
+        colors = shown[f._color[i]]
         if len(colors) == 1 and colors[0] in _DOT_NATIVE:
             fill = colors[0]
         else:
@@ -188,21 +181,18 @@ def filter_to_dot(f):
         label = _dot_escape(state)
         if len(colors) > 1:
             label += "\\n" + _dot_escape(",".join(colors))
-        lines.append(f'  {node[state]} [label="{label}", fillcolor="{fill}"{font}];')
+        lines.append(f'  {node[i]} [label="{label}", fillcolor="{fill}"{font}];')
     # Initial states get an incoming arrow from an unlabeled point node.
     taken = set(f.states)
-    for index, state in enumerate(s for s in f.states if s in f.initial):
+    for index, i in enumerate(f._init):
         start = '"' + _fresh_name(f"__start{index}", taken) + '"'
         lines.append(f"  {start} [shape=point, style=solid];")
-        lines.append(f"  {start} -> {node[state]};")
-    for state in f.states:
-        buckets = {}
-        for symbol in f.observations:
-            for target in f.successors(state, symbol):
-                buckets.setdefault(target, []).append(symbol)
-        for target in sorted(buckets):
-            label = _dot_escape(",".join(buckets[target]))
-            lines.append(f'  {node[state]} -> {node[target]} [label="{label}"];')
+        lines.append(f"  {start} -> {node[i]};")
+    # each source's edges, by target name
+    states, edges = f.states, f._edges()
+    labels = {m: _dot_escape(",".join(_names(m, f.observations))) for m in {e[2] for e in edges}}
+    for i, j, mask in sorted(edges, key=lambda e: (e[0], states[e[1]])):
+        lines.append(f'  {node[i]} -> {node[j]} [label="{labels[mask]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

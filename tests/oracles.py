@@ -10,10 +10,13 @@ candidates of one search level one at a time, in the canonical order the
 package's search counts them in.  compatibility_graph_oracle builds the
 compatibility graph from a reverse map over every pair of states.
 fooling_set_error re-checks a claimed fooling set by walking every string
-it names.  All are written for obviousness, not speed.
+it names.  NamedFilter is the filter core kept on names: dicts keyed by
+state names, one frozenset per edge label and color set.  All are written
+for obviousness, not speed.
 """
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -337,6 +340,11 @@ def fooling_set_error(reference, pairs):
 
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):
     """A seeded random filter; may be nondeterministic and non-trim."""
+    return Filter(*random_description(rng, max_states, max_symbols, max_colors, edge_bias))
+
+
+def random_description(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):
+    """The arguments of Filter for random_filter, drawn in the same order."""
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(n)]
     observations = tuple("abc"[: rng.randint(1, max_symbols)])
@@ -353,7 +361,7 @@ def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5)
     }
     k = rng.randint(1, n)
     initial = rng.sample(states, k)
-    return Filter(states, initial, observations, transitions, colors, coloring)
+    return states, initial, observations, transitions, colors, coloring
 
 
 def random_string(rng, observations, max_len=6):
@@ -509,3 +517,123 @@ def tensor_simulation_oracle(candidate, reference):
         _, witness, color = min(failures)
         return False, "output-violation", witness, color
     return True, None, None, None
+
+
+# -- the filter core on names ---------------------------------------------
+
+
+class NamedFilter:
+    """A filter kept on names, from the same (valid) arguments as Filter.
+
+    transitions maps (source, target) to a frozenset of symbols and coloring
+    each state to a frozenset of colors; every query walks those dicts.
+    """
+
+    def __init__(self, states, initial, observations, transitions, colors, coloring):
+        self.states = tuple(states)
+        self.observations = tuple(observations)
+        self.colors = tuple(colors)
+        self.initial = frozenset(initial)
+        self.transitions = {}
+        for edge, syms in dict(transitions).items():
+            if syms:
+                self.transitions[edge] = self.transitions.get(edge, frozenset()) | set(syms)
+        self.coloring = {s: frozenset(cs) for s, cs in dict(coloring).items()}
+
+    def successors(self, state, symbol):
+        return tuple(t for t in self.states
+                     if symbol in self.transitions.get((state, t), ()))
+
+    def out_symbols(self, state):
+        return frozenset(y for y in self.observations if self.successors(state, y))
+
+    def is_deterministic(self):
+        return len(self.initial) == 1 and all(
+            len(self.successors(s, y)) <= 1 for s in self.states for y in self.observations)
+
+    def trace(self, string):
+        """The reached set of names, or None if a symbol is not declared
+        before the run crashes."""
+        reached = self.initial
+        for y in string:
+            if y not in self.observations:
+                return None
+            reached = frozenset(t for s in reached for t in self.successors(s, y))
+            if not reached:
+                break
+        return reached
+
+    def output(self, string):
+        reached = self.trace(string)
+        if not reached:
+            return None
+        return frozenset().union(*(self.coloring[s] for s in reached))
+
+    def trim(self):
+        seen = set(self.initial)
+        frontier = list(seen)
+        while frontier:
+            s = frontier.pop()
+            for (src, dst) in self.transitions:
+                if src == s and dst not in seen:
+                    seen.add(dst)
+                    frontier.append(dst)
+        if len(seen) == len(self.states):
+            return self
+        return NamedFilter(
+            [s for s in self.states if s in seen], self.initial, self.observations,
+            {e: ys for e, ys in self.transitions.items() if e[0] in seen},
+            self.colors, {s: self.coloring[s] for s in seen})
+
+    def determinize(self):
+        """(deterministic NamedFilter, mapping): subsets named {a,b,...} by
+        sorted member names, suffixed ~2, ~3, ... where two print alike, in
+        breadth-first order over the declared observations."""
+        order = [self.initial]
+        edges = {}
+        for subset in order:
+            for y in self.observations:
+                nxt = frozenset(t for s in subset for t in self.successors(s, y))
+                if nxt:
+                    edges[(subset, y)] = nxt
+                    if nxt not in order:
+                        order.append(nxt)
+        names = {}
+        for subset in order:
+            base = "{" + ",".join(sorted(subset)) + "}"
+            name, bump = base, 2
+            while name in names.values():
+                name, bump = f"{base}~{bump}", bump + 1
+            names[subset] = name
+        transitions = {}
+        for (subset, y), nxt in edges.items():
+            transitions.setdefault((names[subset], names[nxt]), set()).add(y)
+        coloring = {names[s]: frozenset().union(*(self.coloring[v] for v in s)) for s in order}
+        det = NamedFilter([names[s] for s in order], [names[order[0]]], self.observations,
+                          transitions, self.colors, coloring)
+        return det, {names[s]: s for s in order}
+
+    def key(self):
+        """What two equal filters share."""
+        return (self.states, self.initial, self.observations,
+                frozenset(self.transitions.items()), self.colors,
+                frozenset(self.coloring.items()))
+
+    def to_dict(self):
+        rank = {s: i for i, s in enumerate(self.states)}
+        return {
+            "observations": list(self.observations),
+            "colors": list(self.colors),
+            "states": [{"id": s, "colors": [c for c in self.colors if c in self.coloring[s]]}
+                       for s in self.states],
+            "initial": [s for s in self.states if s in self.initial],
+            "transitions": [
+                {"from": src, "to": dst,
+                 "symbols": [y for y in self.observations if y in self.transitions[(src, dst)]]}
+                for (src, dst) in sorted(self.transitions,
+                                         key=lambda e: (rank[e[0]], rank[e[1]]))
+            ],
+        }
+
+    def document(self):
+        return json.dumps(self.to_dict(), indent=2) + "\n"

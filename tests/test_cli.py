@@ -329,6 +329,15 @@ def test_minimize_rejects_non_positive_budget(fig3_path, capsys, flag, value):
     assert f"argument {flag}: must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,inputs", [("determinize", 1), ("check-sim", 2)])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_caps_reject_non_positive_values(fig3_path, capsys, command, inputs, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--cap", value] + [fig3_path] * inputs)
+    assert exit_info.value.code == 2
+    assert "argument --cap: must be positive" in capsys.readouterr().err
+
+
 def test_minimize_output_file(tmp_path, capsys):
     from filterkit import donut_world
 

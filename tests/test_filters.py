@@ -1,4 +1,6 @@
+import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -10,9 +12,15 @@ from filterkit import (
     NoInitialState,
     UnknownState,
     UnknownSymbol,
+    donut_world,
+    emit_filter,
+    families,
+    fig3_input,
+    fig3_minimizer,
+    prime_family,
 )
 
-from oracles import random_filter, random_string, walk
+from oracles import NamedFilter, random_description, random_filter, random_string, walk
 
 
 def two_lamp():
@@ -223,3 +231,74 @@ def test_from_dict_accepts_subclasses_and_merges_repeated_edges():
     data["transitions"].append({"from": "q", "to": 7, "symbols": ["a"]})
     with pytest.raises(FilterError, match="transition ends must be strings, not 7"):
         Filter.from_dict(data)
+
+
+def core_descriptions():
+    """The arguments of Filter for about 300 seeded random filters, donut,
+    the fig3 pair and prime r=1..4; the families' arguments are captured
+    before any Filter is built from them."""
+    rng = random.Random(8080)
+    described = []
+    for _ in range(300):
+        states, initial, observations, transitions, colors, coloring = \
+            random_description(rng, max_states=5)
+        # names that sort in another order than they are declared in
+        name = dict(zip(states, rng.sample([f"t{i}" for i in range(len(states))], len(states))))
+        described.append((
+            [name[s] for s in states], [name[s] for s in initial], observations,
+            {(name[a], name[b]): ys for (a, b), ys in transitions.items()},
+            colors, {name[s]: cs for s, cs in coloring.items()},
+        ))
+    makers = [donut_world, fig3_input, fig3_minimizer]
+    makers += [lambda r=r: prime_family(r) for r in range(1, 5)]
+    with mock.patch.object(families, "Filter", lambda *args: args):
+        described += [maker() for maker in makers]
+    return described
+
+
+def test_core_matches_the_named_oracle():
+    rng = random.Random(4242)
+    built = []  # (filter, oracle) pairs
+    for args in core_descriptions():
+        f, o = Filter(*args), NamedFilter(*args)
+        assert emit_filter(f) == o.document()
+        assert (f.initial, f.transitions, f.coloring) == (o.initial, o.transitions, o.coloring)
+        assert f.is_deterministic() == o.is_deterministic()
+        for s in f.states:
+            assert f.out_symbols(s) == o.out_symbols(s)
+            for y in f.observations:
+                assert f.successors(s, y) == o.successors(s, y)
+        for _ in range(12):
+            string = random_string(rng, f.observations + ("?",), max_len=8)
+            if o.trace(string) is None:
+                with pytest.raises(UnknownSymbol):
+                    f.trace(string)
+                continue
+            assert f.trace(string).reached == o.trace(string)
+            assert f.output(string) == o.output(string)
+        t, ot = f.trim(), o.trim()
+        assert emit_filter(t) == ot.document()
+        d, mapping = f.determinize()
+        od, omapping = o.determinize()
+        assert emit_filter(d) == od.document()
+        assert mapping == omapping
+        assert d.is_deterministic() == od.is_deterministic()
+        for s in d.states:
+            assert d.out_symbols(s) == od.out_symbols(s)
+        built += [(f, o), (t, ot), (d, od)]
+    for (f, o), (g, p) in zip(built, built[1:]):
+        assert (f == g) == (o.key() == p.key())
+    for f, o in built:
+        again = Filter.from_dict(json.loads(emit_filter(f)))
+        # the same description, listed in another order
+        shuffled = Filter(f.states, sorted(f.initial, reverse=True), f.observations,
+                          dict(reversed(list(f.transitions.items()))), f.colors,
+                          dict(reversed(list(f.coloring.items()))))
+        reordered = Filter(f.states[::-1], f.initial, f.observations, f.transitions,
+                           f.colors, f.coloring)
+        assert again == f == shuffled and hash(again) == hash(f) == hash(shuffled)
+        assert (reordered == f) == (len(f.states) == 1)
+        if f.transitions:
+            fewer = (f.states, f.initial, f.observations, dict(list(f.transitions.items())[1:]),
+                     f.colors, f.coloring)
+            assert Filter(*fewer) != f and NamedFilter(*fewer).key() != o.key()

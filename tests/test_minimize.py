@@ -669,6 +669,16 @@ def test_nondet_bounds_stay_on_the_clock():
     assert (result.stats["level"], result.stats["candidates"]) == (2, 512)
 
 
+def test_fooling_set_runs_before_the_untimed_confirm_walk():
+    # walking the forward quotient of prime r=6 against its 30,072 reached
+    # sets takes about a second off the clock; the fooling set, which needs
+    # milliseconds, comes first and still finds its deadline ahead
+    result = minimize_nondet(prime_family(6), SearchBudget(time_cap=1.0, candidate_cap=None))
+    assert (result.stats["lower_bound"], result.stats["lower_bound_exact"]) == (36, True)
+    assert result.stats["upper_bound_source"] == "forward-bisimulation"
+    assert not result.proven_optimal
+
+
 def test_max_clique_matches_brute_force():
     from filterkit.minimize import _Clock, _max_clique
 
