@@ -7,7 +7,7 @@ Run:  python demos/universality_reduction.py
 """
 
 from filterkit import Nfa, decide_size_k, from_nfa_universality
-from filterkit.nfa import is_universal, sigma_star, subset_construct
+from filterkit.nfa import is_universal, sigma_star
 
 # accepts everything except strings containing "bb"
 picky = Nfa(
@@ -23,7 +23,7 @@ picky = Nfa(
 )
 
 for name, automaton in (("sigma-star", sigma_star(("a", "b"))), ("no-bb", picky)):
-    universal, witness = is_universal(subset_construct(automaton))
+    universal, witness = is_universal(automaton)
     instance = from_nfa_universality(automaton)
     decision = decide_size_k(instance.filter, 1)
     print(f"{name}:")

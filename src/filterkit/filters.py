@@ -62,20 +62,65 @@ def _check_entries(entries, rows):
         _check_strings(entry["symbols"], "transition symbols")
 
 
-def _fresh_name(base, taken):
-    """The first of base, base~2, base~3, ... not in taken; adds it there."""
+def _fresh_name(base, taken, sep="~"):
+    """The first of base, base~2, base~3, ... (with sep in place of ~) not
+    in taken; adds it there."""
     name = base
     bump = 2
     while name in taken:
-        name = f"{base}~{bump}"
+        name = f"{base}{sep}{bump}"
         bump += 1
     taken.add(name)
     return name
 
 
+def _subset_names(names, subsets):
+    """A name for each subset, a tuple of indexes into names: {a,b,...} by
+    sorted member names, suffixed ~2, ~3, ... where two print alike."""
+    taken = set()
+    return tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
+                 for subset in subsets)
+
+
 def _names(mask, names):
     """The names whose bits are set in mask, in declared order."""
     return [name for j, name in enumerate(names) if mask >> j & 1]
+
+
+def _bits(mask):
+    """The indexes of the bits set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(indexes):
+    return sum(map((1).__lshift__, indexes))
+
+
+def _reachable(initial, succ):
+    """The set of the state indexes that the tables succ lead to from initial."""
+    seen = set(initial)
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        for table in succ:
+            for j in table[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return seen
+
+
+def _path(parent, node):
+    """The symbols on the way to node in a breadth-first walk, where parent
+    maps each node to (previous node, symbol), or None at the start."""
+    symbols = []
+    while parent[node] is not None:
+        node, y = parent[node]
+        symbols.append(y)
+    return tuple(reversed(symbols))
 
 
 class TraceResult:
@@ -276,15 +321,7 @@ class Filter:
 
     def trim(self):
         """Restrict to states reachable from the initial set."""
-        seen = set(self._init)
-        stack = list(seen)
-        while stack:
-            i = stack.pop()
-            for table in self._succ:
-                for j in table[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
+        seen = _reachable(self._init, self._succ)
         if len(seen) == len(self.states):
             return self
         keep = sorted(seen)
@@ -324,9 +361,7 @@ class Filter:
                 row.append(single[q])
 
         names = self.states
-        taken = set()
-        states = tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
-                       for subset in order)
+        states = _subset_names(names, order)
         color = [functools.reduce(operator.or_, map(self._color.__getitem__, subset))
                  for subset in order]
         det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, color)

@@ -34,8 +34,8 @@ import operator
 import time
 
 from .errors import CapExceeded
-from .filters import DETERMINIZE_CAP, Filter, _fresh_name
-from .simulation import _bits, _RefTables, _walk
+from .filters import DETERMINIZE_CAP, Filter, _bits, _fresh_name
+from .simulation import _RefTables, _walk
 
 YES = "yes"
 NO = "no"
@@ -142,9 +142,10 @@ def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
                                tuple(_bits(init_mask)), succ, list(cand_colors))
 
 
-def _confirm(ref, candidate):
-    """Re-check a filter the search accepted, through its built Filter form."""
-    if _walk(ref, *ref.encode(candidate)) is not None:
+def _confirm(ref, candidate, deadline=None):
+    """Re-check a filter the search accepted, through its built Filter form.
+    Raises TimeoutError if the deadline passes first."""
+    if _walk(ref, *ref.encode(candidate), deadline=deadline) is not None:
         raise RuntimeError("the search accepted a filter that fails output simulation")
     return candidate
 
@@ -361,7 +362,10 @@ def minimize_nondet(f, budget=None):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
             if best is not ft:
-                _confirm(ref, best)
+                try:
+                    _confirm(ref, best, clock._deadline)
+                except TimeoutError:  # an unconfirmed bound is not returned
+                    best, source = ft, "trim"
         for level in range(lower, len(best.states)):
             if max_k is not None and level > max_k:
                 status = _CAPPED
@@ -404,8 +408,9 @@ def _upper_bound(ft, ref, clock, lower):
     quotients and the deterministic pipeline's result, with the name of its
     source.  Stops once one has `lower` states, below which the search has
     ruled everything out.  The caller walks the one returned against the
-    reference through _confirm, which raises if it fails; that walk is not
-    on the clock, so it comes after the timed fooling-set bound."""
+    reference through _confirm, which raises if it fails, after the cheaper
+    fooling-set bound; if the deadline passes inside that walk, the trimmed
+    filter is returned instead."""
     best, source = ft, "trim"
     for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
         if len(best.states) <= lower or clock.expired():
@@ -650,11 +655,25 @@ def compatibility_graph(d):
     deterministic simulator, though not always attainable: cliques need not
     merge into a consistent transition function.
 
-    Incompatibility is held as one bitmask row per state.  It is seeded with
-    the color-disjoint pairs, one row per distinct color set, and propagated
-    backwards by a worklist: when a and b are incompatible, so is every pair
-    of states that one symbol leads to a and b.  The worklist holds the
-    states whose rows gained bits that have not been propagated yet.
+    This is a name view of the rows of _incompatible.
+    """
+    states = d.states
+    full = (1 << len(states)) - 1
+    return {
+        s: set(itertools.compress(states, _flags(full & ~row & ~(1 << i))))
+        for i, (s, row) in enumerate(zip(states, _incompatible(d)))
+    }
+
+
+def _incompatible(d):
+    """The complement of the compatibility graph of a deterministic filter,
+    as one bitmask row per state; no row has its own state's bit.
+
+    The rows are seeded with the color-disjoint pairs, one row per distinct
+    color set, and propagated backwards by a worklist: when a and b are
+    incompatible, so is every pair of states that one symbol leads to a and
+    b.  The worklist holds the states whose rows gained bits that have not
+    been propagated yet.
     """
     if not d.is_deterministic():
         raise ValueError("compatibility graph needs a deterministic filter")
@@ -700,10 +719,7 @@ def compatibility_graph(d):
                     if not pending[i]:
                         work.append(i)
                     pending[i] |= new
-    return {
-        s: set(itertools.compress(states, _flags(full & ~bad[i] & ~(1 << i))))
-        for i, s in enumerate(states)
-    }
+    return bad
 
 
 def _feasible_coloring(inc, precolored, t, node_cap):
@@ -748,24 +764,17 @@ def _feasible_coloring(inc, precolored, t, node_cap):
             c += 1
 
 
-def _min_clique_cover(states, adj, node_cap=500_000):
-    """Exact minimum clique cover of the compatibility graph.
+def _min_clique_cover(inc, node_cap=500_000):
+    """Exact minimum clique cover of a graph given by the bitmask rows inc
+    of its complement (see _incompatible).
 
-    Returns (partition, lower_bound, exact).  When the branch-and-bound caps
-    out, the partition is the greedy one and lower_bound falls back to the
-    best proven value (at worst the greedy incompatible-clique size), still
-    sound as a bound on the optimum.
+    Returns (partition, lower_bound, exact), the partition as ascending
+    lists of vertex indexes ordered by their first.  When the
+    branch-and-bound caps out, the partition is the greedy one and
+    lower_bound falls back to the best proven value (at worst the greedy
+    incompatible-clique size), still sound as a bound on the optimum.
     """
-    n = len(states)
-    bit = {s: 1 << i for i, s in enumerate(states)}
-    full = (1 << n) - 1
-    inc = []
-    for s in states:
-        row = 0
-        for t in adj[s]:
-            row |= bit[t]
-        inc.append(full & ~row & ~bit[s])
-    order = sorted(range(n), key=lambda i: -bin(inc[i]).count("1"))
+    order = sorted(range(len(inc)), key=lambda i: -bin(inc[i]).count("1"))
     clique = []
     member_mask = 0
     for v in order:
@@ -798,9 +807,9 @@ def _min_clique_cover(states, adj, node_cap=500_000):
             exact = True
         if exact:
             lower = len(classes)
-    partition = [sorted(_bits(mask)) for mask in classes]
+    partition = [list(_bits(mask)) for mask in classes]
     partition.sort(key=lambda part: part[0])
-    return [[states[i] for i in part] for part in partition], lower, exact
+    return partition, lower, exact
 
 
 def _quotient_filter(f, partition, names=None):
@@ -828,19 +837,19 @@ def _quotient_filter(f, partition, names=None):
     return Filter._from_tables(tuple(names), f.observations, f.colors, initial, succ, color)
 
 
-def _merge_pair(d, u, v):
-    """Merge two states of a deterministic filter; None if it breaks."""
-    a, b = d._index[u], d._index[v]
+def _merge_pair(d, a, b):
+    """Merge states a and b (indexes) of a deterministic filter; None if it
+    breaks."""
     # only the merged state's own edges can now leave toward two targets
     for table in d._succ:
         ta, tb = table[a], table[b]
         if ta and tb and ta != tb and not {ta[0], tb[0]} <= {a, b}:
             return None
     merged = "+".join(d.states[i] for i in sorted((a, b)))
-    taken = set(d.states) - {u, v}
+    taken = set(d.states) - {d.states[a], d.states[b]}
     while merged in taken:
         merged += "'"
-    # v's state goes; the merged one takes u's place
+    # b's state goes; the merged one takes a's place
     partition = [[i] for i in range(len(d.states)) if i != b]
     partition[a - (a > b)] = [a, b]
     names = [merged if i == a else s for i, s in enumerate(d.states) if i != b]
@@ -860,16 +869,16 @@ def _greedy_merge(d, ref, clock, merge_cap=None):
     cur = d
     tries = 0
     while True:
-        adj = compatibility_graph(cur)
+        inc = _incompatible(cur)
+        full = (1 << len(inc)) - 1
         merged = None
-        for i, u in enumerate(cur.states):
-            for v in cur.states[i + 1:]:
-                if v not in adj[u]:
-                    continue
+        for a, row in enumerate(inc):
+            # the states after a that are compatible with it, in index order
+            for b in _bits(full & ~row & ~((2 << a) - 1)):
                 tries += 1
                 if merge_cap is not None and tries > merge_cap:
                     return cur
-                cand = _merge_pair(cur, u, v)
+                cand = _merge_pair(cur, a, b)
                 if cand is not None and _verified(ref, cand, clock):
                     merged = cand
                     break
@@ -897,11 +906,11 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=N
     """
     d, _ = ft.determinize(determinize_cap)
     best = d
-    partition, lower, cover_exact = _min_clique_cover(d.states, compatibility_graph(d), node_cap)
+    partition, lower, cover_exact = _min_clique_cover(_incompatible(d), node_cap)
     if beat is not None and lower >= beat:
         return d, best, lower, cover_exact
     if len(best.states) > lower and not clock.expired():
-        quotient = _quotient_filter(d, [[d._index[s] for s in part] for part in partition])
+        quotient = _quotient_filter(d, partition)
         if (quotient is not None and quotient.is_deterministic()
                 and len(quotient.states) < len(best.states)):
             if _verified(ref, quotient, clock):

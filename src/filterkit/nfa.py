@@ -1,69 +1,107 @@
-"""Nondeterministic finite automata and the language checks built on them."""
+"""Nondeterministic finite automata and the language checks built on them.
 
-from collections import deque
+An automaton is held on a Filter's integer tables (see filterkit.filters):
+succ[k][i] is the ascending tuple of the states alphabet[k] leads state i
+to, the initial states are an ascending tuple and the accepting states one
+bitmask.  The name-keyed views `initial`, `accepting` and `transitions` are
+built on first use.
+"""
+
+import functools
 
 from .errors import CapExceeded, NfaError
-from .filters import _fresh_name
+from .filters import _bits, _fresh_name, _mask, _names, _path, _subset_names
 
 INCLUSION_CAP = 2 ** 20
 
 
+def _symbols(alphabet):
+    """alphabet as a tuple; raises NfaError if a symbol repeats."""
+    alphabet = tuple(alphabet)
+    if len(set(alphabet)) != len(alphabet):
+        raise NfaError("duplicate alphabet symbols")
+    return alphabet
+
+
 class Nfa:
-    """Immutable NFA; accepting states mark language membership."""
+    """Immutable NFA; accepting states mark language membership.
+
+    transitions maps (source, symbol) pairs to the set of states the symbol
+    leads the source to.
+    """
 
     def __init__(self, states, initial, alphabet, transitions, accepting):
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        states = tuple(states)
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
             raise NfaError("duplicate state ids")
-        state_set = set(self.states)
-        self.alphabet = tuple(alphabet)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise NfaError("duplicate alphabet symbols")
-        sym_set = set(self.alphabet)
-        if not set(initial):
+        alphabet = _symbols(alphabet)
+        initial, accepting = set(initial), set(accepting)
+        if not initial:
             raise NfaError("automaton has no initial state")
-        for s in set(initial) | set(accepting):
-            if s not in state_set:
+        for s in initial | accepting:
+            if s not in index:
                 raise NfaError(f"state {s!r} is not declared")
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
-        self.transitions = {}
+        self._store(states, alphabet, tuple(sorted(map(index.__getitem__, initial))),
+                    [[()] * len(states) for _ in alphabet], _mask(map(index.__getitem__, accepting)))
         for (src, y), targets in dict(transitions).items():
-            if src not in state_set:
+            i = index.get(src)
+            if i is None:
                 raise NfaError(f"transition source {src!r} is not declared")
-            if y not in sym_set:
+            k = self._symbol_index.get(y)
+            if k is None:
                 raise NfaError(f"transition symbol {y!r} is not declared")
             targets = frozenset(targets)
             for t in targets:
-                if t not in state_set:
+                if t not in index:
                     raise NfaError(f"transition target {t!r} is not declared")
-            if targets:
-                self.transitions[(src, y)] = targets
+            self._succ[k][i] = tuple(sorted(map(index.__getitem__, targets)))
 
-    def step(self, subset, symbol):
-        nxt = set()
-        for s in subset:
-            nxt.update(self.transitions.get((s, symbol), ()))
-        return frozenset(nxt)
+    def _store(self, states, alphabet, initial, succ, accept):
+        self.states = states
+        self.alphabet = alphabet
+        self._init = initial
+        self._succ = succ
+        self._accept = accept
+        self._symbol_index = {y: k for k, y in enumerate(alphabet)}
+
+    @classmethod
+    def _from_tables(cls, states, alphabet, initial, succ, accept):
+        """An automaton on tables already known to be valid, built without
+        checks: states and symbols unique, initial nonempty, every table a
+        list with one ascending tuple of state indexes per state."""
+        n = cls.__new__(cls)
+        n._store(states, alphabet, initial, succ, accept)
+        return n
+
+    @functools.cached_property
+    def initial(self):
+        return frozenset(self.states[i] for i in self._init)
+
+    @functools.cached_property
+    def accepting(self):
+        return frozenset(_names(self._accept, self.states))
+
+    @functools.cached_property
+    def transitions(self):
+        states = self.states
+        return {(states[i], y): frozenset(states[j] for j in cell)
+                for y, table in zip(self.alphabet, self._succ)
+                for i, cell in enumerate(table) if cell}
 
     def accepts(self, string):
-        reached = frozenset(self.initial)
+        """True iff the automaton accepts string; a symbol outside the
+        alphabet crashes every run."""
+        reached = self._init
         for y in string:
-            reached = self.step(reached, y)
-            if not reached:
+            k = self._symbol_index.get(y)
+            if k is None:
                 return False
-        return bool(reached & self.accepting)
+            reached = set().union(*map(self._succ[k].__getitem__, reached))
+        return any(self._accept >> i & 1 for i in reached)
 
     def is_deterministic(self):
-        return len(self.initial) == 1 and all(
-            len(t) == 1 for t in self.transitions.values()
-        )
-
-    def is_complete(self):
-        return all(
-            (s, y) in self.transitions for s in self.states for y in self.alphabet
-        )
+        return len(self._init) == 1 and all(len(cell) < 2 for table in self._succ for cell in table)
 
     def __repr__(self):
         return f"<Nfa {len(self.states)} states, {len(self.alphabet)} symbols>"
@@ -71,153 +109,119 @@ class Nfa:
 
 def subset_construct(n, cap=INCLUSION_CAP):
     """Determinize an NFA.  The result is complete (the empty subset is the
-    explicit dead state) and accepts exactly the same language."""
-    start = frozenset(n.initial)
-    order = [start]
-    seen = {start}
-    edges = {}
-    qi = 0
-    while qi < len(order):
-        subset = order[qi]
-        qi += 1
-        for y in n.alphabet:
-            nxt = n.step(subset, y)
-            edges[(subset, y)] = nxt
-            if nxt not in seen:
+    explicit dead state, named {}) and accepts exactly the same language.
+    Subsets are numbered in breadth-first order of discovery, expanding the
+    alphabet in declared order; a subset is named by its sorted member
+    names, suffixed ~2, ~3, ... where two print alike."""
+    order = [n._init]  # subsets as ascending index tuples
+    seen = {n._init: 0}
+    single = [(0,)]
+    succ = [[] for _ in n._succ]
+    for subset in order:
+        for table, row in zip(n._succ, succ):
+            nxt = tuple(sorted(set().union(*map(table.__getitem__, subset))))
+            q = seen.get(nxt)
+            if q is None:
                 if len(seen) >= cap:
                     raise CapExceeded(cap, "subset-constructing")
-                seen.add(nxt)
+                q = seen[nxt] = len(order)
                 order.append(nxt)
-    taken = set()
-    names = {s: _fresh_name("{" + ",".join(sorted(s)) + "}", taken) for s in order}
-    transitions = {
-        (names[subset], y): {names[nxt]} for (subset, y), nxt in edges.items()
-    }
-    accepting = [names[s] for s in order if s & n.accepting]
-    return Nfa([names[s] for s in order], [names[start]], n.alphabet,
-               transitions, accepting)
+                single.append((q,))
+            row.append(single[q])
+    accept = _mask(p for p, subset in enumerate(order) if n._accept & _mask(subset))
+    return Nfa._from_tables(_subset_names(n.states, order), n.alphabet, (0,), succ, accept)
 
 
 def complete_dfa(d, alphabet=None):
-    """Totalize a DFA with a fresh non-accepting trap state."""
+    """Totalize a DFA with a fresh non-accepting trap state.  The symbols of
+    alphabet that d lacks follow d's own."""
     if not d.is_deterministic():
         raise NfaError("complete_dfa needs a deterministic automaton")
-    if alphabet is None:
-        alphabet = d.alphabet
-    else:
-        extra = [y for y in alphabet if y not in set(d.alphabet)]
-        alphabet = tuple(d.alphabet) + tuple(extra)
-    missing = [
-        (s, y) for s in d.states for y in alphabet if (s, y) not in d.transitions
-    ]
-    if not missing and alphabet == d.alphabet:
+    extra = _symbols(y for y in alphabet or () if y not in d._symbol_index)
+    if not extra and all(map(all, d._succ)):
         return d
-    trap = _fresh_name("trap", set(d.states))
-    transitions = dict(d.transitions)
-    for s, y in missing:
-        transitions[(s, y)] = {trap}
-    for y in alphabet:
-        transitions[(trap, y)] = {trap}
-    return Nfa(tuple(d.states) + (trap,), d.initial, alphabet, transitions,
-               d.accepting)
-
-
-def _union_alphabet(a, b):
-    return tuple(a.alphabet) + tuple(y for y in b.alphabet if y not in set(a.alphabet))
+    trap = (len(d.states),)
+    succ = [[cell or trap for cell in table] + [trap] for table in d._succ]
+    succ += [[trap] * (len(d.states) + 1) for _ in extra]
+    return Nfa._from_tables(d.states + (_fresh_name("trap", set(d.states)),),
+                            d.alphabet + extra, d._init, succ, d._accept)
 
 
 def union(automata):
-    """Disjoint union; accepts the union of the operand languages."""
+    """Disjoint union; accepts the union of the operand languages.  State s
+    of the i-th operand is named i:s, and the alphabet is the operands'
+    symbols in order of first appearance."""
     automata = list(automata)
     if not automata:
         raise NfaError("union of no automata")
-    alphabet = []
-    for n in automata:
-        for y in n.alphabet:
-            if y not in alphabet:
-                alphabet.append(y)
-    states, initial, accepting, transitions = [], [], [], {}
+    alphabet = tuple(dict.fromkeys(y for n in automata for y in n.alphabet))
+    states, initial, accept = [], [], 0
+    succ = [[] for _ in alphabet]
     for i, n in enumerate(automata):
-        tag = lambda s: f"{i}:{s}"
-        states.extend(tag(s) for s in n.states)
-        initial.extend(tag(s) for s in n.initial)
-        accepting.extend(tag(s) for s in n.accepting)
-        for (src, y), targets in n.transitions.items():
-            transitions[(tag(src), y)] = {tag(t) for t in targets}
-    return Nfa(states, initial, alphabet, transitions, accepting)
-
-
-def complement(d):
-    """Flip acceptance of a complete DFA."""
-    if not d.is_deterministic() or not d.is_complete():
-        raise NfaError("complement needs a complete DFA")
-    return Nfa(d.states, d.initial, d.alphabet,
-               d.transitions, set(d.states) - d.accepting)
+        offset = len(states)
+        states += [f"{i}:{s}" for s in n.states]
+        initial += [offset + j for j in n._init]
+        accept |= n._accept << offset
+        for y, row in zip(alphabet, succ):
+            k = n._symbol_index.get(y)
+            table = [()] * len(n.states) if k is None else n._succ[k]
+            row += [tuple(offset + j for j in cell) for cell in table]
+    return Nfa._from_tables(tuple(states), alphabet, tuple(initial), succ, accept)
 
 
 def is_included(a, b, cap=INCLUSION_CAP):
     """Decide L(a) ⊆ L(b); on failure also return a shortest witness.
 
-    Walks breadth-first over pairs (one state of a, reached subset of b),
-    so b is determinized on the fly and a not at all; symbols are expanded
-    in a's alphabet order, then b's other symbols.  The witness is a
-    shortest gap string.  When a is deterministic, as sigma_star in
-    is_universal is, it is also the first gap string in that order; when a
-    is nondeterministic, a later string of the same length may be returned.
-    Output simulation between filters does not use this: see the
-    reached-set pair walk in filterkit.simulation.
+    Walks breadth-first over pairs (one state of a, mask of the reached
+    states of b), so b is determinized on the fly and a not at all; symbols
+    are expanded in a's alphabet order.  The witness is a shortest gap
+    string.  When a is deterministic, as sigma_star in is_universal is, it
+    is also the first gap string in that order; when a is nondeterministic,
+    a later string of the same length may be returned.  Raises CapExceeded
+    once more than cap pairs would be reached.  Output simulation between
+    filters does not use this: see filterkit.simulation.
     """
-    alphabet = _union_alphabet(a, b)
-    b_start = frozenset(b.initial)
-
-    def bad(a_state, b_subset):
-        return a_state in a.accepting and not (b_subset & b.accepting)
-
+    # steps[k][i]: the mask of the states of b that a's k-th symbol leads i to
+    steps = [list(map(_mask, b._succ[b._symbol_index[y]])) if y in b._symbol_index else None
+             for y in a.alphabet]
+    moves = list(zip(a.alphabet, a._succ, steps))
+    a_accept, b_accept = a._accept, b._accept
+    start = _mask(b._init)
     parent = {}
-    queue = deque()
-    for a0 in sorted(a.initial, key=a._index.__getitem__):
-        node = (a0, b_start)
-        if node not in parent:
-            parent[node] = None
-            if bad(*node):
-                return False, ()
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        a_state, b_subset = node
-        b_next = {}
-        for y in alphabet:
-            targets = a.transitions.get((a_state, y))
+    queue = []
+    for x in a._init:
+        node = (x, start)
+        parent[node] = None
+        if a_accept >> x & 1 and not start & b_accept:
+            return False, ()
+        queue.append(node)
+    for node in queue:
+        x, reached = node
+        for y, table, step in moves:
+            targets = table[x]
             if not targets:
                 continue
-            if y not in b_next:
-                b_next[y] = b.step(b_subset, y)
-            for a_next in sorted(targets, key=a._index.__getitem__):
-                nxt = (a_next, b_next[y])
+            nxt_reached = 0
+            if step is not None:
+                for i in _bits(reached):
+                    nxt_reached |= step[i]
+            for x2 in targets:
+                nxt = (x2, nxt_reached)
                 if nxt in parent:
                     continue
                 if len(parent) >= cap:
                     raise CapExceeded(cap, "checking language inclusion")
                 parent[nxt] = (node, y)
-                if bad(*nxt):
-                    witness = []
-                    cur = nxt
-                    while parent[cur] is not None:
-                        cur, sym = parent[cur]
-                        witness.append(sym)
-                    return False, tuple(reversed(witness))
+                if a_accept >> x2 & 1 and not nxt_reached & b_accept:
+                    return False, _path(parent, nxt)
                 queue.append(nxt)
     return True, None
 
 
-def is_equivalent(a, b, cap=INCLUSION_CAP):
-    """Decide L(a) = L(b)."""
-    return is_included(a, b, cap)[0] and is_included(b, a, cap)[0]
-
-
 def sigma_star(alphabet):
     """One accepting state looping on every symbol."""
-    return Nfa(["*"], ["*"], alphabet, {("*", y): {"*"} for y in alphabet}, ["*"])
+    alphabet = _symbols(alphabet)
+    return Nfa._from_tables(("*",), alphabet, (0,), [[(0,)] for _ in alphabet], 1)
 
 
 def is_universal(a, cap=INCLUSION_CAP):

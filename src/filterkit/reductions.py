@@ -8,9 +8,9 @@ question independently and compares it with the minimization-side answer.
 """
 
 from .errors import NfaError, NoAcceptingState
-from .filters import Filter
+from .filters import Filter, _fresh_name, _reachable
 from .minimize import SearchBudget, YES, decide_size_k
-from .nfa import Nfa, complete_dfa, is_universal, union
+from .nfa import complete_dfa, is_universal, union
 
 
 class ReductionInstance:
@@ -29,24 +29,6 @@ class ReductionInstance:
         return f"ReductionInstance({self.kind}, {len(self.filter.states)} states)"
 
 
-def _fresh_symbol(taken):
-    if "z" not in taken:
-        return "z"
-    bump = 2
-    while f"z{bump}" in taken:
-        bump += 1
-    return f"z{bump}"
-
-
-def _fresh_state(base, taken):
-    name = base
-    bump = 2
-    while name in taken:
-        name = f"{base}{bump}"
-        bump += 1
-    return name
-
-
 def from_nfa_universality(a):
     """Embed "is L(a) = Σ*?" into 1-state minimizer existence.
 
@@ -56,30 +38,17 @@ def from_nfa_universality(a):
     by a.  A single green state with a full self-loop output-simulates the
     result iff a is universal.
     """
-    sigma = tuple(a.alphabet)
-    z = _fresh_symbol(set(sigma))
+    z = _fresh_name("z", set(a.alphabet), "")
     taken = set(a.states)
-    hub = _fresh_state("hub", taken)
-    taken.add(hub)
-    probe = _fresh_state("probe", taken)
-    taken.add(probe)
-    flag = _fresh_state("flag", taken)
+    hub, probe, flag = (_fresh_name(base, taken, "") for base in ("hub", "probe", "flag"))
 
-    states = list(a.states) + [hub, probe, flag]
-    transitions = {}
-    for (src, y), targets in a.transitions.items():
-        for dst in targets:
-            transitions.setdefault((src, dst), set()).add(y)
-    for y in sigma:
-        transitions.setdefault((hub, hub), set()).add(y)
-    transitions.setdefault((hub, probe), set()).add(z)
-    for acc in a.accepting:
-        transitions.setdefault((acc, flag), set()).add(z)
-
-    coloring = {s: {"green"} for s in states}
-    coloring[probe] = {"blue"}
-    f = Filter(states, list(a.initial) + [hub], sigma + (z,), transitions,
-               ("green", "blue"), coloring)
+    n = len(a.states)  # hub, probe and flag follow a's states
+    succ = [table + [(n,), (), ()] for table in a._succ]
+    succ.append([(n + 2,) if a._accept >> i & 1 else () for i in range(n)] + [(n + 1,), (), ()])
+    color = [1] * (n + 3)  # green, but a blue probe
+    color[n + 1] = 2
+    f = Filter._from_tables(a.states + (hub, probe, flag), a.alphabet + (z,),
+                            ("green", "blue"), a._init + (n,), succ, color)
     return ReductionInstance(
         "nfa-universality", f, a, z,
         {"hub": hub, "probe": probe, "flag": flag},
@@ -102,48 +71,27 @@ def from_dfa_union(dfas):
     for d in dfas:
         if not d.is_deterministic():
             raise NfaError("union reduction needs deterministic automata")
-    sigma = []
-    for d in dfas:
-        for y in d.alphabet:
-            if y not in sigma:
-                sigma.append(y)
-    sigma = tuple(sigma)
+    sigma = tuple(dict.fromkeys(y for d in dfas for y in d.alphabet))
     combined = union(complete_dfa(d, sigma) for d in dfas)
 
-    reachable = set(combined.initial)
-    frontier = list(combined.initial)
-    while frontier:
-        s = frontier.pop()
-        for y in sigma:
-            for t in combined.transitions.get((s, y), ()):
-                if t not in reachable:
-                    reachable.add(t)
-                    frontier.append(t)
-    rank = {s: i for i, s in enumerate(combined.states)}
-    goals = sorted(
-        (s for s in combined.accepting if s in reachable), key=rank.__getitem__
-    )
-    if not goals:
+    accept = combined._accept
+    source = min((i for i in _reachable(combined._init, combined._succ) if accept >> i & 1),
+                 default=None)
+    if source is None:
         raise NoAcceptingState("no automaton in the family accepts anything")
-    source = goals[0]
 
-    z = _fresh_symbol(set(sigma))
-    mark = _fresh_state("mark", set(combined.states))
-    states = list(combined.states) + [mark]
-    transitions = {}
-    for (src, y), targets in combined.transitions.items():
-        for dst in targets:
-            transitions.setdefault((src, dst), set()).add(y)
-    transitions.setdefault((source, mark), set()).add(z)
-    coloring = {
-        s: {"green"} if s in combined.accepting else {"red"} for s in combined.states
-    }
-    coloring[mark] = {"green"}
-    f = Filter(states, combined.initial, sigma + (z,), transitions,
-               ("green", "red"), coloring)
+    z = _fresh_name("z", set(combined.alphabet), "")
+    mark = _fresh_name("mark", set(combined.states), "")
+    n = len(combined.states)  # mark follows the copies
+    succ = [table + [()] for table in combined._succ]
+    succ.append([()] * (n + 1))
+    succ[-1][source] = (n,)
+    color = [1 if accept >> i & 1 else 2 for i in range(n)] + [1]  # green or red
+    f = Filter._from_tables(combined.states + (mark,), combined.alphabet + (z,),
+                            ("green", "red"), combined._init, succ, color)
     return ReductionInstance(
         "dfa-union-universality", f, tuple(dfas), z,
-        {"mark": mark, "z_source": source},
+        {"mark": mark, "z_source": combined.states[source]},
     )
 
 

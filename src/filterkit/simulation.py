@@ -21,12 +21,16 @@ when the first failure is a violation, a second walk that ignores colors
 looks for a gap before the violation is reported.
 """
 
+import time
+
 from .errors import CapExceeded
-from .filters import _names
+from .filters import _bits, _mask, _names, _path
 from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
 OUTPUT_VIOLATION = "output-violation"
+
+_TICK = 256  # pairs a deadline-bound walk reaches between looks at the clock
 
 
 class SimulationVerdict:
@@ -57,17 +61,6 @@ class SimulationVerdict:
         if self.color is not None:
             detail += f", color={self.color!r}"
         return f"SimulationVerdict(fails, {detail})"
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask(indexes):
-    return sum(map((1).__lshift__, indexes))
 
 
 class _RefTables:
@@ -120,7 +113,7 @@ class _RefTables:
         return out
 
 
-def _walk(ref, init, colors, step, check_colors=True, cap=None):
+def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
     """Breadth-first walk over reached-set pairs (reference mask, candidate
     mask), from the initial pair, expanding ref.obs in declared order.
 
@@ -129,11 +122,17 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None):
     failing pair in discovery order, where parent maps each reached pair to
     (previous pair, symbol), or None for the initial pair.  Output colors
     are only checked when check_colors is set.  Raises CapExceeded once more
-    than cap pairs would be reached.
+    than cap pairs would be reached, and TimeoutError when a look at the
+    clock, one per _TICK pairs, finds time.monotonic() past deadline.
     """
     # The candidate search runs this walk once per candidate, mostly to a
     # quick failure, so the pair check is written out twice (for the initial
-    # pair and for each pair reached later) rather than called.
+    # pair and for each pair reached later) rather than called.  For the
+    # same reason the cap and the deadline share one threshold test per new
+    # pair, which a walk with neither skips.
+    limit = cap
+    if deadline is not None:
+        limit = _TICK if cap is None else min(cap, _TICK)
     obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
     rm, cm = start = (ref.init_mask, init)
     parent = {start: None}
@@ -159,8 +158,14 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None):
             nxt = (rm2, cm2)
             if nxt in parent:
                 continue
-            if cap is not None and len(parent) >= cap:
-                raise CapExceeded(cap, "checking output simulation")
+            if limit is not None and len(parent) >= limit:
+                if cap is not None and len(parent) >= cap:
+                    raise CapExceeded(cap, "checking output simulation")
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the deadline passed while checking output simulation")
+                limit += _TICK
+                if cap is not None:
+                    limit = min(limit, cap)
             parent[nxt] = (node, y)
             if not cm2:
                 return LANGUAGE_GAP, nxt, parent
@@ -194,12 +199,7 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     if failure[0] == OUTPUT_VIOLATION:
         failure = _walk(ref, *tables, check_colors=False, cap=cap) or failure
     kind, node, parent = failure
-    witness = []
-    cur = node
-    while parent[cur] is not None:
-        cur, y = parent[cur]
-        witness.append(y)
-    witness = tuple(reversed(witness))
+    witness = _path(parent, node)
     if kind == LANGUAGE_GAP:
         return SimulationVerdict(False, kind, witness)
     ref_mask, cand_mask = node

@@ -120,12 +120,13 @@ def parse_nfa(text):
 
 
 def emit_nfa(n):
+    names = n.states
     rows = []
-    for state in n.states:
-        buckets = {}
-        for symbol in n.alphabet:
-            for target in sorted(n.transitions.get((state, symbol), ())):
-                buckets.setdefault(target, []).append(symbol)
+    for i, state in enumerate(names):
+        buckets = {}  # target name -> its symbols, in alphabet order
+        for symbol, table in zip(n.alphabet, n._succ):
+            for j in table[i]:
+                buckets.setdefault(names[j], []).append(symbol)
         for target in sorted(buckets):
             rows.append(_object((
                 ("from", _quote(state)),
@@ -134,9 +135,9 @@ def emit_nfa(n):
             ), 2))
     return _object((
         ("alphabet", _strings(n.alphabet, 1)),
-        ("states", _strings(n.states, 1)),
-        ("initial", _strings(sorted(n.initial), 1)),
-        ("accepting", _strings(sorted(n.accepting), 1)),
+        ("states", _strings(names, 1)),
+        ("initial", _strings(sorted(names[i] for i in n._init), 1)),
+        ("accepting", _strings(sorted(_names(n._accept, names)), 1)),
         ("transitions", _array(rows, 1)),
     ), 0) + "\n"
 

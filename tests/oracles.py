@@ -11,8 +11,9 @@ package's search counts them in.  compatibility_graph_oracle builds the
 compatibility graph from a reverse map over every pair of states.
 fooling_set_error re-checks a claimed fooling set by walking every string
 it names.  NamedFilter is the filter core kept on names: dicts keyed by
-state names, one frozenset per edge label and color set.  All are written
-for obviousness, not speed.
+state names, one frozenset per edge label and color set; NamedNfa and the
+named_* functions are the automaton core and the reductions kept the same
+way.  All are written for obviousness, not speed.
 """
 
 import itertools
@@ -637,3 +638,150 @@ class NamedFilter:
 
     def document(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+# -- the automaton core on names ------------------------------------------
+
+
+def _bump(base, taken, sep):
+    """The first of base, base<sep>2, base<sep>3, ... not in taken."""
+    name, bump = base, 2
+    while name in taken:
+        name, bump = f"{base}{sep}{bump}", bump + 1
+    return name
+
+
+class NamedNfa:
+    """An NFA kept on names, from the same arguments as Nfa: transitions
+    maps (source, symbol) to a frozenset of targets, and every step walks
+    that dict."""
+
+    def __init__(self, states, initial, alphabet, transitions, accepting):
+        self.states = tuple(states)
+        self.alphabet = tuple(alphabet)
+        self.initial = frozenset(initial)
+        self.accepting = frozenset(accepting)
+        self.transitions = {key: frozenset(ts) for key, ts in dict(transitions).items() if ts}
+
+    def step(self, subset, symbol):
+        return frozenset(t for s in subset for t in self.transitions.get((s, symbol), ()))
+
+    def accepts(self, string):
+        reached = self.initial
+        for y in string:
+            reached = self.step(reached, y)
+        return bool(reached & self.accepting)
+
+    def is_deterministic(self):
+        return len(self.initial) == 1 and all(len(t) == 1 for t in self.transitions.values())
+
+    def automaton(self):
+        """The (initial, delta, accepting) form of automaton_included."""
+        return (tuple(s for s in self.states if s in self.initial),
+                {key: tuple(s for s in self.states if s in ts)
+                 for key, ts in self.transitions.items()},
+                set(self.accepting))
+
+    def to_dict(self):
+        """The automaton document, as emit_nfa lays it out."""
+        rows = []
+        for src in self.states:
+            for dst in sorted({t for y in self.alphabet for t in self.transitions.get((src, y), ())}):
+                rows.append({"from": src, "to": dst, "symbols": [
+                    y for y in self.alphabet if dst in self.transitions.get((src, y), ())]})
+        return {"alphabet": list(self.alphabet), "states": list(self.states),
+                "initial": sorted(self.initial), "accepting": sorted(self.accepting),
+                "transitions": rows}
+
+
+def named_subset_construct(n):
+    """Complete determinization; the empty subset is the dead state {}."""
+    order = [n.initial]
+    edges = {}
+    for subset in order:
+        for y in n.alphabet:
+            edges[(subset, y)] = nxt = n.step(subset, y)
+            if nxt not in order:
+                order.append(nxt)
+    names = {}
+    for subset in order:
+        names[subset] = _bump("{" + ",".join(sorted(subset)) + "}", names.values(), "~")
+    return NamedNfa([names[s] for s in order], [names[order[0]]], n.alphabet,
+                    {(names[s], y): {names[t]} for (s, y), t in edges.items()},
+                    [names[s] for s in order if s & n.accepting])
+
+
+def named_complete_dfa(d, alphabet=None):
+    """d with the symbols of alphabet it lacks appended, every missing move
+    led to a fresh non-accepting trap; d itself if nothing is missing."""
+    alphabet = d.alphabet + tuple(y for y in alphabet or () if y not in d.alphabet)
+    missing = [(s, y) for s in d.states for y in alphabet if (s, y) not in d.transitions]
+    if not missing and alphabet == d.alphabet:
+        return d
+    trap = _bump("trap", d.states, "~")
+    transitions = dict(d.transitions)
+    transitions.update({key: {trap} for key in missing})
+    transitions.update({(trap, y): {trap} for y in alphabet})
+    return NamedNfa(d.states + (trap,), d.initial, alphabet, transitions, d.accepting)
+
+
+def named_union(automata):
+    """Disjoint union, state s of the i-th operand named i:s."""
+    alphabet = []
+    for n in automata:
+        alphabet += [y for y in n.alphabet if y not in alphabet]
+    states, initial, accepting, transitions = [], [], [], {}
+    for i, n in enumerate(automata):
+        states += [f"{i}:{s}" for s in n.states]
+        initial += [f"{i}:{s}" for s in n.initial]
+        accepting += [f"{i}:{s}" for s in n.accepting]
+        transitions.update({(f"{i}:{s}", y): {f"{i}:{t}" for t in ts}
+                            for (s, y), ts in n.transitions.items()})
+    return NamedNfa(states, initial, alphabet, transitions, accepting)
+
+
+def _edges_of(n):
+    """n's transitions as Filter edges: (source, target) -> symbols."""
+    edges = {}
+    for (src, y), targets in n.transitions.items():
+        for dst in targets:
+            edges.setdefault((src, dst), set()).add(y)
+    return edges
+
+
+def named_nfa_universality_filter(a):
+    """The filter of from_nfa_universality(a), built through names."""
+    z = _bump("z", a.alphabet, "")
+    hub = _bump("hub", a.states, "")
+    probe = _bump("probe", a.states + (hub,), "")
+    flag = _bump("flag", a.states + (hub, probe), "")
+    edges = _edges_of(a)
+    edges[(hub, hub)] = set(a.alphabet)
+    edges[(hub, probe)] = {z}
+    edges.update({(s, flag): {z} for s in a.accepting})
+    coloring = {s: {"green"} for s in a.states + (hub, flag)}
+    coloring[probe] = {"blue"}
+    return Filter(a.states + (hub, probe, flag), a.initial | {hub}, a.alphabet + (z,), edges,
+                  ("green", "blue"), coloring)
+
+
+def named_dfa_union_filter(dfas):
+    """The filter of from_dfa_union(dfas), built through names; None when
+    no reachable state accepts."""
+    sigma = []
+    for d in dfas:
+        sigma += [y for y in d.alphabet if y not in sigma]
+    combined = named_union([named_complete_dfa(d, sigma) for d in dfas])
+    reached = set(combined.initial)
+    for _ in combined.states:
+        reached |= {t for s in reached for y in sigma for t in combined.transitions.get((s, y), ())}
+    goals = [s for s in combined.states if s in reached and s in combined.accepting]
+    if not goals:
+        return None
+    z = _bump("z", sigma, "")
+    edges = _edges_of(combined)
+    edges[(goals[0], "mark")] = {z}
+    coloring = {s: {"green"} if s in combined.accepting else {"red"} for s in combined.states}
+    coloring["mark"] = {"green"}
+    return Filter(combined.states + ("mark",), combined.initial, tuple(sigma) + (z,), edges,
+                  ("green", "red"), coloring)

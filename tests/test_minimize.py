@@ -481,20 +481,16 @@ def test_clique_cover_of_deep_graph_returns():
     # 1,400 vertices deep, past the interpreter's recursion limit
     from filterkit.minimize import _min_clique_cover
 
-    left = [f"a{i}" for i in range(700)]
-    right = [f"b{i}" for i in range(700)]
-    ring = [f"c{i}" for i in range(5)]
-    states = left + right + ring
+    left, right, ring = range(700), range(700, 1400), range(1400, 1405)
     hostile = {u: set(right) for u in left}
     hostile.update((v, set(left)) for v in right)
     hostile.update((u, {ring[i - 1], ring[(i + 1) % 5]}) for i, u in enumerate(ring))
-    everyone = set(states)
-    adj = {s: everyone - hostile[s] - {s} for s in states}
-    partition, lower, exact = _min_clique_cover(states, adj)
+    inc = [sum(1 << v for v in hostile[u]) for u in range(1405)]
+    partition, lower, exact = _min_clique_cover(inc, 500_000)
     assert (len(partition), lower, exact) == (3, 3, True)
-    assert sorted(s for part in partition for s in part) == sorted(states)
+    assert sorted(v for part in partition for v in part) == list(range(1405))
     for part in partition:
-        assert all(v in adj[u] for u in part for v in part if u != v)
+        assert all(v not in hostile[u] for u in part for v in part)
 
 
 def test_compatibility_graph_matches_rev_map_reference():
@@ -669,14 +665,24 @@ def test_nondet_bounds_stay_on_the_clock():
     assert (result.stats["level"], result.stats["candidates"]) == (2, 512)
 
 
-def test_fooling_set_runs_before_the_untimed_confirm_walk():
+def test_fooling_set_runs_before_the_confirm_walk():
     # walking the forward quotient of prime r=6 against its 30,072 reached
-    # sets takes about a second off the clock; the fooling set, which needs
-    # milliseconds, comes first and still finds its deadline ahead
+    # sets takes about a second; the fooling set, which needs milliseconds,
+    # comes first and still finds its deadline ahead
     result = minimize_nondet(prime_family(6), SearchBudget(time_cap=1.0, candidate_cap=None))
     assert (result.stats["lower_bound"], result.stats["lower_bound_exact"]) == (36, True)
-    assert result.stats["upper_bound_source"] == "forward-bisimulation"
     assert not result.proven_optimal
+
+
+def test_confirm_walk_stays_on_the_clock():
+    # the deadline passes inside the walk that confirms the forward quotient,
+    # so the unconfirmed quotient is dropped for the trimmed filter
+    start = time.monotonic()
+    result = minimize_nondet(prime_family(6), SearchBudget(time_cap=0.3, candidate_cap=None))
+    assert time.monotonic() - start < 0.6
+    assert (result.size(), result.proven_optimal) == (83, False)
+    assert result.stats["upper_bound_source"] == "trim"
+    assert result.stats["lower_bound"] == 36
 
 
 def test_max_clique_matches_brute_force():
@@ -725,7 +731,7 @@ def test_merge_pair_refuses_exactly_the_nondeterministic_merges():
                 for y in syms:
                     ends.setdefault((src, y), set()).add(dst)
             deterministic = all(len(targets) == 1 for targets in ends.values())
-            result = _merge_pair(d, u, v)
+            result = _merge_pair(d, d.states.index(u), d.states.index(v))
             assert (result is not None) == deterministic, (d, u, v)
             if result is not None:
                 assert result.is_deterministic() and result.size() == d.size() - 1

@@ -1,19 +1,34 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from filterkit import CapExceeded, Filter, Nfa, NfaError, is_included, is_universal
-from filterkit.nfa import (
-    complement,
-    complete_dfa,
-    is_equivalent,
-    sigma_star,
-    subset_construct,
-    union,
+from filterkit import (
+    CapExceeded,
+    Nfa,
+    NfaError,
+    NoAcceptingState,
+    emit_filter,
+    emit_nfa,
+    from_dfa_union,
+    from_nfa_universality,
+    is_included,
+    is_universal,
 )
+from filterkit.nfa import complete_dfa, sigma_star, subset_construct, union
 
-from oracles import intersect_automata, random_filter, random_string
+from oracles import (
+    NamedNfa,
+    automaton_included,
+    named_complete_dfa,
+    named_dfa_union_filter,
+    named_nfa_universality_filter,
+    named_subset_construct,
+    named_union,
+    random_filter,
+    random_string,
+)
 
 
 def filter_to_nfa(f, accepting):
@@ -25,9 +40,40 @@ def filter_to_nfa(f, accepting):
     return Nfa(f.states, f.initial, f.observations, transitions, accepting)
 
 
-def as_automaton(n):
-    """An Nfa in the oracles' (initial, delta, accepting) form."""
-    return tuple(n.initial), {k: tuple(v) for k, v in n.transitions.items()}, set(n.accepting)
+def is_complete(n):
+    """True iff every state has a move on every symbol."""
+    return all((s, y) in n.transitions for s in n.states for y in n.alphabet)
+
+
+def equivalent(a, b):
+    return is_included(a, b)[0] and is_included(b, a)[0]
+
+
+def random_args(rng, deterministic=False, max_states=4):
+    """The arguments of a seeded random Nfa over a prefix of abc.  The
+    states are declared out of name order, and one may be named like a
+    subset."""
+    n = rng.randint(1, max_states)
+    states = rng.sample([f"q{i}" for i in range(n)] + ["{q0}"], n)
+    alphabet = tuple("abc"[: rng.randint(1, 3)])
+    transitions = {}
+    for s in states:
+        for y in alphabet:
+            if deterministic:
+                if rng.random() < 0.8:
+                    transitions[(s, y)] = {rng.choice(states)}
+            else:
+                transitions[(s, y)] = {t for t in states if rng.random() < 0.4}
+    initial = [states[0]] if deterministic else [s for s in states if rng.random() < 0.4]
+    accepting = [s for s in states if rng.random() < 0.5]
+    return states, initial or states[:1], alphabet, transitions, accepting
+
+
+def same_automaton(n, named):
+    assert (n.states, n.alphabet, n.initial, n.accepting, n.transitions) == (
+        named.states, named.alphabet, named.initial, named.accepting, named.transitions)
+    assert n.is_deterministic() == named.is_deterministic()
+    assert emit_nfa(n) == json.dumps(named.to_dict(), indent=2) + "\n"
 
 
 def evens():
@@ -73,7 +119,7 @@ def test_accepts():
     assert not m.accepts(("a",))
     assert m.accepts(("a", "a"))
     assert m.is_deterministic()
-    assert m.is_complete()
+    assert is_complete(m)
 
 
 def test_subset_construct_is_complete():
@@ -83,7 +129,7 @@ def test_subset_construct_is_complete():
         n = filter_to_nfa(f, accepting=set(f.states))
         d = subset_construct(n)
         assert d.is_deterministic()
-        assert d.is_complete()
+        assert is_complete(d)
         for _ in range(6):
             s = random_string(rng, f.observations)
             assert n.accepts(s) == d.accepts(s)
@@ -105,16 +151,6 @@ def test_subset_construct_suffixes_subsets_that_print_alike():
     assert d.accepting == {"{a,b}~2"}
 
 
-def test_complement_and_intersection():
-    m = contains_b()
-    d = subset_construct(m)
-    co = complement(d)
-    for s in [(), ("a",), ("b",), ("a", "b"), ("a", "a")]:
-        assert co.accepts(s) != m.accepts(s)
-    _, _, accepting = intersect_automata(as_automaton(d), as_automaton(co), d.alphabet)
-    assert not accepting  # no reachable pair accepts: the intersection is empty
-
-
 def test_union_prefixes_state_names():
     u = union([evens(), evens()])
     assert u.accepts(("a", "a"))
@@ -122,14 +158,14 @@ def test_union_prefixes_state_names():
     assert len(u.states) == 4
 
 
-def test_complement_requires_complete_dfa():
+def test_complete_dfa_adds_a_trap_state():
     partial = Nfa(["s"], ["s"], ("a",), {}, {"s"})
-    with pytest.raises(NfaError):
-        complement(partial)
     full = complete_dfa(partial)
-    assert full.is_complete()
-    assert not complement(full).accepts(())
-    assert complement(full).accepts(("a",))
+    assert is_complete(full)
+    assert full.accepts(())
+    assert not full.accepts(("a",))
+    with pytest.raises(NfaError):
+        complete_dfa(union([partial, partial]))  # two initial states
 
 
 def test_inclusion_witness_is_shortest():
@@ -169,10 +205,11 @@ def test_inclusion_cap():
 
 
 def test_equivalence():
-    assert is_equivalent(evens(), evens())
-    assert not is_equivalent(evens(), sigma_star(("a",)))
+    assert equivalent(evens(), evens())
+    assert not equivalent(evens(), sigma_star(("a",)))
     d = subset_construct(contains_b())
-    assert is_equivalent(d, contains_b())
+    assert equivalent(d, contains_b())
+    assert equivalent(evens(), subset_construct(evens()))
 
 
 def test_universality():
@@ -221,15 +258,59 @@ def test_universality_agrees_with_enumeration():
     assert said_yes and said_no  # the sweep exercised both answers
 
 
-def test_mutual_inclusion_is_equivalence():
-    rng = random.Random(909)
-    for _ in range(40):
-        f1 = random_filter(rng, max_states=3, max_symbols=2)
-        f2 = random_filter(rng, max_states=3, max_symbols=2)
-        a = filter_to_nfa(f1, accepting={s for s in f1.states if rng.random() < 0.6})
-        b = filter_to_nfa(f2, accepting={s for s in f2.states if rng.random() < 0.6})
-        forward, _ = is_included(a, b)
-        backward, _ = is_included(b, a)
-        assert is_equivalent(a, b) == (forward and backward)
-    # and one pair where equivalence actually holds
-    assert is_equivalent(evens(), subset_construct(evens()))
+def test_inclusion_matches_the_automaton_oracle():
+    rng = random.Random(4242)
+    gaps = deterministic_gaps = 0
+    for trial in range(400):
+        a_args = random_args(rng, deterministic=rng.random() < 0.4)
+        b_args = random_args(rng, deterministic=rng.random() < 0.3)
+        a, b = Nfa(*a_args), Nfa(*b_args)
+        named_a, named_b = NamedNfa(*a_args), NamedNfa(*b_args)
+        alphabet = a.alphabet + tuple(y for y in b.alphabet if y not in a.alphabet)
+        gap = automaton_included(named_a.automaton(), named_b.automaton(), alphabet)
+        star = ((0,), {(0, y): (0,) for y in b.alphabet}, {0})
+        for (held, witness), want, deterministic, left in (
+                (is_included(a, b), gap, a.is_deterministic(), named_a),
+                (is_universal(b), automaton_included(star, named_b.automaton(), b.alphabet),
+                 True, None)):
+            assert held == (want is None), trial
+            if held:
+                assert witness is None
+                continue
+            gaps += 1
+            assert len(witness) == len(want), trial
+            assert left is None or left.accepts(witness)
+            assert not named_b.accepts(witness)
+            if deterministic:
+                deterministic_gaps += 1
+                assert witness == want, trial
+    assert gaps >= 200 and deterministic_gaps >= 100
+
+
+def test_automata_core_matches_named_reference():
+    rng = random.Random(777)
+    for trial in range(150):
+        args = random_args(rng)
+        n, named = Nfa(*args), NamedNfa(*args)
+        same_automaton(n, named)
+        for _ in range(8):
+            string = random_string(rng, "abcd", max_len=5)
+            assert n.accepts(string) == named.accepts(string), (trial, string)
+        same_automaton(subset_construct(n), named_subset_construct(named))
+        assert emit_filter(from_nfa_universality(n).filter) == emit_filter(
+            named_nfa_universality_filter(named)), trial
+
+        dfa_args = [random_args(rng, deterministic=True, max_states=3)
+                    for _ in range(rng.randint(1, 3))]
+        dfas = [Nfa(*d) for d in dfa_args]
+        named_dfas = [NamedNfa(*d) for d in dfa_args]
+        for d, named_d in zip(dfas, named_dfas):
+            same_automaton(complete_dfa(d), named_complete_dfa(named_d))
+            same_automaton(complete_dfa(d, "dcb"), named_complete_dfa(named_d, "dcb"))
+        same_automaton(union(dfas + [n]), named_union(named_dfas + [named]))
+        want = named_dfa_union_filter(named_dfas)
+        if want is None:
+            with pytest.raises(NoAcceptingState):
+                from_dfa_union(dfas)
+        else:
+            assert emit_filter(from_dfa_union(dfas).filter) == emit_filter(want), trial
