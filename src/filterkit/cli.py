@@ -6,9 +6,13 @@ unprovable minimality, no accepting state), 2 means the input or invocation
 was bad, and 3 means a search or construction budget ran out.  Everything
 written to stdout is byte-deterministic for a given input; timing and
 diagnostics go to stderr.
+
+``main(argv)`` returns the exit code and may be called any number of times
+in one process: the argument parser is built on the first call and reused.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -67,7 +71,7 @@ def _cmd_trace(args):
 
 def _cmd_determinize(args):
     f = parse_filter(_read(args.filter))
-    det, _ = f.determinize(cap=args.cap)
+    det, _ = f._determinize(args.cap)
     _emit(args, emit_filter(det))
     return 0
 
@@ -163,6 +167,7 @@ def _output_flag(sub):
     sub.add_argument("-o", "--output", metavar="PATH", help="write to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="filterkit",
@@ -238,6 +243,8 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  Bad usage and --version
+    raise SystemExit from argparse, with the code the process would exit with."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -123,6 +123,86 @@ def _path(parent, node):
     return tuple(reversed(symbols))
 
 
+_ENDS = operator.itemgetter("from", "to")
+
+
+def _tables(states, initial, observations, colors, edges, coloring):
+    """The index tables of a filter given by names, as _store takes them.
+
+    edges yields ((source, target), symbols) pairs, and an edge given twice
+    carries the union of its symbols; coloring yields (state, colors) pairs.
+    Raises the FilterError of the first fault found: in the names declared,
+    the initial states, the edges in order, then the colors, state by state.
+    """
+    states, observations, colors = tuple(states), tuple(observations), tuple(colors)
+    index = {s: i for i, s in enumerate(states)}
+    obs_index = {y: k for k, y in enumerate(observations)}
+    color_bit = {c: 1 << j for j, c in enumerate(colors)}
+    if len(index) != len(states):
+        raise FilterError("duplicate state ids")
+    if not observations:
+        raise FilterError("observation alphabet is empty")
+    if len(obs_index) != len(observations):
+        raise FilterError("duplicate observation symbols")
+    if len(color_bit) != len(colors):
+        raise FilterError("duplicate color names")
+
+    for s in initial:
+        if s not in index:
+            raise UnknownState(f"initial state {s!r} is not declared")
+    init = tuple(sorted({index[s] for s in initial}))
+    if not init:
+        raise NoInitialState("filter has no initial state")
+
+    n = len(states)
+    single = [(j,) for j in range(n)]
+    succ = [[()] * n for _ in observations]
+    shared = []  # (table, source) of the cells given more than one target
+    for (src, dst), syms in edges:
+        i = index.get(src)
+        if i is None:
+            raise UnknownState(f"transition source {src!r} is not declared")
+        j = index.get(dst)
+        if j is None:
+            raise UnknownState(f"transition target {dst!r} is not declared")
+        one = single[j]
+        for y in syms:
+            k = obs_index.get(y)
+            if k is None:
+                raise UnknownSymbol(f"transition symbol {y!r} is not declared")
+            table = succ[k]
+            cell = table[i]
+            if not cell:
+                table[i] = one
+            elif cell.__class__ is list:
+                cell.append(j)
+            elif cell is not one:  # a cell of j alone needs nothing
+                table[i] = [cell[0], j]
+                shared.append((table, i))
+    for table, i in shared:
+        table[i] = tuple(sorted(set(table[i])))
+
+    color = [0] * n  # -1 where a color is not declared
+    given = [()] * n
+    for s, cs in coloring:
+        i = index.get(s)
+        if i is None:
+            raise UnknownState(f"colored state {s!r} is not declared")
+        mask = 0
+        for c in cs:
+            mask |= color_bit.get(c, -1)
+        color[i] = mask
+        given[i] = cs
+    if min(color) <= 0:
+        for i, s in enumerate(states):
+            if color[i] < 0:
+                c = next(c for c in given[i] if c not in color_bit)
+                raise FilterError(f"state {s!r} uses undeclared color {c!r}")
+            if not color[i]:
+                raise EmptyColorSet(s)
+    return states, observations, colors, init, succ, color
+
+
 class TraceResult:
     """Outcome of tracing a string: the reached state set (empty = crash)."""
 
@@ -152,73 +232,8 @@ class Filter:
     """
 
     def __init__(self, states, initial, observations, transitions, colors, coloring):
-        states, observations, colors = tuple(states), tuple(observations), tuple(colors)
-        index = {s: i for i, s in enumerate(states)}
-        obs_index = {y: k for k, y in enumerate(observations)}
-        color_bit = {c: 1 << j for j, c in enumerate(colors)}
-        if len(index) != len(states):
-            raise FilterError("duplicate state ids")
-        if not observations:
-            raise FilterError("observation alphabet is empty")
-        if len(obs_index) != len(observations):
-            raise FilterError("duplicate observation symbols")
-        if len(color_bit) != len(colors):
-            raise FilterError("duplicate color names")
-
-        for s in initial:
-            if s not in index:
-                raise UnknownState(f"initial state {s!r} is not declared")
-        init = tuple(sorted({index[s] for s in initial}))
-        if not init:
-            raise NoInitialState("filter has no initial state")
-
-        n = len(states)
-        single = [(j,) for j in range(n)]
-        succ = [[()] * n for _ in observations]
-        shared = []  # (table, source) of the cells given more than one target
-        for (src, dst), syms in dict(transitions).items():
-            i = index.get(src)
-            if i is None:
-                raise UnknownState(f"transition source {src!r} is not declared")
-            j = index.get(dst)
-            if j is None:
-                raise UnknownState(f"transition target {dst!r} is not declared")
-            one = single[j]
-            for y in syms:
-                k = obs_index.get(y)
-                if k is None:
-                    raise UnknownSymbol(f"transition symbol {y!r} is not declared")
-                table = succ[k]
-                cell = table[i]
-                if not cell:
-                    table[i] = one
-                elif cell.__class__ is list:
-                    cell.append(j)
-                elif cell is not one:  # a cell of j alone needs nothing
-                    table[i] = [cell[0], j]
-                    shared.append((table, i))
-        for table, i in shared:
-            table[i] = tuple(sorted(set(table[i])))
-
-        coloring = dict(coloring)
-        color = [0] * n  # -1 where a color is not declared
-        for s, cs in coloring.items():
-            i = index.get(s)
-            if i is None:
-                raise UnknownState(f"colored state {s!r} is not declared")
-            mask = 0
-            for c in cs:
-                mask |= color_bit.get(c, -1)
-            color[i] = mask
-        if min(color) <= 0:
-            for i, s in enumerate(states):
-                if color[i] < 0:
-                    c = next(c for c in coloring[s] if c not in color_bit)
-                    raise FilterError(f"state {s!r} uses undeclared color {c!r}")
-                if not color[i]:
-                    raise EmptyColorSet(s)
-
-        self._store(states, observations, colors, init, succ, color)
+        self._store(*_tables(states, initial, observations, colors,
+                             dict(transitions).items(), dict(coloring).items()))
 
     def _store(self, states, observations, colors, initial, succ, color):
         self.states = states
@@ -340,6 +355,15 @@ class Filter:
         the frozenset of original states it stands for.  Raises CapExceeded
         if more than cap subset states appear.
         """
+        det, order = self._determinize(cap)
+        names = self.states
+        mapping = {name: frozenset([names[i] for i in subset])
+                   for name, subset in zip(det.states, order)}
+        return det, mapping
+
+    def _determinize(self, cap):
+        """(D, order) for determinize, where order[p] is the ascending index
+        tuple of the states that D's state p stands for."""
         order = [self._init]  # subsets as ascending index tuples
         seen = {self._init: 0}
         single = [(0,)]
@@ -360,14 +384,11 @@ class Filter:
                     single.append((q,))
                 row.append(single[q])
 
-        names = self.states
-        states = _subset_names(names, order)
+        states = _subset_names(self.states, order)
         color = [functools.reduce(operator.or_, map(self._color.__getitem__, subset))
                  for subset in order]
         det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, color)
-        mapping = {name: frozenset([names[i] for i in subset])
-                   for name, subset in zip(states, order)}
-        return det, mapping
+        return det, order
 
     # -- serialization ---------------------------------------------------
 
@@ -395,32 +416,27 @@ class Filter:
         for key in ("observations", "colors", "initial"):
             _check_strings(data[key], repr(key))
         entries, rows = data["states"], data["transitions"]
-        # The common case is checked in bulk; otherwise the per-entry checks
-        # find the first malformed entry and raise its usual error.
+        # One pass builds the tables.  A name it resolves equals a declared
+        # string, so only the ids and the containers are type-checked after,
+        # in bulk.  Where that fails, or the pass raised, the per-entry checks
+        # find the first malformed entry, whose error comes first.
+        error = None
         try:
             states = [entry["id"] for entry in entries]
             color_lists = [entry.get("colors", []) for entry in entries]
-            ends = [(entry["from"], entry["to"]) for entry in rows]
             symbol_lists = [entry["symbols"] for entry in rows]
-            flat = itertools.chain.from_iterable
-            plain = (
+            tables = _tables(states, data["initial"], data["observations"], data["colors"],
+                             zip(map(_ENDS, rows), symbol_lists), zip(states, color_lists))
+        except (FilterError, KeyError, TypeError, AttributeError) as exc:
+            error = exc
+        if error is not None or not (
                 _all_of_type(itertools.chain(entries, rows), dict)
                 and _all_of_type(itertools.chain(color_lists, symbol_lists), list)
-                and _all_of_type(itertools.chain(
-                    states, flat(ends), flat(color_lists), flat(symbol_lists)), str)
-            )
-        except (KeyError, TypeError, AttributeError):
-            plain = False
-        if not plain:
+                and _all_of_type(states, str)):
             _check_entries(entries, rows)
-        transitions = dict(zip(ends, symbol_lists))
-        if len(transitions) < len(ends):
-            # an edge listed more than once carries the union of its symbols
-            transitions = {}
-            for key, symbols in zip(ends, symbol_lists):
-                transitions.setdefault(key, set()).update(symbols)
-        return cls(states, data["initial"], data["observations"], transitions,
-                   data["colors"], dict(zip(states, color_lists)))
+            if error is not None:
+                raise error
+        return cls._from_tables(*tables)
 
     # -- value semantics --------------------------------------------------
 

@@ -904,7 +904,7 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=N
     states.
     Raises CapExceeded past determinize_cap subsets.
     """
-    d, _ = ft.determinize(determinize_cap)
+    d, _ = ft._determinize(determinize_cap)
     best = d
     partition, lower, cover_exact = _min_clique_cover(_incompatible(d), node_cap)
     if beat is not None and lower >= beat:

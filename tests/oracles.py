@@ -13,7 +13,10 @@ fooling_set_error re-checks a claimed fooling set by walking every string
 it names.  NamedFilter is the filter core kept on names: dicts keyed by
 state names, one frozenset per edge label and color set; NamedNfa and the
 named_* functions are the automaton core and the reductions kept the same
-way.  All are written for obviousness, not speed.
+way.  reference_from_dict and reference_filter are the filter document
+reader and constructor as they were in two passes, with name-keyed dicts
+between the document and the tables.  All are written for obviousness,
+not speed.
 """
 
 import itertools
@@ -22,6 +25,8 @@ import random
 from collections import deque
 
 from filterkit import Filter
+from filterkit.errors import (
+    EmptyColorSet, FilterError, NoInitialState, UnknownState, UnknownSymbol)
 
 
 def step_set(f, current, symbol):
@@ -638,6 +643,146 @@ class NamedFilter:
 
     def document(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+# -- the filter document reader in two passes -----------------------------
+
+
+def _ref_check_strings(values, what):
+    if not isinstance(values, list):
+        raise FilterError(f"{what} must be a list")
+    for v in values:
+        if not isinstance(v, str):
+            raise FilterError(f"{what} must be strings, not {v!r}")
+    return values
+
+
+def _ref_all_of_type(values, kind):
+    return set(map(type, values)) <= {kind}
+
+
+def _ref_check_entries(entries, rows):
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise FilterError("each state needs an 'id'")
+        _ref_check_strings([entry["id"]], "state ids")
+        _ref_check_strings(entry.get("colors", []), "state colors")
+    for entry in rows:
+        if not isinstance(entry, dict) or not {"from", "to", "symbols"} <= set(entry):
+            raise FilterError("each transition needs 'from', 'to' and 'symbols'")
+        _ref_check_strings([entry["from"], entry["to"]], "transition ends")
+        _ref_check_strings(entry["symbols"], "transition symbols")
+
+
+def reference_filter(states, initial, observations, transitions, colors, coloring):
+    """Filter(...) as it was before one table builder served both it and
+    from_dict; the same checks in the same order."""
+    states, observations, colors = tuple(states), tuple(observations), tuple(colors)
+    index = {s: i for i, s in enumerate(states)}
+    obs_index = {y: k for k, y in enumerate(observations)}
+    color_bit = {c: 1 << j for j, c in enumerate(colors)}
+    if len(index) != len(states):
+        raise FilterError("duplicate state ids")
+    if not observations:
+        raise FilterError("observation alphabet is empty")
+    if len(obs_index) != len(observations):
+        raise FilterError("duplicate observation symbols")
+    if len(color_bit) != len(colors):
+        raise FilterError("duplicate color names")
+
+    for s in initial:
+        if s not in index:
+            raise UnknownState(f"initial state {s!r} is not declared")
+    init = tuple(sorted({index[s] for s in initial}))
+    if not init:
+        raise NoInitialState("filter has no initial state")
+
+    n = len(states)
+    single = [(j,) for j in range(n)]
+    succ = [[()] * n for _ in observations]
+    shared = []
+    for (src, dst), syms in dict(transitions).items():
+        i = index.get(src)
+        if i is None:
+            raise UnknownState(f"transition source {src!r} is not declared")
+        j = index.get(dst)
+        if j is None:
+            raise UnknownState(f"transition target {dst!r} is not declared")
+        one = single[j]
+        for y in syms:
+            k = obs_index.get(y)
+            if k is None:
+                raise UnknownSymbol(f"transition symbol {y!r} is not declared")
+            table = succ[k]
+            cell = table[i]
+            if not cell:
+                table[i] = one
+            elif cell.__class__ is list:
+                cell.append(j)
+            elif cell is not one:
+                table[i] = [cell[0], j]
+                shared.append((table, i))
+    for table, i in shared:
+        table[i] = tuple(sorted(set(table[i])))
+
+    coloring = dict(coloring)
+    color = [0] * n
+    for s, cs in coloring.items():
+        i = index.get(s)
+        if i is None:
+            raise UnknownState(f"colored state {s!r} is not declared")
+        mask = 0
+        for c in cs:
+            mask |= color_bit.get(c, -1)
+        color[i] = mask
+    if min(color) <= 0:
+        for i, s in enumerate(states):
+            if color[i] < 0:
+                c = next(c for c in coloring[s] if c not in color_bit)
+                raise FilterError(f"state {s!r} uses undeclared color {c!r}")
+            if not color[i]:
+                raise EmptyColorSet(s)
+    return Filter._from_tables(states, observations, colors, init, succ, color)
+
+
+def reference_from_dict(data):
+    """Filter.from_dict as it was: the entries collected into lists, checked
+    for type in bulk, and walked into the name-keyed dicts that
+    reference_filter takes; an edge listed twice gets a set union of its
+    symbols."""
+    if not isinstance(data, dict):
+        raise FilterError("filter description must be a mapping")
+    for key in ("observations", "colors", "states", "initial", "transitions"):
+        if key not in data:
+            raise FilterError(f"missing key {key!r}")
+        if not isinstance(data[key], list):
+            raise FilterError(f"{key!r} must be a list")
+    for key in ("observations", "colors", "initial"):
+        _ref_check_strings(data[key], repr(key))
+    entries, rows = data["states"], data["transitions"]
+    try:
+        states = [entry["id"] for entry in entries]
+        color_lists = [entry.get("colors", []) for entry in entries]
+        ends = [(entry["from"], entry["to"]) for entry in rows]
+        symbol_lists = [entry["symbols"] for entry in rows]
+        flat = itertools.chain.from_iterable
+        plain = (
+            _ref_all_of_type(itertools.chain(entries, rows), dict)
+            and _ref_all_of_type(itertools.chain(color_lists, symbol_lists), list)
+            and _ref_all_of_type(itertools.chain(
+                states, flat(ends), flat(color_lists), flat(symbol_lists)), str)
+        )
+    except (KeyError, TypeError, AttributeError):
+        plain = False
+    if not plain:
+        _ref_check_entries(entries, rows)
+    transitions = dict(zip(ends, symbol_lists))
+    if len(transitions) < len(ends):
+        transitions = {}
+        for key, symbols in zip(ends, symbol_lists):
+            transitions.setdefault(key, set()).update(symbols)
+    return reference_filter(states, data["initial"], data["observations"], transitions,
+                            data["colors"], dict(zip(states, color_lists)))
 
 
 # -- the automaton core on names ------------------------------------------

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import filterkit
-from filterkit import Filter, emit_filter, emit_nfa, fig3_input, parse_filter
+from filterkit import Filter, donut_world, emit_filter, emit_nfa, fig3_input, parse_filter
 from filterkit.cli import main
 from filterkit.nfa import Nfa, sigma_star, subset_construct
 
@@ -74,6 +77,41 @@ def test_console_script_mapping_matches_pyproject():
     entry = EntryPoint(name="filterkit", value=target, group="console_scripts")
     assert entry.load() is main
     assert project["version"] == filterkit.__version__
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    """main called again and again in one process, with its parser built
+    once, answers each argv as a fresh ``python -m filterkit`` does: the
+    same exit code, stdout and stderr (the wall time on stderr aside)."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help layout follows the width
+    fig3 = write_filter(tmp_path, fig3_input(), "fig3.json")
+    donut = write_filter(tmp_path, donut_world(), "donut.json")
+    calls = [
+        [],
+        ["--version"],
+        ["gen"],
+        ["determinize", "--cap", "0", fig3],
+        ["determinize", fig3],
+        ["minimize", donut, "--max-k", "1"],
+        ["minimize", donut],
+        [],  # no command left over from the calls before
+    ]
+    codes = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = run_filterkit(*argv)
+        assert code == fresh.returncode, argv
+        assert out.getvalue() == fresh.stdout, argv
+        timeless = [re.sub(r"wall time: [0-9.]+s", "wall time", text)
+                    for text in (err.getvalue(), fresh.stderr)]
+        assert timeless[0] == timeless[1], argv
+        codes.append(code)
+    assert codes == [2, 0, 2, 2, 0, 3, 0, 2]
 
 
 def test_export_dot_bytes_do_not_depend_on_hash_seed(tmp_path):
