@@ -32,7 +32,6 @@ from .minimize import (
     MinimizationResult,
     SearchBudget,
     SizeDecision,
-    compatibility_graph,
     decide_size_k,
     minimize_det,
     minimize_nondet,
@@ -81,7 +80,6 @@ __all__ = [
     "UnknownState",
     "UnknownSymbol",
     "YES",
-    "compatibility_graph",
     "decide_size_k",
     "donut_world",
     "emit_filter",

@@ -111,10 +111,9 @@ def _cmd_minimize(args):
     footer = [
         f"# states: {result.size()}",
         f"# proven_optimal: {'true' if result.proven_optimal else 'false'}",
+        f"# lower_bound: {stats['lower_bound']}",
+        f"# candidates: {stats['candidates']}",
     ]
-    if "lower_bound" in stats:
-        footer.append(f"# lower_bound: {stats['lower_bound']}")
-    footer.append(f"# candidates: {stats['candidates']}")
     _emit(args, emit_filter(result.minimizer) + "\n".join(footer) + "\n")
     print(f"wall time: {stats['wall_time_s']:.3f}s", file=sys.stderr)
     print(f"level: {stats['level']}", file=sys.stderr)

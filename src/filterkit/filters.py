@@ -74,14 +74,6 @@ def _fresh_name(base, taken, sep="~"):
     return name
 
 
-def _subset_names(names, subsets):
-    """A name for each subset, a tuple of indexes into names: {a,b,...} by
-    sorted member names, suffixed ~2, ~3, ... where two print alike."""
-    taken = set()
-    return tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
-                 for subset in subsets)
-
-
 def _names(mask, names):
     """The names whose bits are set in mask, in declared order."""
     return [name for j, name in enumerate(names) if mask >> j & 1]
@@ -147,10 +139,13 @@ def _tables(states, initial, observations, colors, edges, coloring):
     if len(color_bit) != len(colors):
         raise FilterError("duplicate color names")
 
+    init = set()
     for s in initial:
-        if s not in index:
+        i = index.get(s)
+        if i is None:
             raise UnknownState(f"initial state {s!r} is not declared")
-    init = tuple(sorted({index[s] for s in initial}))
+        init.add(i)
+    init = tuple(sorted(init))
     if not init:
         raise NoInitialState("filter has no initial state")
 
@@ -384,7 +379,10 @@ class Filter:
                     single.append((q,))
                 row.append(single[q])
 
-        states = _subset_names(self.states, order)
+        # {a,b,...} by sorted member names, suffixed ~2, ~3, ... where two print alike
+        taken, names = set(), self.states
+        states = tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
+                       for subset in order)
         color = [functools.reduce(operator.or_, map(self._color.__getitem__, subset))
                  for subset in order]
         det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, color)

@@ -14,6 +14,12 @@ the walks as `walked`.  A candidate that passes is built as a Filter and
 walked again, so a fault in building it raises instead of returning a
 filter that does not simulate the input.
 
+All three entry points search through one level driver, _search_levels.
+It tries the sizes of a range in turn and stops at the first that finds a
+simulator or runs out of budget; capped, at the first size above max_k or
+once the clock has refused; else exhausted past the range, every size in it
+ruled out.  So max_k caps the sizes searched, not the bounds.
+
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its
 forward and backward bisimulation quotients and the deterministic pipeline
@@ -298,6 +304,23 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
         set_digit(pos, digits[pos] + 1)
 
 
+def _search_levels(ref, levels, clock, det):
+    """Search the sizes of the range levels in turn: (status, witness, level).
+
+    Stops at the first size that finds a simulator or is capped, or _CAPPED
+    at the first size above max_k or reached after the clock refused; else
+    returns (_EXHAUSTED, None, levels.stop).
+    """
+    max_k = clock.budget.max_k
+    for level in levels:
+        if (max_k is not None and level > max_k) or clock.refused:
+            return _CAPPED, None, level
+        status, witness = _search_size(ref, level, clock, det)
+        if status != _EXHAUSTED:
+            return status, witness, level
+    return _EXHAUSTED, None, levels.stop
+
+
 def decide_size_k(f, k, budget=None):
     """Is there a filter with at most k states that output-simulates f?
 
@@ -311,22 +334,10 @@ def decide_size_k(f, k, budget=None):
     if k >= len(ft.states):
         # the trimmed filter is its own witness; no enumeration needed
         return SizeDecision(YES, ft, 0)
-    ref = _RefTables(ft)
     clock = _Clock(budget)
-    limit = k
-    capped_levels = False
-    if budget is not None and budget.max_k is not None and budget.max_k < k:
-        limit = budget.max_k
-        capped_levels = True
-    for n in range(1, limit + 1):
-        status, witness = _search_size(ref, n, clock, det=False)
-        if status == _FOUND:
-            return SizeDecision(YES, witness, clock.candidates)
-        if status == _CAPPED:
-            return SizeDecision(BUDGET_EXHAUSTED, None, clock.candidates)
-    if capped_levels:
-        return SizeDecision(BUDGET_EXHAUSTED, None, clock.candidates)
-    return SizeDecision(NO, None, clock.candidates)
+    status, witness, _ = _search_levels(_RefTables(ft), range(1, k + 1), clock, det=False)
+    outcome = {_FOUND: YES, _CAPPED: BUDGET_EXHAUSTED, _EXHAUSTED: NO}[status]
+    return SizeDecision(outcome, witness, clock.candidates)
 
 
 def minimize_nondet(f, budget=None):
@@ -349,11 +360,7 @@ def minimize_nondet(f, budget=None):
     clock = _Clock(budget)
     max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
-    status, level = _EXHAUSTED, 1
-    if len(ft.states) > 1:
-        status, witness = _search_size(ref, 1, clock, det=False)
-        if status == _FOUND:
-            best, source = witness, "search"
+    status, witness, level = _search_levels(ref, range(1, min(2, len(ft.states))), clock, False)
     if status == _EXHAUSTED and len(ft.states) > 1:
         lower = 2
         if max_k is None or max_k > 1:
@@ -366,20 +373,13 @@ def minimize_nondet(f, budget=None):
                     _confirm(ref, best, clock._deadline)
                 except TimeoutError:  # an unconfirmed bound is not returned
                     best, source = ft, "trim"
-        for level in range(lower, len(best.states)):
-            if max_k is not None and level > max_k:
-                status = _CAPPED
-                break
-            status, witness = _search_size(ref, level, clock, det=False)
-            if status == _FOUND:
-                best, source = witness, "search"
-                break
-            if status == _CAPPED:
-                break
+        status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, False)
+    if status == _FOUND:
+        best, source = witness, "search"
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,
-        "level": level if status == _CAPPED else len(best.states),
+        "level": level,
         "wall_time_s": time.monotonic() - start,
         "trim_size": len(ft.states),
         "lower_bound": lower,
@@ -643,31 +643,16 @@ def _flags(mask):
     return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
 
 
-def compatibility_graph(d):
-    """Undirected graph over a deterministic filter's states.
-
-    Two states are adjacent (compatible) iff their color sets intersect and
-    every extension alive from both leads again to color-intersecting
-    states.  Any deterministic filter simulating d maps each d-state to the
-    single state its access string reaches, and states sharing an image are
-    necessarily compatible, so the image partition is a clique cover of this
-    graph.  The minimum clique cover size is therefore a lower bound on any
-    deterministic simulator, though not always attainable: cliques need not
-    merge into a consistent transition function.
-
-    This is a name view of the rows of _incompatible.
-    """
-    states = d.states
-    full = (1 << len(states)) - 1
-    return {
-        s: set(itertools.compress(states, _flags(full & ~row & ~(1 << i))))
-        for i, (s, row) in enumerate(zip(states, _incompatible(d)))
-    }
-
-
 def _incompatible(d):
     """The complement of the compatibility graph of a deterministic filter,
     as one bitmask row per state; no row has its own state's bit.
+
+    Two states are compatible iff their color sets intersect and every
+    extension alive from both leads again to color-intersecting states.  The
+    states of d that a deterministic simulator maps to one state are
+    pairwise compatible, so the minimum clique cover of the compatibility
+    graph is a lower bound on any deterministic simulator, though not always
+    attainable: cliques need not merge into a consistent transition function.
 
     The rows are seeded with the color-disjoint pairs, one row per distinct
     color set, and propagated backwards by a worklist: when a and b are
@@ -939,28 +924,17 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     ref = _RefTables(ft)
     clock = _Clock(budget)
     d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, determinize_cap)
-    proven = len(best.states) == lower
-    level = lower
-    if not proven and not clock.refused:
-        for level in range(lower, len(best.states)):
-            if clock.budget.max_k is not None and level > clock.budget.max_k:
-                break
-            status, witness = _search_size(ref, level, clock, det=True)
-            if status == _CAPPED:
-                break
-            if status == _FOUND:
-                best, proven = witness, True
-                break
-        else:
-            proven = True
+    status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, True)
+    if status == _FOUND:
+        best = witness
     _confirm(ref, best)
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,
-        "level": len(best.states) if proven else level,
+        "level": level,
         "wall_time_s": time.monotonic() - start,
         "determinized_size": len(d.states),
         "lower_bound": lower,
         "cover_exact": cover_exact,
     }
-    return MinimizationResult(best, proven, stats)
+    return MinimizationResult(best, status != _CAPPED, stats)

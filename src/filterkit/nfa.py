@@ -10,7 +10,7 @@ built on first use.
 import functools
 
 from .errors import CapExceeded, NfaError
-from .filters import _bits, _fresh_name, _mask, _names, _path, _subset_names
+from .filters import _bits, _fresh_name, _mask, _names, _path
 
 INCLUSION_CAP = 2 ** 20
 
@@ -105,31 +105,6 @@ class Nfa:
 
     def __repr__(self):
         return f"<Nfa {len(self.states)} states, {len(self.alphabet)} symbols>"
-
-
-def subset_construct(n, cap=INCLUSION_CAP):
-    """Determinize an NFA.  The result is complete (the empty subset is the
-    explicit dead state, named {}) and accepts exactly the same language.
-    Subsets are numbered in breadth-first order of discovery, expanding the
-    alphabet in declared order; a subset is named by its sorted member
-    names, suffixed ~2, ~3, ... where two print alike."""
-    order = [n._init]  # subsets as ascending index tuples
-    seen = {n._init: 0}
-    single = [(0,)]
-    succ = [[] for _ in n._succ]
-    for subset in order:
-        for table, row in zip(n._succ, succ):
-            nxt = tuple(sorted(set().union(*map(table.__getitem__, subset))))
-            q = seen.get(nxt)
-            if q is None:
-                if len(seen) >= cap:
-                    raise CapExceeded(cap, "subset-constructing")
-                q = seen[nxt] = len(order)
-                order.append(nxt)
-                single.append((q,))
-            row.append(single[q])
-    accept = _mask(p for p, subset in enumerate(order) if n._accept & _mask(subset))
-    return Nfa._from_tables(_subset_names(n.states, order), n.alphabet, (0,), succ, accept)
 
 
 def complete_dfa(d, alphabet=None):

@@ -13,10 +13,10 @@ fooling_set_error re-checks a claimed fooling set by walking every string
 it names.  NamedFilter is the filter core kept on names: dicts keyed by
 state names, one frozenset per edge label and color set; NamedNfa and the
 named_* functions are the automaton core and the reductions kept the same
-way.  reference_from_dict and reference_filter are the filter document
-reader and constructor as they were in two passes, with name-keyed dicts
-between the document and the tables.  All are written for obviousness,
-not speed.
+way; subset_dfa builds a complete DFA through named_subset_construct.
+reference_from_dict and reference_filter are the filter document reader
+and constructor as they were in two passes, with name-keyed dicts between
+the document and the tables.  All are written for obviousness, not speed.
 """
 
 import itertools
@@ -24,7 +24,7 @@ import json
 import random
 from collections import deque
 
-from filterkit import Filter
+from filterkit import Filter, Nfa
 from filterkit.errors import (
     EmptyColorSet, FilterError, NoInitialState, UnknownState, UnknownSymbol)
 
@@ -854,6 +854,13 @@ def named_subset_construct(n):
     return NamedNfa([names[s] for s in order], [names[order[0]]], n.alphabet,
                     {(names[s], y): {names[t]} for (s, y), t in edges.items()},
                     [names[s] for s in order if s & n.accepting])
+
+
+def subset_dfa(n):
+    """named_subset_construct of an Nfa, built back into an Nfa."""
+    d = named_subset_construct(NamedNfa(n.states, n.initial, n.alphabet, n.transitions,
+                                        n.accepting))
+    return Nfa(d.states, d.initial, d.alphabet, d.transitions, d.accepting)
 
 
 def named_complete_dfa(d, alphabet=None):

@@ -14,9 +14,9 @@ import pytest
 import filterkit
 from filterkit import Filter, donut_world, emit_filter, emit_nfa, fig3_input, parse_filter
 from filterkit.cli import main
-from filterkit.nfa import Nfa, sigma_star, subset_construct
+from filterkit.nfa import Nfa, sigma_star
 
-from oracles import random_filter
+from oracles import random_filter, subset_dfa
 import random
 
 
@@ -415,8 +415,8 @@ def test_reduce_nfa_universality(tmp_path, capsys):
 def test_reduce_dfa_union(tmp_path, capsys):
     d1 = tmp_path / "d1.json"
     d2 = tmp_path / "d2.json"
-    d1.write_text(emit_nfa(subset_construct(sigma_star(("a",)))))
-    d2.write_text(emit_nfa(subset_construct(sigma_star(("b",)))))
+    d1.write_text(emit_nfa(subset_dfa(sigma_star(("a",)))))
+    d2.write_text(emit_nfa(subset_dfa(sigma_star(("b",)))))
     assert main(["reduce", "dfa-union", str(d1), str(d2)]) == 0
     out = capsys.readouterr().out
     assert "# reduction: dfa-union-universality" in out
@@ -426,7 +426,7 @@ def test_reduce_dfa_union(tmp_path, capsys):
 def test_reduce_dfa_union_no_accepting(tmp_path, capsys):
     empty = Nfa(["s"], ["s"], ("a",), {("s", "a"): frozenset({"s"})}, set())
     path = tmp_path / "empty.json"
-    path.write_text(emit_nfa(subset_construct(empty)))
+    path.write_text(emit_nfa(subset_dfa(empty)))
     assert main(["reduce", "dfa-union", str(path)]) == 1
     assert "no reduction:" in capsys.readouterr().err
 

@@ -62,6 +62,19 @@ def test_trace_rejects_unknown_symbol():
         two_lamp().trace(("tock",))
 
 
+def test_every_argument_may_be_a_one_shot_iterator():
+    # each argument is read once, so iterators build the filter that lists do
+    args = (["s0", "s1"], ["s1", "s0"], ["a"], {("s0", "s1"): {"a"}}, ["c"],
+            {"s0": ["c"], "s1": ["c"]})
+    f = Filter(*(iter(arg) if isinstance(arg, list) else arg for arg in args))
+    assert f.to_dict() == Filter(*args).to_dict()
+    assert Filter(["s0"], iter(["s0"]), ["a"], {}, ["c"], {"s0": ["c"]}).initial == {"s0"}
+    with pytest.raises(UnknownState, match="initial state 's1' is not declared"):
+        Filter(["s0"], iter(["s1"]), ["a"], {}, ["c"], {"s0": ["c"]})
+    with pytest.raises(NoInitialState, match="filter has no initial state"):
+        Filter(["s0"], iter([]), ["a"], {}, ["c"], {"s0": ["c"]})
+
+
 def test_validation_errors():
     with pytest.raises(NoInitialState):
         Filter(["a"], [], ("y",), {}, ("c",), {"a": {"c"}})

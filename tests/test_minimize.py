@@ -10,7 +10,6 @@ from filterkit import (
     YES,
     Filter,
     SearchBudget,
-    compatibility_graph,
     decide_size_k,
     donut_world,
     fig3_input,
@@ -98,6 +97,84 @@ def test_minimize_nondet_max_k():
     assert result.size() == 3
 
 
+def test_decide_size_k_stops_at_max_k():
+    # the levels above max_k are not searched: below the answer the decision
+    # is BUDGET_EXHAUSTED, with the candidates of levels 1..max_k counted as
+    # if each were checked in turn
+    rng = random.Random(707)
+    stopped = 0
+    for _ in range(60):
+        f = one_color_filter(rng, rng.randint(3, 5), 2)
+        ft = f.trim()
+        for max_k in (1, 2):
+            status, witness, spent = reference_levels(ft, range(1, max_k + 1), False, None)
+            for k in range(max_k + 1, ft.size()):
+                decision = decide_size_k(f, k, SearchBudget(max_k=max_k))
+                outcome = YES if status == "found" else BUDGET_EXHAUSTED
+                assert (decision.outcome, as_dict(decision.witness), decision.candidates) == (
+                    outcome, as_dict(witness), spent)
+                stopped += status == "exhausted"
+    assert stopped >= 20
+
+
+def color_lasso(rng, n):
+    """A seeded n-state chain on one symbol, colored x, y or both, whose
+    last state may lead back into it, like color_chain: its cover bound
+    often lies below its deterministic optimum."""
+    states = [f"a{i}" for i in range(n)]
+    edges = {(u, v): {"s"} for u, v in zip(states, states[1:])}
+    if rng.random() < 0.5:
+        edges[(states[-1], rng.choice(states))] = {"s"}
+    coloring = {s: set(rng.choice(("x", "y", "xy", "x", "y"))) for s in states}
+    return Filter(states, ["a0"], ("s",), edges, ("x", "y"), coloring)
+
+
+def test_max_k_stops_minimize_det_between_its_bounds():
+    # minimize_det searches the levels from its cover's lower bound up to
+    # one below its verified upper bound; max_k cuts that range, not the
+    # bounds, so the answer stays proven when the levels up to max_k find a
+    # simulator or leave no level above them.  Filters whose uncapped search
+    # runs past the candidate cap are skipped
+    from filterkit import DETERMINIZE_CAP
+    from filterkit.minimize import _Clock, _det_pipeline, _RefTables
+
+    rng = random.Random(2)
+    apart = 0
+    for _ in range(150):
+        f = color_lasso(rng, rng.randint(4, 8))
+        ft = f.trim()
+        _, best, lower, _ = _det_pipeline(ft, _RefTables(ft), _Clock(None), DETERMINIZE_CAP)
+        full = minimize_det(f)
+        if not full.proven_optimal:
+            continue
+        for max_k in range(1, best.size()):
+            result = minimize_det(f, SearchBudget(max_k=max_k))
+            assert result.stats["lower_bound"] == lower
+            assert result.stats["candidates"] <= full.stats["candidates"]
+            assert output_simulates(result.minimizer, f).holds
+            if full.size() <= max_k or best.size() <= max(lower, max_k + 1):
+                assert (as_dict(result.minimizer), result.proven_optimal) == (
+                    as_dict(full.minimizer), True)
+                assert result.stats["level"] == full.size()
+            else:
+                apart += max_k >= lower
+                assert not result.proven_optimal
+                assert result.stats["level"] == max(lower, max_k + 1)
+                assert as_dict(result.minimizer) == as_dict(best)
+    assert apart >= 5
+
+
+def test_max_k_caps_the_search_not_the_bounds():
+    # donut's deterministic cover meets its upper bound at 4, so no level is
+    # searched and max_k=1 changes nothing; minimize_nondet skips its bounds
+    # when max_k rules out level 2, and returns the trimmed filter unproven
+    det = minimize_det(donut_world(), SearchBudget(max_k=1))
+    assert (det.size(), det.proven_optimal, det.stats["level"]) == (4, True, 4)
+    nondet = minimize_nondet(donut_world(), SearchBudget(max_k=1))
+    assert (nondet.size(), nondet.proven_optimal, nondet.stats["level"]) == (6, False, 2)
+    assert nondet.stats["upper_bound_source"] == "trim"
+
+
 def test_minimize_nondet_matches_brute_force():
     rng = random.Random(60601)
     for _ in range(20):
@@ -109,11 +186,20 @@ def test_minimize_nondet_matches_brute_force():
         assert output_simulates(result.minimizer, f).holds
 
 
+def compatible(d):
+    """The compatibility graph of a deterministic filter by state names,
+    read off the rows of _incompatible."""
+    from filterkit.minimize import _incompatible
+
+    return {s: {t for j, t in enumerate(d.states) if j != i and not row >> j & 1}
+            for i, (s, row) in enumerate(zip(d.states, _incompatible(d)))}
+
+
 def test_compatibility_graph_shape():
-    adj = compatibility_graph(fig3_input())
+    adj = compatible(fig3_input())
     assert all(not neighbors for neighbors in adj.values())  # pairwise hostile
     donut_det, _ = donut_world().determinize()
-    adj = compatibility_graph(donut_det)
+    adj = compatible(donut_det)
     reds = [s for s in donut_det.states if donut_det.coloring[s] == frozenset({"red"})]
     cyans = [s for s in donut_det.states if s not in reds]
     assert len(reds) == 4 and len(cyans) == 3
@@ -125,14 +211,14 @@ def test_compatibility_graph_shape():
 
 def test_compatibility_graph_needs_determinism():
     with pytest.raises(ValueError):
-        compatibility_graph(donut_world())
+        compatible(donut_world())
 
 
 def test_compatibility_graph_prime_cycle_is_edgeless():
     # distinct residues mod some prime eventually force distinct sink colors,
     # so no two cycle positions are mergeable
     m = prime_family_minimizer(2)
-    adj = compatibility_graph(m)
+    adj = compatible(m)
     cycle = [s for s in m.states if s.startswith("r")]
     assert len(cycle) == 6
     for u in cycle:
@@ -501,7 +587,7 @@ def test_compatibility_graph_matches_rev_map_reference():
         f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
         dets.append(f.determinize()[0])
     for d in dets:
-        assert compatibility_graph(d) == compatibility_graph_oracle(d)
+        assert compatible(d) == compatibility_graph_oracle(d)
 
 
 def test_greedy_merge_stops_at_the_cap():

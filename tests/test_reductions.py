@@ -14,7 +14,9 @@ from filterkit import (
     is_universal,
     verify_reduction,
 )
-from filterkit.nfa import sigma_star, subset_construct
+from filterkit.nfa import sigma_star
+
+from oracles import subset_dfa
 
 
 def nfa_missing_bb():
@@ -148,7 +150,7 @@ def test_dfa_union_requires_deterministic_inputs():
 
 
 def test_dfa_union_universal_pair():
-    evens = subset_construct(
+    evens = subset_dfa(
         Nfa(
             ["e", "o"],
             ["e"],
@@ -157,7 +159,7 @@ def test_dfa_union_universal_pair():
             {"e"},
         )
     )
-    odds = subset_construct(
+    odds = subset_dfa(
         Nfa(
             ["e", "o"],
             ["e"],
@@ -177,14 +179,14 @@ def test_dfa_union_universal_pair():
 
 
 def test_dfa_union_empty_language_is_rejected():
-    rejecting = subset_construct(Nfa(["s"], ["s"], ("a",), {}, set()))
+    rejecting = subset_dfa(Nfa(["s"], ["s"], ("a",), {}, set()))
     with pytest.raises(NoAcceptingState):
         from_dfa_union([rejecting, rejecting])
 
 
 def test_dfa_union_mixed_alphabets():
-    only_a = subset_construct(sigma_star(("a",)))
-    only_b = subset_construct(sigma_star(("b",)))
+    only_a = subset_dfa(sigma_star(("a",)))
+    only_b = subset_dfa(sigma_star(("b",)))
     instance = from_dfa_union([only_a, only_b])
     # "ab" is in neither language, so the union is not universal
     assert decide_size_k(instance.filter, 1).outcome == NO
@@ -208,7 +210,7 @@ def test_dfa_reduction_agrees_on_random_instances():
 def test_reduction_verdict_matches_is_universal():
     # spot-check the two sides of verify_reduction separately
     a = nfa_missing_bb()
-    universal, witness = is_universal(subset_construct(a))
+    universal, witness = is_universal(subset_dfa(a))
     assert not universal and witness == ("b", "b")
     instance = from_nfa_universality(a)
     assert decide_size_k(instance.filter, 1).outcome == NO
