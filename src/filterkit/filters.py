@@ -13,6 +13,9 @@ to, color[i] the bitmask of the colors of state i (bit j for colors[j]), and
 the initial states an ascending tuple.  Names are read when a filter is
 built and written when it is emitted; the name-keyed views `initial`,
 `transitions` and `coloring` are built on first use.
+
+The tables other than the colors, and the code that reads only them, are
+held by the private base class _Tables, which filterkit.nfa's automata share.
 """
 
 import functools
@@ -105,14 +108,14 @@ def _reachable(initial, succ):
     return seen
 
 
-def _path(parent, node):
+def _path(parent, node, symbols):
     """The symbols on the way to node in a breadth-first walk, where parent
-    maps each node to (previous node, symbol), or None at the start."""
-    symbols = []
+    maps each node to (previous node, symbol index), or None at the start."""
+    ks = []
     while parent[node] is not None:
-        node, y = parent[node]
-        symbols.append(y)
-    return tuple(reversed(symbols))
+        node, k = parent[node]
+        ks.append(k)
+    return tuple(symbols[k] for k in reversed(ks))
 
 
 _ENDS = operator.itemgetter("from", "to")
@@ -219,7 +222,68 @@ class TraceResult:
         return f"TraceResult({{{', '.join(sorted(self.reached))}}})"
 
 
-class Filter:
+class _Tables:
+    """The tables Filter and Nfa share, and the code that reads only them:
+    state names, initial state indexes, and succ[k][i], the ascending tuple
+    of the states that symbol k leads state i to.  A subclass adds its
+    alphabet attribute and what it puts on states."""
+
+    def _store(self, states, symbols, initial, succ):
+        self.states = states
+        self._init = initial
+        self._succ = succ
+        self._symbol_index = {y: k for k, y in enumerate(symbols)}
+
+    @classmethod
+    def _from_tables(cls, *tables):
+        """A value on tables already known to be valid, built without checks:
+        names unique, cells ascending, initial states and color masks nonempty."""
+        t = cls.__new__(cls)
+        t._store(*tables)
+        return t
+
+    @functools.cached_property
+    def initial(self):
+        return frozenset(self.states[i] for i in self._init)
+
+    def is_deterministic(self):
+        """True iff one initial state and no symbol leads a state to two."""
+        cells = itertools.chain.from_iterable(self._succ)
+        return len(self._init) == 1 and max(map(len, cells), default=0) < 2
+
+    def _edges(self):
+        """(source, target, symbol mask) of every edge, by source index, then
+        target index; bit k of the mask stands for the k-th symbol."""
+        n = len(self.states)
+        pairs = {}  # source * n + target -> symbol mask
+        for k, table in enumerate(self._succ):
+            for key in [i * n + j for i, cell in enumerate(table) for j in cell]:
+                pairs[key] = pairs.get(key, 0) | 1 << k
+        return [(*divmod(key, n), pairs[key]) for key in sorted(pairs)]
+
+    def _reach(self, string):
+        """The ascending index tuple of the states reached on string."""
+        symbol_index = self._symbol_index
+        reached = self._init
+        for y in string:
+            k = symbol_index.get(y)
+            if k is None:
+                raise UnknownSymbol(f"symbol {y!r} is not in the alphabet")
+            reached = tuple(sorted(set().union(*map(self._succ[k].__getitem__, reached))))
+            if not reached:
+                break
+        return reached
+
+    def _masks_over(self, symbols):
+        """For each of symbols, the bitmask of the states it leads each state
+        to, as one list per symbol; a symbol these tables lack leads nowhere."""
+        nowhere = [0] * len(self.states)
+        index = self._symbol_index
+        return [list(map(_mask, self._succ[index[y]])) if y in index else nowhere
+                for y in symbols]
+
+
+class Filter(_Tables):
     """Immutable filter value; validates its description on construction.
 
     transitions maps (source, target) pairs to the set of observations that
@@ -231,34 +295,16 @@ class Filter:
                              dict(transitions).items(), dict(coloring).items()))
 
     def _store(self, states, observations, colors, initial, succ, color):
-        self.states = states
+        super()._store(states, observations, initial, succ)
         self.observations = observations
         self.colors = colors
-        self._init = initial
-        self._succ = succ
         self._color = color
-        self._obs_index = {y: k for k, y in enumerate(observations)}
-        self._deterministic = (
-            len(initial) == 1 and max(map(len, itertools.chain.from_iterable(succ))) < 2)
-
-    @classmethod
-    def _from_tables(cls, states, observations, colors, initial, succ, color):
-        """A filter on tables already known to be valid, built without checks:
-        state names unique, every color mask nonempty, every cell an
-        ascending tuple of state indexes."""
-        f = cls.__new__(cls)
-        f._store(states, observations, colors, initial, succ, color)
-        return f
 
     # -- name-keyed views ------------------------------------------------
 
     @functools.cached_property
     def _index(self):
         return {s: i for i, s in enumerate(self.states)}
-
-    @functools.cached_property
-    def initial(self):
-        return frozenset(self.states[i] for i in self._init)
 
     @functools.cached_property
     def coloring(self):
@@ -269,16 +315,6 @@ class Filter:
     def transitions(self):
         states, obs = self.states, self.observations
         return {(states[i], states[j]): frozenset(_names(m, obs)) for i, j, m in self._edges()}
-
-    def _edges(self):
-        """(source, target, symbol mask) of every edge, by source index, then
-        target index; bit k of the mask stands for observations[k]."""
-        n = len(self.states)
-        pairs = {}  # source * n + target -> symbol mask
-        for k, table in enumerate(self._succ):
-            for key in [i * n + j for i, cell in enumerate(table) for j in cell]:
-                pairs[key] = pairs.get(key, 0) | 1 << k
-        return [(*divmod(key, n), pairs[key]) for key in sorted(pairs)]
 
     # -- queries ---------------------------------------------------------
 
@@ -292,25 +328,8 @@ class Filter:
 
     def successors(self, state, symbol):
         i = self._index[state]
-        cell = self._succ[self._obs_index[symbol]][i] if symbol in self._obs_index else ()
+        cell = self._succ[self._symbol_index[symbol]][i] if symbol in self._symbol_index else ()
         return tuple(self.states[j] for j in cell)
-
-    def is_deterministic(self):
-        """True iff one initial state and no symbol leaves a state twice."""
-        return self._deterministic
-
-    def _reach(self, string):
-        """The ascending index tuple of the states reached on string."""
-        obs_index = self._obs_index
-        reached = self._init
-        for y in string:
-            k = obs_index.get(y)
-            if k is None:
-                raise UnknownSymbol(f"symbol {y!r} is not in the alphabet")
-            reached = tuple(sorted(set().union(*map(self._succ[k].__getitem__, reached))))
-            if not reached:
-                break
-        return reached
 
     def trace(self, string):
         """Trace a sequence of observations; returns a TraceResult."""
@@ -449,5 +468,5 @@ class Filter:
         return hash(self._key())
 
     def __repr__(self):
-        kind = "deterministic" if self._deterministic else "nondeterministic"
+        kind = "deterministic" if self.is_deterministic() else "nondeterministic"
         return f"<Filter {len(self.states)} states ({kind}), {len(self.observations)} observations>"

@@ -143,7 +143,7 @@ class _Clock:
 
 
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
-    succ = [[tuple(_bits(mask)) for mask in cand_step[y]] for y in ref.obs]
+    succ = [[tuple(_bits(mask)) for mask in table] for table in cand_step]
     return Filter._from_tables(tuple(f"s{i}" for i in range(n)), ref.obs, ref.colors,
                                tuple(_bits(init_mask)), succ, list(cand_colors))
 
@@ -186,17 +186,17 @@ def _level_one(ref, clock, det):
     shows, and d holds `survive`, the symbols some reached set survives.  The
     candidates up to the first such one, or all, are charged as one block:
     2^|Y| tables per coloring within the initial colors, a deterministic
-    table ranked by d bit-reversed (obs[0] is its most significant digit).
+    table ranked by d bit-reversed (observation 0 is its most significant digit).
     """
-    obs = ref.obs
+    symbols = range(len(ref.obs))
     common, survive = ref.eps_colors, 0
     queue, seen = [ref.init_mask], {0, ref.init_mask}  # the empty set is never entered
     for A in queue:
         common &= ref.colors_of(A)
         if not common:
             break
-        for k, y in enumerate(obs):
-            B = ref.succ(A, y)
+        for k in symbols:
+            B = ref.succ(A, k)
             survive |= bool(B) << k
             if B not in seen:
                 seen.add(B)
@@ -204,14 +204,14 @@ def _level_one(ref, clock, det):
     clock.walked += 1
     c = common & -common
     # 2^|Y| tables per coloring below c; all colorings when common is empty (c - 1 = -1)
-    count = ((1 << bin(ref.eps_colors & (c - 1)).count("1")) - 1) << len(obs)
+    count = ((1 << bin(ref.eps_colors & (c - 1)).count("1")) - 1) << len(symbols)
     if c:
-        count += (int(format(survive, f"0{len(obs)}b")[::-1], 2) if det else survive) + 1
+        count += (int(format(survive, f"0{len(symbols)}b")[::-1], 2) if det else survive) + 1
     if not clock.spend(count):
         return _CAPPED, None
     if not c:
         return _EXHAUSTED, None
-    step = {y: [survive >> k & 1] for k, y in enumerate(obs)}
+    step = [[survive >> k & 1] for k in symbols]
     return _FOUND, _confirm(ref, _candidate_filter(ref, 1, 1, [c], step))
 
 
@@ -230,15 +230,13 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
     being checked.  The count and the first witness are those of checking
     every candidate in turn.
     """
-    obs = ref.obs
     if det:
-        width, radix = len(obs), n + 1
+        width, radix = len(ref.obs), n + 1
     else:
-        width, radix = n, 1 << len(obs)
+        width, radix = n, 1 << len(ref.obs)
     size = n * width
     digits = [0] * size
-    step = {y: [0] * n for y in obs}
-    tables = list(step.values())
+    tables = [[0] * n for _ in ref.obs]  # the candidate's step, as _walk takes it
     # targets[u]: mask of the states that row u reaches under any symbol
     targets = [0] * n
     full = (1 << n) - 1
@@ -272,9 +270,9 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
             frontier = nxt & ~reach
             reach |= nxt
         if reach == full:
-            failure = _walk(ref, init_mask, colors, step)
+            failure = _walk(ref, init_mask, colors, tables)
             if failure is None:
-                found = _candidate_filter(ref, n, init_mask, colors, step)
+                found = _candidate_filter(ref, n, init_mask, colors, tables)
                 return _FOUND, _confirm(ref, found)
             _, node, parent = failure
             read = 0
@@ -391,12 +389,13 @@ def minimize_nondet(f, budget=None):
 
 # -- bounds for nondeterministic minimization ------------------------------
 
-# Work caps of the bound phases.  They are fixed, so every bound, and with it
-# every answer under a candidate cap, repeats exactly from run to run.
+# Work caps of the bound phases and of minimize_det's cover.  They are fixed, so
+# every bound, and with it every answer under a candidate cap, repeats exactly.
 _BOUND_SUBSETS = 1_000      # the deterministic bound is skipped past this many subsets
 _BOUND_CANDIDATES = 50      # verified merges the deterministic bound may try
 _BOUND_MERGES = 5_000       # state pairs its greedy merge pass may try in all
 _BOUND_COVER_NODES = 20_000  # clique-cover search nodes of the deterministic bound
+_COVER_NODES = 500_000      # clique-cover search nodes of minimize_det
 _BISIMULATION_WORK = 100_000  # state signatures one bisimulation quotient may compute
 _FOOLING_SETS = 64          # reached sets that fooling pairs start from
 _FOOLING_WORK = 50_000      # (reached set, tail) pairs the fooling-set bound walks
@@ -450,7 +449,7 @@ def _bisimulation_quotient(ft, ref, clock, backward):
     n = len(ft.states)
     if backward:
         edges = []
-        for table in ref.step.values():
+        for table in ref.step:
             into = [0] * n
             for i, targets in enumerate(table):
                 for j in _bits(targets):
@@ -458,7 +457,7 @@ def _bisimulation_quotient(ft, ref, clock, backward):
             edges.append(into)
         keys = [(ref.color_of[i], ref.init_mask >> i & 1) for i in range(n)]
     else:
-        edges = list(ref.step.values())
+        edges = ref.step
         keys = list(ref.color_of)
     count = 0
     for _ in range(max(1, _BISIMULATION_WORK // n)):
@@ -511,14 +510,15 @@ def _fooling_set(ref, target, clock):
     the search short.
     """
     obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
-    pool, access = [ref.init_mask], {ref.init_mask: ()}
+    symbols = range(len(obs))
+    pool, access = [ref.init_mask], {ref.init_mask: ()}  # strings as observation indexes
     for A in pool:
-        for y in obs:
+        for y in symbols:
             B = succ(A, y)
             if B and B not in access and len(pool) < _FOOLING_SETS:
                 access[B] = access[A] + (y,)
                 pool.append(B)
-    tails = itertools.chain([()], ((y,) for y in obs), ((y, z) for y in obs for z in obs))
+    tails = itertools.chain([()], *(itertools.product(symbols, repeat=r) for r in (1, 2)))
     found = {}  # (pool index, killed mask) -> the first tail giving it
     for tail in itertools.islice(tails, max(1 + len(obs), _FOOLING_WORK // len(pool))):
         if clock.expired():
@@ -560,7 +560,8 @@ def _fooling_set(ref, target, clock):
             row |= members[j]
         rows.append(row)
     clique, exact = _max_clique(rows, target, _FOOLING_NODES, clock)
-    return [(access[pool[nodes[v][0]]], found[nodes[v]]) for v in clique], exact
+    return [(tuple(obs[y] for y in access[pool[nodes[v][0]]]),
+             tuple(obs[y] for y in found[nodes[v]])) for v in clique], exact
 
 
 class _NodeCapHit(Exception):
@@ -749,7 +750,7 @@ def _feasible_coloring(inc, precolored, t, node_cap):
             c += 1
 
 
-def _min_clique_cover(inc, node_cap=500_000):
+def _min_clique_cover(inc, node_cap):
     """Exact minimum clique cover of a graph given by the bitmask rows inc
     of its complement (see _incompatible).
 
@@ -876,7 +877,7 @@ def _greedy_merge(d, ref, clock, merge_cap=None):
         cur = merged
 
 
-def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=None,
+def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, merge_cap=None,
                   beat=None):
     """The deterministic pipeline: determinize, cover, quotient, greedy merge.
 
@@ -911,7 +912,7 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=500_000, merge_cap=N
     return d, best, lower, cover_exact
 
 
-def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
+def minimize_det(f, budget=None):
     """Exact minimization over deterministic filters only.
 
     Determinizes first, bounds the optimum from below by the minimum clique
@@ -923,7 +924,7 @@ def minimize_det(f, budget=None, determinize_cap=DETERMINIZE_CAP):
     ft = f.trim()
     ref = _RefTables(ft)
     clock = _Clock(budget)
-    d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, determinize_cap)
+    d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, DETERMINIZE_CAP)
     status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, True)
     if status == _FOUND:
         best = witness

@@ -1,16 +1,17 @@
 """Nondeterministic finite automata and the language checks built on them.
 
-An automaton is held on a Filter's integer tables (see filterkit.filters):
-succ[k][i] is the ascending tuple of the states alphabet[k] leads state i
-to, the initial states are an ascending tuple and the accepting states one
-bitmask.  The name-keyed views `initial`, `accepting` and `transitions` are
-built on first use.
+Nfa is built on the table class of filterkit.filters: succ[k][i] is the
+ascending tuple of the states alphabet[k] leads state i to and the initial
+states are an ascending tuple, with the same storage, string walk, edge
+list and determinism check as a Filter.  In place of colors, the accepting
+states are one bitmask.  The name-keyed views `initial`, `accepting` and
+`transitions` are built on first use.
 """
 
 import functools
 
-from .errors import CapExceeded, NfaError
-from .filters import _bits, _fresh_name, _mask, _names, _path
+from .errors import CapExceeded, NfaError, UnknownSymbol
+from .filters import _bits, _fresh_name, _mask, _names, _path, _Tables
 
 INCLUSION_CAP = 2 ** 20
 
@@ -23,7 +24,7 @@ def _symbols(alphabet):
     return alphabet
 
 
-class Nfa:
+class Nfa(_Tables):
     """Immutable NFA; accepting states mark language membership.
 
     transitions maps (source, symbol) pairs to the set of states the symbol
@@ -58,25 +59,9 @@ class Nfa:
             self._succ[k][i] = tuple(sorted(map(index.__getitem__, targets)))
 
     def _store(self, states, alphabet, initial, succ, accept):
-        self.states = states
+        super()._store(states, alphabet, initial, succ)
         self.alphabet = alphabet
-        self._init = initial
-        self._succ = succ
         self._accept = accept
-        self._symbol_index = {y: k for k, y in enumerate(alphabet)}
-
-    @classmethod
-    def _from_tables(cls, states, alphabet, initial, succ, accept):
-        """An automaton on tables already known to be valid, built without
-        checks: states and symbols unique, initial nonempty, every table a
-        list with one ascending tuple of state indexes per state."""
-        n = cls.__new__(cls)
-        n._store(states, alphabet, initial, succ, accept)
-        return n
-
-    @functools.cached_property
-    def initial(self):
-        return frozenset(self.states[i] for i in self._init)
 
     @functools.cached_property
     def accepting(self):
@@ -92,16 +77,11 @@ class Nfa:
     def accepts(self, string):
         """True iff the automaton accepts string; a symbol outside the
         alphabet crashes every run."""
-        reached = self._init
-        for y in string:
-            k = self._symbol_index.get(y)
-            if k is None:
-                return False
-            reached = set().union(*map(self._succ[k].__getitem__, reached))
-        return any(self._accept >> i & 1 for i in reached)
-
-    def is_deterministic(self):
-        return len(self._init) == 1 and all(len(cell) < 2 for table in self._succ for cell in table)
+        try:
+            reached = self._reach(string)
+        except UnknownSymbol:
+            return False
+        return bool(_mask(reached) & self._accept)
 
     def __repr__(self):
         return f"<Nfa {len(self.states)} states, {len(self.alphabet)} symbols>"
@@ -157,9 +137,7 @@ def is_included(a, b, cap=INCLUSION_CAP):
     filters does not use this: see filterkit.simulation.
     """
     # steps[k][i]: the mask of the states of b that a's k-th symbol leads i to
-    steps = [list(map(_mask, b._succ[b._symbol_index[y]])) if y in b._symbol_index else None
-             for y in a.alphabet]
-    moves = list(zip(a.alphabet, a._succ, steps))
+    steps = b._masks_over(a.alphabet)
     a_accept, b_accept = a._accept, b._accept
     start = _mask(b._init)
     parent = {}
@@ -172,23 +150,23 @@ def is_included(a, b, cap=INCLUSION_CAP):
         queue.append(node)
     for node in queue:
         x, reached = node
-        for y, table, step in moves:
+        for k, table in enumerate(a._succ):
             targets = table[x]
             if not targets:
                 continue
+            step = steps[k]
             nxt_reached = 0
-            if step is not None:
-                for i in _bits(reached):
-                    nxt_reached |= step[i]
+            for i in _bits(reached):
+                nxt_reached |= step[i]
             for x2 in targets:
                 nxt = (x2, nxt_reached)
                 if nxt in parent:
                     continue
                 if len(parent) >= cap:
                     raise CapExceeded(cap, "checking language inclusion")
-                parent[nxt] = (node, y)
+                parent[nxt] = (node, k)
                 if a_accept >> x2 & 1 and not nxt_reached & b_accept:
-                    return False, _path(parent, nxt)
+                    return False, _path(parent, nxt, a.alphabet)
                 queue.append(nxt)
     return True, None
 

@@ -19,6 +19,10 @@ is reached by the shortest failing string, and among those by the first in
 declared order.  A language gap takes precedence over an output violation:
 when the first failure is a violation, a second walk that ignores colors
 looks for a gap before the violation is reported.
+
+The mask tables, their caches and the walk's parent pointers are indexed by
+observation position; names are read only when a witness string or an
+offending color is reported.
 """
 
 import time
@@ -79,12 +83,10 @@ class _RefTables:
     def encode(self, f):
         """Mask tables (initial mask, color mask per state, step) of a
         candidate filter over this reference's observations and colors.
-        step[y][i] is the mask of the targets of state i under y; a symbol f
-        does not declare has none, and a color the reference lacks gets a
-        bit of its own."""
-        empty = [()] * len(f.states)
-        step = {y: list(map(_mask, f._succ[f._obs_index[y]] if y in f._obs_index else empty))
-                for y in self.obs}
+        step[k][i] is the mask of the targets of state i under the k-th of
+        the reference's observations; a symbol f does not declare has none,
+        and a color the reference lacks gets a bit of its own."""
+        step = f._masks_over(self.obs)
         colors = f._color
         if f.colors != self.colors:
             color_bit = dict(self._color_bit)
@@ -92,11 +94,12 @@ class _RefTables:
             colors = [sum(bit for j, bit in enumerate(bits) if mask >> j & 1) for mask in colors]
         return _mask(f._init), colors, step
 
-    def succ(self, mask, y):
-        key = (mask, y)
+    def succ(self, mask, k):
+        """The reached set of the k-th observation from the set mask."""
+        key = (mask, k)
         out = self._succ_cache.get(key)
         if out is None:
-            table = self.step[y]
+            table = self.step[k]
             out = 0
             for i in _bits(mask):
                 out |= table[i]
@@ -120,10 +123,11 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
     The candidate is given as mask tables (see _RefTables.encode).  Returns
     None when no reached pair fails, else (kind, pair, parent) for the first
     failing pair in discovery order, where parent maps each reached pair to
-    (previous pair, symbol), or None for the initial pair.  Output colors
-    are only checked when check_colors is set.  Raises CapExceeded once more
-    than cap pairs would be reached, and TimeoutError when a look at the
-    clock, one per _TICK pairs, finds time.monotonic() past deadline.
+    (previous pair, observation index), or None for the initial pair.
+    Output colors are only checked when check_colors is set.  Raises
+    CapExceeded once more than cap pairs would be reached, and TimeoutError
+    when a look at the clock, one per _TICK pairs, finds time.monotonic()
+    past deadline.
     """
     # The candidate search runs this walk once per candidate, mostly to a
     # quick failure, so the pair check is written out twice (for the initial
@@ -133,7 +137,7 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
     limit = cap
     if deadline is not None:
         limit = _TICK if cap is None else min(cap, _TICK)
-    obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
+    succ, colors_of = ref.succ, ref.colors_of
     rm, cm = start = (ref.init_mask, init)
     parent = {start: None}
     if not cm:
@@ -147,11 +151,10 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
     queue = [start]
     for node in queue:
         rm, cm = node
-        for y in obs:
-            rm2 = succ(rm, y)
+        for k, table in enumerate(step):
+            rm2 = succ(rm, k)
             if not rm2:
                 continue
-            table = step[y]
             cm2 = 0
             for i in _bits(cm):
                 cm2 |= table[i]
@@ -166,7 +169,7 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
                 limit += _TICK
                 if cap is not None:
                     limit = min(limit, cap)
-            parent[nxt] = (node, y)
+            parent[nxt] = (node, k)
             if not cm2:
                 return LANGUAGE_GAP, nxt, parent
             if check_colors:
@@ -199,7 +202,7 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     if failure[0] == OUTPUT_VIOLATION:
         failure = _walk(ref, *tables, check_colors=False, cap=cap) or failure
     kind, node, parent = failure
-    witness = _path(parent, node)
+    witness = _path(parent, node, ref.obs)
     if kind == LANGUAGE_GAP:
         return SimulationVerdict(False, kind, witness)
     ref_mask, cand_mask = node

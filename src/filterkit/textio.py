@@ -9,7 +9,8 @@ error gives the line and column of the file itself.
 Emitters are deterministic, so identical inputs always serialize to
 identical bytes.  ``emit_filter(f)`` is byte for byte
 ``json.dumps(f.to_dict(), indent=2) + "\n"``, and ``emit_nfa`` keeps the
-same layout; both write it directly, quoting each name once.
+same layout; both write it directly, quoting each name once, and lay out
+their transitions from the same edge list with the same row code.
 """
 
 import json
@@ -67,28 +68,34 @@ def _strings(values, depth):
     return _array([_quote(v) for v in values], depth)
 
 
+def _transitions(name, symbols, edges):
+    """The "transitions" array of a document: one entry per (source, target,
+    symbol mask) edge, in the order given, with name the quoted state names.
+    Each distinct symbol set is laid out once, and an entry is joined from
+    pieces of one layout."""
+    before, between, labeled, after = _object(
+        (("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2).split("%s")
+    sources = [before + s + between for s in name]
+    labels = {m: labeled + _strings(_names(m, symbols), 3) + after
+              for m in {edge[2] for edge in edges}}
+    return _array([sources[i] + name[j] + labels[mask] for i, j, mask in edges], 1)
+
+
 def emit_filter(f):
     """The filter document of f, equal to json.dumps(f.to_dict(), indent=2)
     followed by a newline.  Each name is quoted once, each distinct color
     set and symbol set is laid out once, and an entry is joined from pieces
     of one layout per entry kind."""
     name = [_quote(s) for s in f.states]
-    edges = f._edges()
     before, between, after = _object((("id", "%s"), ("colors", "%s")), 2).split("%s")
     colored = {m: between + _strings(_names(m, f.colors), 3) + after for m in set(f._color)}
     states = [before + s + colored[mask] for s, mask in zip(name, f._color)]
-    before, between, labeled, after = _object(
-        (("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2).split("%s")
-    sources = [before + s + between for s in name]
-    labels = {m: labeled + _strings(_names(m, f.observations), 3) + after
-              for m in {edge[2] for edge in edges}}
-    transitions = [sources[i] + name[j] + labels[mask] for i, j, mask in edges]
     return _object((
         ("observations", _strings(f.observations, 1)),
         ("colors", _strings(f.colors, 1)),
         ("states", _array(states, 1)),
         ("initial", _array([name[i] for i in f._init], 1)),
-        ("transitions", _array(transitions, 1)),
+        ("transitions", _transitions(name, f.observations, f._edges())),
     ), 0) + "\n"
 
 
@@ -105,40 +112,31 @@ def parse_nfa(text):
         states = strings(data["states"], "'states'")
         initial = strings(data["initial"], "'initial'")
         accepting = strings(data["accepting"], "'accepting'")
-        transitions = {}
+        transitions = {}  # (source, symbol) -> its targets, frozen by Nfa
         rows = data.get("transitions", [])
         if not isinstance(rows, list):
             raise NfaError("'transitions' must be a list")
         for row in rows:
             src, dst = strings([row["from"], row["to"]], "transition ends")
             for symbol in strings(row["symbols"], "transition symbols"):
-                key = (src, symbol)
-                transitions[key] = transitions.get(key, frozenset()) | {dst}
+                transitions.setdefault((src, symbol), set()).add(dst)
     except (KeyError, TypeError, AttributeError) as exc:
         raise NfaError(f"malformed automaton document: {exc!r}") from None
     return Nfa(states, initial, alphabet, transitions, accepting)
 
 
 def emit_nfa(n):
+    """The automaton document of n: the layout of emit_filter, with each
+    source's edges ordered by target name and the initial and accepting
+    states sorted by name."""
     names = n.states
-    rows = []
-    for i, state in enumerate(names):
-        buckets = {}  # target name -> its symbols, in alphabet order
-        for symbol, table in zip(n.alphabet, n._succ):
-            for j in table[i]:
-                buckets.setdefault(names[j], []).append(symbol)
-        for target in sorted(buckets):
-            rows.append(_object((
-                ("from", _quote(state)),
-                ("to", _quote(target)),
-                ("symbols", _strings(buckets[target], 3)),
-            ), 2))
+    edges = sorted(n._edges(), key=lambda edge: (edge[0], names[edge[1]]))
     return _object((
         ("alphabet", _strings(n.alphabet, 1)),
         ("states", _strings(names, 1)),
         ("initial", _strings(sorted(names[i] for i in n._init), 1)),
         ("accepting", _strings(sorted(_names(n._accept, names)), 1)),
-        ("transitions", _array(rows, 1)),
+        ("transitions", _transitions([_quote(s) for s in names], n.alphabet, edges)),
     ), 0) + "\n"
 
 

@@ -412,6 +412,16 @@ def test_reduce_nfa_universality(tmp_path, capsys):
     assert "z" in f.observations
 
 
+def test_reduce_nfa_universality_with_an_empty_alphabet(tmp_path, capsys):
+    nfa_path = tmp_path / "nfa.json"
+    nfa_path.write_text(emit_nfa(Nfa(["s"], ["s"], (), {}, {"s"})))
+    assert main(["reduce", "nfa-universality", str(nfa_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# reduction: nfa-universality\n")
+    assert captured.err == ""
+    assert parse_filter(captured.out).observations == ("z",)
+
+
 def test_reduce_dfa_union(tmp_path, capsys):
     d1 = tmp_path / "d1.json"
     d2 = tmp_path / "d2.json"

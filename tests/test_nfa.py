@@ -15,6 +15,7 @@ from filterkit import (
     from_nfa_universality,
     is_included,
     is_universal,
+    parse_nfa,
 )
 from filterkit.nfa import complete_dfa, sigma_star, union
 
@@ -120,6 +121,21 @@ def test_accepts():
     assert m.accepts(("a", "a"))
     assert m.is_deterministic()
     assert is_complete(m)
+
+
+def test_automaton_with_an_empty_alphabet():
+    # the empty string is the only string over no symbols, and no cell
+    # exists for the determinism check to read
+    n = Nfa(["s"], ["s"], (), {}, {"s"})
+    assert n.is_deterministic()
+    assert n.accepts(())
+    assert not n.accepts(("a",))
+    assert is_universal(n) == (True, None)
+    text = emit_nfa(n)
+    back = parse_nfa(text)
+    assert (back.states, back.alphabet, back.transitions) == (("s",), (), {})
+    assert back.initial == back.accepting == {"s"}
+    assert emit_nfa(back) == text
 
 
 def test_subset_construct_is_complete():
