@@ -27,6 +27,8 @@ below; the lower bound is a fooling set, a family of string pairs that no
 two simulator states can serve together.  Where the bounds meet, the upper
 bound is the answer, proven; otherwise only the levels between them are
 searched.  Every bound phase has a fixed work cap and checks the time cap.
+Quotients are certified by a linear check; the deterministic bound's result
+is walked with no clock, as it is in one state per reached set of the input.
 
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
@@ -148,10 +150,10 @@ def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
                                tuple(_bits(init_mask)), succ, list(cand_colors))
 
 
-def _confirm(ref, candidate, deadline=None):
-    """Re-check a filter the search accepted, through its built Filter form.
-    Raises TimeoutError if the deadline passes first."""
-    if _walk(ref, *ref.encode(candidate), deadline=deadline) is not None:
+def _confirm(ref, candidate):
+    """Re-check a filter the search or the deterministic pipeline found,
+    through its built Filter form; RuntimeError if it fails simulation."""
+    if _walk(ref, *ref.encode(candidate)) is not None:
         raise RuntimeError("the search accepted a filter that fails output simulation")
     return candidate
 
@@ -343,14 +345,14 @@ def minimize_nondet(f, budget=None):
     the levels between them.
 
     Level 1 is searched first.  If it fails, sound bounds come next: upper
-    bounds from the trimmed filter, its forward and backward bisimulation
-    quotients and the deterministic pipeline, each checked by the pair walk,
-    and a fooling-set lower bound, at least 2.  When the lower bound meets
-    the best upper bound, that filter is returned as proven optimal without
-    a search; otherwise the levels from the lower bound up to one below the
-    best upper bound are searched in turn, and the first level with a
-    simulator gives the canonically-first one.  The bounds are computed only
-    when max_k allows level 2.
+    bounds from the trimmed filter, its certified forward and backward
+    bisimulation quotients and the deterministic pipeline, whose result is
+    walked, and a fooling-set lower bound, at least 2.  When the lower bound
+    meets the best upper bound, that filter is returned as proven optimal
+    without a search; otherwise the levels from the lower bound up to one
+    below the best upper bound are searched in turn, and the first level
+    with a simulator gives the canonically-first one.  The bounds are
+    computed only when max_k allows level 2.
     """
     start = time.monotonic()
     ft = f.trim()
@@ -366,11 +368,8 @@ def minimize_nondet(f, budget=None):
             if lower < len(best.states):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
-            if best is not ft:
-                try:
-                    _confirm(ref, best, clock._deadline)
-                except TimeoutError:  # an unconfirmed bound is not returned
-                    best, source = ft, "trim"
+            if source == "deterministic":
+                _confirm(ref, best)
         status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, False)
     if status == _FOUND:
         best, source = witness, "search"
@@ -403,13 +402,10 @@ _FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
 
 
 def _upper_bound(ft, ref, clock, lower):
-    """The smallest simulator among the trimmed filter, its two bisimulation
-    quotients and the deterministic pipeline's result, with the name of its
-    source.  Stops once one has `lower` states, below which the search has
-    ruled everything out.  The caller walks the one returned against the
-    reference through _confirm, which raises if it fails, after the cheaper
-    fooling-set bound; if the deadline passes inside that walk, the trimmed
-    filter is returned instead."""
+    """The smallest simulator among the trimmed filter, its two certified
+    bisimulation quotients and the deterministic pipeline's result, which
+    the caller walks, with the name of its source.  Stops once one has
+    `lower` states, below which the search has ruled everything out."""
     best, source = ft, "trim"
     for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
         if len(best.states) <= lower or clock.expired():
@@ -434,18 +430,12 @@ def _det_bound(ft, ref, clock, beat):
 
 
 def _bisimulation_quotient(ft, ref, clock, backward):
-    """The quotient of ft by its coarsest color-respecting forward (or
-    backward) bisimulation, or None if every block is a single state.
-
-    Forward-bisimilar states have the same colors and, under every symbol,
-    successors in the same blocks; backward-bisimilar ones the same colors,
-    the same initial status and predecessors in the same blocks.  Either way
-    the quotient reaches, on every string, exactly the blocks of the states
-    ft reaches, so it keeps the survival and output of every string.  The
-    partition is refined from the color classes until no block splits; a
-    round signs every state, and None is also the answer when that takes
-    more than _BISIMULATION_WORK signatures, or past the deadline.
-    """
+    """The quotient of ft by its coarsest forward (or backward) bisimulation
+    (see _is_bisimulation), or None if every block is a single state.  The
+    partition is refined from the color classes (backward: and initial
+    status) until no block splits; a round signs every state, and None is
+    also the answer past _BISIMULATION_WORK signatures or the deadline.
+    RuntimeError if the partition found fails the certificate."""
     n = len(ft.states)
     if backward:
         edges = []
@@ -482,7 +472,34 @@ def _bisimulation_quotient(ft, ref, clock, backward):
     partition = [[] for _ in range(count)]
     for i in range(n):
         partition[block[i]].append(i)
+    if not _is_bisimulation(ref, block, backward):
+        raise RuntimeError("the bisimulation refinement returned a partition that is not one")
     return _quotient_filter(ft, partition)
+
+
+def _is_bisimulation(ref, block, backward):
+    """Whether block, the block index of each of ref's states, joins only
+    states with the same colors (backward: and initial status) and, under
+    every symbol, the same blocks holding their successors (predecessors):
+    the certificate of a bisimulation quotient, apart from the refinement.
+
+    Then the quotient reaches on every string w the blocks of R(w), the
+    filter's reached set, so it survives w iff the filter does, with the
+    same colors.  By induction on w.  Forward: a block's y-successors are
+    those of any one member, and a block reached on w has one in R(w).
+    Backward, where all of a block reached on w lies in R(w): a state is in
+    R(wy) iff a y-predecessor is in a block reached on w, which all members
+    of its block have or none do.  The check reads each edge once.
+    """
+    ends = [[0] * len(block) for _ in ref.step]  # per symbol and state: a mask of blocks
+    for table, out in zip(ref.step, ends):
+        for i, targets in enumerate(table):
+            for j in _bits(targets):
+                a, b = (j, i) if backward else (i, j)
+                out[a] |= 1 << block[b]
+    keys = {(block[i], ref.color_of[i], backward and ref.init_mask >> i & 1,
+             *(out[i] for out in ends)) for i in range(len(block))}
+    return len(keys) == len(set(block))
 
 
 def _fooling_set(ref, target, clock):

@@ -17,15 +17,13 @@ The walk expands the reference's observations in their declared order and
 checks each pair when it is first reached, so the first failing pair found
 is reached by the shortest failing string, and among those by the first in
 declared order.  A language gap takes precedence over an output violation:
-when the first failure is a violation, a second walk that ignores colors
-looks for a gap before the violation is reported.
+when the first failure is a violation, a second walk with all-zero
+candidate colors, which check none, looks for a gap before it is reported.
 
 The mask tables, their caches and the walk's parent pointers are indexed by
 observation position; names are read only when a witness string or an
 offending color is reported.
 """
-
-import time
 
 from .errors import CapExceeded
 from .filters import _bits, _mask, _names, _path
@@ -33,8 +31,6 @@ from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
 OUTPUT_VIOLATION = "output-violation"
-
-_TICK = 256  # pairs a deadline-bound walk reaches between looks at the clock
 
 
 class SimulationVerdict:
@@ -116,7 +112,7 @@ class _RefTables:
         return out
 
 
-def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
+def _walk(ref, init, colors, step, cap=None):
     """Breadth-first walk over reached-set pairs (reference mask, candidate
     mask), from the initial pair, expanding ref.obs in declared order.
 
@@ -124,30 +120,23 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
     None when no reached pair fails, else (kind, pair, parent) for the first
     failing pair in discovery order, where parent maps each reached pair to
     (previous pair, observation index), or None for the initial pair.
-    Output colors are only checked when check_colors is set.  Raises
-    CapExceeded once more than cap pairs would be reached, and TimeoutError
-    when a look at the clock, one per _TICK pairs, finds time.monotonic()
-    past deadline.
+    Candidate colors that are all zero check none, so such a walk looks for
+    language gaps only.  Raises CapExceeded once more than cap pairs would
+    be reached.
     """
     # The candidate search runs this walk once per candidate, mostly to a
     # quick failure, so the pair check is written out twice (for the initial
-    # pair and for each pair reached later) rather than called.  For the
-    # same reason the cap and the deadline share one threshold test per new
-    # pair, which a walk with neither skips.
-    limit = cap
-    if deadline is not None:
-        limit = _TICK if cap is None else min(cap, _TICK)
+    # pair and for each pair reached later) rather than called.
     succ, colors_of = ref.succ, ref.colors_of
     rm, cm = start = (ref.init_mask, init)
     parent = {start: None}
     if not cm:
         return LANGUAGE_GAP, start, parent
-    if check_colors:
-        ccol = 0
-        for i in _bits(cm):
-            ccol |= colors[i]
-        if ccol & ~colors_of(rm):
-            return OUTPUT_VIOLATION, start, parent
+    ccol = 0
+    for i in _bits(cm):
+        ccol |= colors[i]
+    if ccol & ~colors_of(rm):
+        return OUTPUT_VIOLATION, start, parent
     queue = [start]
     for node in queue:
         rm, cm = node
@@ -161,23 +150,16 @@ def _walk(ref, init, colors, step, check_colors=True, cap=None, deadline=None):
             nxt = (rm2, cm2)
             if nxt in parent:
                 continue
-            if limit is not None and len(parent) >= limit:
-                if cap is not None and len(parent) >= cap:
-                    raise CapExceeded(cap, "checking output simulation")
-                if time.monotonic() > deadline:
-                    raise TimeoutError("the deadline passed while checking output simulation")
-                limit += _TICK
-                if cap is not None:
-                    limit = min(limit, cap)
+            if cap is not None and len(parent) >= cap:
+                raise CapExceeded(cap, "checking output simulation")
             parent[nxt] = (node, k)
             if not cm2:
                 return LANGUAGE_GAP, nxt, parent
-            if check_colors:
-                ccol = 0
-                for i in _bits(cm2):
-                    ccol |= colors[i]
-                if ccol & ~colors_of(rm2):
-                    return OUTPUT_VIOLATION, nxt, parent
+            ccol = 0
+            for i in _bits(cm2):
+                ccol |= colors[i]
+            if ccol & ~colors_of(rm2):
+                return OUTPUT_VIOLATION, nxt, parent
             queue.append(nxt)
     return None
 
@@ -195,12 +177,12 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     needed.
     """
     ref = _RefTables(reference)
-    tables = ref.encode(candidate)
-    failure = _walk(ref, *tables, cap=cap)
+    init, colors, step = ref.encode(candidate)
+    failure = _walk(ref, init, colors, step, cap)
     if failure is None:
         return SimulationVerdict(True)
     if failure[0] == OUTPUT_VIOLATION:
-        failure = _walk(ref, *tables, check_colors=False, cap=cap) or failure
+        failure = _walk(ref, init, [0] * len(colors), step, cap) or failure
     kind, node, parent = failure
     witness = _path(parent, node, ref.obs)
     if kind == LANGUAGE_GAP:

@@ -344,6 +344,35 @@ def fooling_set_error(reference, pairs):
     return None
 
 
+def bisimulation_faults(f, block, backward):
+    """The conditions of a forward (or backward) bisimulation that block, a
+    block number per state of f, breaks: a subset of {"colors", "initial",
+    "edges"}.
+
+    Two states in one block must have the same colors (backward: the same
+    initial status) and, under every symbol, successors (backward:
+    predecessors) in the same set of blocks.
+    """
+    number = dict(zip(f.states, block))
+
+    def ends(s, symbol):
+        if backward:
+            return {number[t] for t in f.states if s in f.successors(t, symbol)}
+        return {number[t] for t in f.successors(s, symbol)}
+
+    faults = set()
+    for s, t in itertools.combinations(f.states, 2):
+        if number[s] != number[t]:
+            continue
+        if f.coloring[s] != f.coloring[t]:
+            faults.add("colors")
+        if backward and (s in f.initial) != (t in f.initial):
+            faults.add("initial")
+        if any(ends(s, y) != ends(t, y) for y in f.observations):
+            faults.add("edges")
+    return faults
+
+
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):
     """A seeded random filter; may be nondeterministic and non-trim."""
     return Filter(*random_description(rng, max_states, max_symbols, max_colors, edge_bias))

@@ -23,6 +23,7 @@ from filterkit import (
 
 from oracles import (
     all_filters,
+    bisimulation_faults,
     brute_force_min_size,
     canonical_search,
     compatibility_graph_oracle,
@@ -672,7 +673,7 @@ def test_bounds_bracket_the_brute_force_size():
 
 
 def test_bisimulation_quotients_simulate_both_ways():
-    from filterkit.minimize import _bisimulation_quotient, _Clock, _RefTables
+    from filterkit.minimize import _bisimulation_quotient, _Clock, _is_bisimulation, _RefTables
 
     filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
     rng = random.Random(818)
@@ -681,18 +682,71 @@ def test_bisimulation_quotients_simulate_both_ways():
     shrunk = {False: 0, True: 0}
     for f in filters:
         ft = f.trim()
+        assert not any("+" in s for s in ft.states)
+        ref = _RefTables(ft)
         for backward in (False, True):
-            quotient = _bisimulation_quotient(ft, _RefTables(ft), _Clock(None), backward)
+            quotient = _bisimulation_quotient(ft, ref, _Clock(None), backward)
             if quotient is None:
                 continue
             shrunk[backward] += 1
             assert quotient.size() < ft.size()
             assert simulates_oracle(quotient, ft)[0], (f, backward)
             assert simulates_oracle(ft, quotient)[0], (f, backward)
+            # a quotient state is named by its members joined with +
+            number = {s: b for b, name in enumerate(quotient.states) for s in name.split("+")}
+            block = [number[s] for s in ft.states]
+            assert _is_bisimulation(ref, block, backward), (f, backward)
+            assert bisimulation_faults(ft, block, backward) == set(), (f, backward)
     assert min(shrunk.values()) >= 10
     forward = _bisimulation_quotient(prime_family(2), _RefTables(prime_family(2)),
                                      _Clock(None), False)
     assert forward.size() == 9
+
+
+def test_bisimulation_certificate_rejects_each_broken_condition():
+    from filterkit.minimize import _is_bisimulation, _quotient_filter, _RefTables
+
+    x, y, xy = {"x"}, {"y"}, {"x", "y"}
+    swap = Filter(["p", "q"], ["p", "q"], ("a",), {("p", "q"): {"a"}, ("q", "p"): {"a"}},
+                  ("x", "y"), {"p": x, "q": xy})
+    # (filter, block per state, backward, the one condition broken): each
+    # partition keeps every other condition, and its quotient and the filter
+    # do not simulate each other
+    cases = [
+        # p and q share their colors, but a leads p into r's block and q into s's
+        (Filter(["p", "q", "r", "s"], ["p"], ("a", "b"),
+                {("p", "r"): {"a"}, ("q", "s"): {"a"}, ("r", "q"): {"b"}},
+                ("x", "y"), {"p": x, "q": x, "r": x, "s": y}),
+         [0, 0, 1, 2], False, "edges"),
+        # p and q share colors and predecessors, but only p is initial
+        (Filter(["p", "q", "r"], ["p"], ("a", "b"),
+                {("q", "r"): {"a"}, ("r", "p"): {"b"}, ("r", "q"): {"b"}},
+                ("x", "y"), {"p": x, "q": x, "r": y}),
+         [0, 0, 1], True, "initial"),
+        # p and q share initial status and the blocks of their successors and
+        # predecessors, but not their colors
+        (swap, [0, 0], False, "colors"),
+        (swap, [0, 0], True, "colors"),
+    ]
+    for f, block, backward, broken in cases:
+        assert bisimulation_faults(f, block, backward) == {broken}, broken
+        assert not _is_bisimulation(_RefTables(f), block, backward), broken
+        quotient = _quotient_filter(f, [[i for i, b in enumerate(block) if b == k]
+                                        for k in range(max(block) + 1)])
+        assert not (simulates_oracle(quotient, f)[0] and simulates_oracle(f, quotient)[0])
+        # the partition into single states always passes
+        assert _is_bisimulation(_RefTables(f), list(range(f.size())), backward)
+    # and on random partitions the certificate says what the named check says
+    rng = random.Random(3131)
+    passed = 0
+    for _ in range(600):
+        f = random_filter(rng, max_states=5, max_symbols=2, max_colors=2)
+        block = [rng.randrange(3) for _ in f.states]
+        backward = rng.random() < 0.5
+        certified = _is_bisimulation(_RefTables(f), block, backward)
+        assert certified == (not bisimulation_faults(f, block, backward)), (f, block, backward)
+        passed += certified
+    assert passed >= 20
 
 
 def test_prime_family_nondet_minimum_is_proven_fast():
@@ -752,22 +806,22 @@ def test_nondet_bounds_stay_on_the_clock():
 
 
 def test_fooling_set_runs_before_the_confirm_walk():
-    # walking the forward quotient of prime r=6 against its 30,072 reached
-    # sets takes about a second; the fooling set, which needs milliseconds,
-    # comes first and still finds its deadline ahead
+    # the forward quotient of prime r=6 is certified by a linear check of its
+    # partition, not walked against the 30,072 reached sets, so the fooling
+    # set, which needs milliseconds, finds its one-second deadline ahead
     result = minimize_nondet(prime_family(6), SearchBudget(time_cap=1.0, candidate_cap=None))
     assert (result.stats["lower_bound"], result.stats["lower_bound_exact"]) == (36, True)
     assert not result.proven_optimal
 
 
 def test_confirm_walk_stays_on_the_clock():
-    # the deadline passes inside the walk that confirms the forward quotient,
-    # so the unconfirmed quotient is dropped for the trimmed filter
+    # the forward quotient is certified rather than walked, so a short time
+    # cap keeps it: 55 states against 83 for the trimmed filter
     start = time.monotonic()
     result = minimize_nondet(prime_family(6), SearchBudget(time_cap=0.3, candidate_cap=None))
     assert time.monotonic() - start < 0.6
-    assert (result.size(), result.proven_optimal) == (83, False)
-    assert result.stats["upper_bound_source"] == "trim"
+    assert (result.size(), result.proven_optimal) == (55, False)
+    assert result.stats["upper_bound_source"] == "forward-bisimulation"
     assert result.stats["lower_bound"] == 36
 
 
@@ -846,3 +900,31 @@ def test_det_bound_skips_only_what_cannot_win():
                 assert quick == full, (f, beat)
             skipped += quick.size() > full.size()
     assert skipped >= 20
+
+
+def test_det_bound_walks_within_the_subset_cap():
+    # the deterministic bound's result is confirmed by a walk with no clock:
+    # it is in one state per reached set of the reference, and the bound
+    # gives up past _BOUND_SUBSETS of those
+    from filterkit.minimize import _BOUND_SUBSETS, _Clock, _det_bound, _RefTables
+    from filterkit.simulation import _walk
+
+    filters = [donut_world(), fig3_input(), fig3_minimizer()]
+    filters += [prime_family(r) for r in (1, 2, 3, 4)]
+    rng = random.Random(6060)
+    filters += [random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+                for _ in range(150)]
+    bounds = merged = 0
+    for f in filters:
+        ft = f.trim()
+        ref = _RefTables(ft)
+        reached_sets = ft.determinize()[0].size()
+        for beat in (None, ft.size()):
+            bound = _det_bound(ft, ref, _Clock(None), beat)
+            if bound is None:
+                continue
+            bounds += 1
+            merged += bound.size() < reached_sets
+            assert _walk(ref, *ref.encode(bound), cap=_BOUND_SUBSETS) is None, f
+            assert _walk(ref, *ref.encode(bound), cap=reached_sets) is None, f
+    assert bounds >= 300 and merged >= 50

@@ -7,6 +7,7 @@ import pytest
 from filterkit import (
     LANGUAGE_GAP,
     OUTPUT_VIOLATION,
+    CapExceeded,
     Filter,
     fig3_input,
     fig3_minimizer,
@@ -19,6 +20,7 @@ from oracles import (
     language_gap_oracle,
     random_filter,
     simulates_oracle,
+    step_set,
     tensor_product,
     tensor_simulation_oracle,
 )
@@ -339,3 +341,41 @@ def test_prime_family_minimizer_simulates_both_ways():
     assert output_simulates(m, f).holds
     assert output_simulates(f, m).holds
 
+
+
+def reached_pairs(candidate, reference):
+    """The reached-set pairs of the strings over the reference's observations
+    that the reference survives, from the pair of initial sets."""
+    start = (frozenset(reference.initial), frozenset(candidate.initial))
+    seen, queue = {start}, [start]
+    for ref_set, cand_set in queue:
+        for symbol in reference.observations:
+            nxt = (step_set(reference, ref_set, symbol), step_set(candidate, cand_set, symbol))
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen)
+
+
+def test_cap_counts_every_reached_pair():
+    # the walk of a pair that holds reaches every pair: a cap of exactly that
+    # many gives the uncapped verdict, one less stops it
+    rng = random.Random(9191)
+    pairs = [(fig3_minimizer(), fig3_input()), (fig3_input(), fig3_minimizer()),
+             (prime_family_minimizer(3), prime_family(3))]
+    for _ in range(40):
+        f = random_filter(rng, max_states=5)
+        det = f.trim().determinize()[0]
+        pairs += [(f, f), (det, f), (f, det)]
+    capped = 0
+    for candidate, reference in pairs:
+        assert output_simulates(candidate, reference).holds
+        count = reached_pairs(candidate, reference)
+        assert output_simulates(candidate, reference, cap=count).holds
+        # the initial pair is never held against the cap, so a cap of 0 is
+        # not tested here
+        if count > 1:
+            with pytest.raises(CapExceeded):
+                output_simulates(candidate, reference, cap=count - 1)
+            capped += 1
+    assert capped >= 60
