@@ -16,10 +16,15 @@ built and written when it is emitted; the name-keyed views `initial`,
 
 The tables other than the colors, and the code that reads only them, are
 held by the private base class _Tables, which filterkit.nfa's automata share.
+A filter's subset construction is the private class _Reached, its reached
+sets numbered breadth-first and filled only as far as its readers need:
+determinize reads all of it, the simulation walk and the minimizers one
+table per reference.
 """
 
 import functools
 import itertools
+import math
 import operator
 
 from .errors import (
@@ -94,6 +99,14 @@ def _mask(indexes):
     return sum(map((1).__lshift__, indexes))
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask):
+    """One byte per bit of mask, lowest first: 1 where the bit is set."""
+    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
+
+
 def _reachable(initial, succ):
     """The set of the state indexes that the tables succ lead to from initial."""
     seen = set(initial)
@@ -109,11 +122,12 @@ def _reachable(initial, succ):
 
 
 def _path(parent, node, symbols):
-    """The symbols on the way to node in a breadth-first walk, where parent
-    maps each node to (previous node, symbol index), or None at the start."""
+    """The symbols on the way to node in a breadth-first walk over int
+    nodes, where parent maps each node to previous node * len(symbols) +
+    symbol index, or None at the start."""
     ks = []
     while parent[node] is not None:
-        node, k = parent[node]
+        node, k = divmod(parent[node], len(symbols))
         ks.append(k)
     return tuple(symbols[k] for k in reversed(ks))
 
@@ -279,8 +293,72 @@ class _Tables:
         to, as one list per symbol; a symbol these tables lack leads nowhere."""
         nowhere = [0] * len(self.states)
         index = self._symbol_index
-        return [list(map(_mask, self._succ[index[y]])) if y in index else nowhere
+        bit = (1).__lshift__
+        return [[sum(map(bit, cell)) for cell in self._succ[index[y]]] if y in index else nowhere
                 for y in symbols]
+
+
+class _Reached:
+    """A filter's reached sets, numbered breadth-first from the initial set 0.
+
+    members[r] is the state mask of set r, colors[r] its color mask, and
+    after[k][r] the number of the set that observation k leads it to, or -1
+    for the empty set, which has no number.  Rows are filled in order and on
+    demand: the first `done` are, and every set they lead to is numbered.
+    step[k][i] is the mask of the states observation k leads state i to.
+    """
+
+    def __init__(self, f):
+        self.obs = f.observations
+        self.step = f._masks_over(f.observations)
+        self.color_of = f._color
+        self.init_mask = _mask(f._init)
+        self.members = [self.init_mask]
+        self.colors = [functools.reduce(operator.or_, map(f._color.__getitem__, f._init))]
+        self.after = [[] for _ in self.step]
+        self.done = 0
+        self._number = {self.init_mask: 0}
+        self._rows = list(zip(self.step, self.after))
+
+    def fill(self, last=None, cap=math.inf):
+        """Fill the rows in order up to row last, or all of them; returns
+        `done`.  Raises CapExceeded once more than cap sets have numbers."""
+        members, colors, color_of, rows = self.members, self.colors, self.color_of, self._rows
+        number = self._number
+        r = self.done
+        for mask in itertools.islice(members, r, None if last is None else last + 1):
+            if len(members) > cap:
+                break
+            have = []
+            while mask:
+                bit = mask & -mask
+                have.append(bit.bit_length() - 1)
+                mask ^= bit
+            for table, row in rows:
+                nxt = 0
+                for i in have:
+                    nxt |= table[i]
+                if nxt:
+                    q = number.get(nxt)
+                    if q is None:
+                        q = number[nxt] = len(members)
+                        members.append(nxt)
+                        shown = 0
+                        while nxt:
+                            bit = nxt & -nxt
+                            shown |= color_of[bit.bit_length() - 1]
+                            nxt ^= bit
+                        colors.append(shown)
+                    row.append(q)
+                else:
+                    row.append(-1)
+            r += 1
+        self.done = r
+        if r == len(members):
+            self._number = None  # every set has its row, so none is looked up again
+        if len(members) > cap:
+            raise CapExceeded(cap, "determinizing")
+        return r
 
 
 class Filter(_Tables):
@@ -369,43 +447,28 @@ class Filter(_Tables):
         the frozenset of original states it stands for.  Raises CapExceeded
         if more than cap subset states appear.
         """
-        det, order = self._determinize(cap)
+        det, members = self._determinize(cap)
         names = self.states
-        mapping = {name: frozenset([names[i] for i in subset])
-                   for name, subset in zip(det.states, order)}
+        mapping = {name: frozenset(itertools.compress(names, _flags(mask)))
+                   for name, mask in zip(det.states, members)}
         return det, mapping
 
-    def _determinize(self, cap):
-        """(D, order) for determinize, where order[p] is the ascending index
-        tuple of the states that D's state p stands for."""
-        order = [self._init]  # subsets as ascending index tuples
-        seen = {self._init: 0}
-        single = [(0,)]
-        succ = [[] for _ in self._succ]  # succ[k][p]: (q,), or () for none
-        for subset in order:
-            for table, row in zip(self._succ, succ):
-                cells = [cell for cell in map(table.__getitem__, subset) if cell]
-                if not cells:
-                    row.append(())
-                    continue
-                nxt = cells[0] if len(cells) == 1 else tuple(sorted(set().union(*cells)))
-                q = seen.get(nxt)
-                if q is None:
-                    if len(seen) >= cap:
-                        raise CapExceeded(cap, "determinizing")
-                    q = seen[nxt] = len(order)
-                    order.append(nxt)
-                    single.append((q,))
-                row.append(single[q])
-
+    def _determinize(self, cap, reached=None):
+        """(D, members) for determinize, where members[p] is the bitmask of
+        the states that D's state p stands for.  D is read off reached, this
+        filter's _Reached, or a new one, which is filled here."""
+        table = _Reached(self) if reached is None else reached
+        table.fill(cap=cap)
+        members = table.members
         # {a,b,...} by sorted member names, suffixed ~2, ~3, ... where two print alike
         taken, names = set(), self.states
-        states = tuple(_fresh_name("{" + ",".join(sorted([names[i] for i in subset])) + "}", taken)
-                       for subset in order)
-        color = [functools.reduce(operator.or_, map(self._color.__getitem__, subset))
-                 for subset in order]
-        det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, color)
-        return det, order
+        states = tuple(_fresh_name("{" + ",".join(sorted(itertools.compress(names, _flags(mask))))
+                                   + "}", taken) for mask in members)
+        cells = [(q,) for q in range(len(members))] + [()]  # cells[-1] is the empty set's
+        succ = [list(map(cells.__getitem__, row)) for row in table.after]
+        # a filled table never changes, so D may share its colors
+        det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, table.colors)
+        return det, members
 
     # -- serialization ---------------------------------------------------
 

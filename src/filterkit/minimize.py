@@ -42,7 +42,7 @@ import operator
 import time
 
 from .errors import CapExceeded
-from .filters import DETERMINIZE_CAP, Filter, _bits, _fresh_name
+from .filters import DETERMINIZE_CAP, Filter, _bits, _flags, _fresh_name
 from .simulation import _RefTables, _walk
 
 YES = "yes"
@@ -146,7 +146,7 @@ class _Clock:
 
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
     succ = [[tuple(_bits(mask)) for mask in table] for table in cand_step]
-    return Filter._from_tables(tuple(f"s{i}" for i in range(n)), ref.obs, ref.colors,
+    return Filter._from_tables(tuple(f"s{i}" for i in range(n)), ref.obs, ref.color_names,
                                tuple(_bits(init_mask)), succ, list(cand_colors))
 
 
@@ -166,13 +166,13 @@ def _search_size(ref, n, clock, det):
     """
     if n == 1:
         return _level_one(ref, clock, det)
-    color_count = len(ref.colors)
+    color_count = len(ref.color_names)
     for init_mask in (1,) if det else range(1, 1 << n):
         for colors in itertools.product(range(1, 1 << color_count), repeat=n):
             eps = 0
             for i in _bits(init_mask):
                 eps |= colors[i]
-            if eps & ~ref.eps_colors:
+            if eps & ~ref.colors[0]:
                 continue
             status, witness = _search_tables(ref, n, init_mask, colors, clock, det)
             if status != _EXHAUSTED:
@@ -181,7 +181,7 @@ def _search_size(ref, n, clock, det):
 
 
 def _level_one(ref, clock, det):
-    """Level 1 of _search_size, decided by one walk of the reference.
+    """Level 1 of _search_size, decided by the rows of ref's table, in order.
 
     A one-state candidate with color mask c and self-loop mask d simulates
     the reference iff c lies in `common`, the colors that every reached set
@@ -191,22 +191,16 @@ def _level_one(ref, clock, det):
     table ranked by d bit-reversed (observation 0 is its most significant digit).
     """
     symbols = range(len(ref.obs))
-    common, survive = ref.eps_colors, 0
-    queue, seen = [ref.init_mask], {0, ref.init_mask}  # the empty set is never entered
-    for A in queue:
-        common &= ref.colors_of(A)
-        if not common:
-            break
-        for k in symbols:
-            B = ref.succ(A, k)
-            survive |= bool(B) << k
-            if B not in seen:
-                seen.add(B)
-                queue.append(B)
+    colors, r = ref.colors, 0
+    common = colors[0]
+    while common and r < len(colors):  # the sets numbered so far share a color: fill their rows
+        common = functools.reduce(operator.and_, colors[r:], common)
+        r = ref.fill(len(colors) - 1) if common else r
+    survive = sum(1 << k for k, row in enumerate(ref.after) if max(row, default=-1) >= 0)
     clock.walked += 1
     c = common & -common
     # 2^|Y| tables per coloring below c; all colorings when common is empty (c - 1 = -1)
-    count = ((1 << bin(ref.eps_colors & (c - 1)).count("1")) - 1) << len(symbols)
+    count = ((1 << (colors[0] & (c - 1)).bit_count()) - 1) << len(symbols)
     if c:
         count += (int(format(survive, f"0{len(symbols)}b")[::-1], 2) if det else survive) + 1
     if not clock.spend(count):
@@ -276,12 +270,12 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
             if failure is None:
                 found = _candidate_filter(ref, n, init_mask, colors, tables)
                 return _FOUND, _confirm(ref, found)
-            _, node, parent = failure
+            _, node, parent, stride = failure
             read = 0
             if parent[node] is not None:
-                last_expanded = parent[node][0]
+                last_expanded = parent[node] // len(tables)
                 for pair in parent:
-                    read |= pair[1]
+                    read |= pair % stride
                     if pair == last_expanded:
                         break
         else:
@@ -514,54 +508,64 @@ def _fooling_set(ref, target, clock):
     in two disjoint sets.  So the size of the set is a lower bound.
 
     A pair depends only on the reference's reached set A after x and on y:
-    the x_i are access strings of the first _FOOLING_SETS reached sets in
-    breadth-first order, the y_i strings of length at most 2 in shortlex
-    order, as many as _FOOLING_WORK allows but at least those of length at
-    most 1.  A pair kills the reached sets B from which y leads to colors
-    disjoint from its own, and two pairs fit together when either kills the
-    other's set.  Two pairs with the same set never fit, so a fooling set
-    has at most _FOOLING_SETS pairs; of the pairs with one set, only those
-    whose killed sets are maximal are kept.  The largest fitting family is a
-    maximum clique, searched up to `target` pairs with at most
-    _FOOLING_NODES nodes; exact is False when that cap or the deadline cut
-    the search short.
+    the x_i are access strings of the sets numbered below _FOOLING_SETS in
+    ref's table, read off its rows, and the y_i strings of length at most 2
+    in shortlex order, as many as _FOOLING_WORK allows but at least those of
+    length at most 1; a tail's image of a set is one read of a row.  A pair
+    kills the reached sets B from which y leads to colors disjoint from its
+    own, and two pairs fit together when either kills the other's set.  Two
+    pairs with the same set never fit, so a fooling set has at most
+    _FOOLING_SETS pairs; of the pairs with one set, only those whose killed
+    sets are maximal are kept.  The largest fitting family is a maximum
+    clique, searched up to `target` pairs with at most _FOOLING_NODES nodes;
+    exact is False when that cap or the deadline cut the search short.
     """
-    obs, succ, colors_of = ref.obs, ref.succ, ref.colors_of
+    obs, after, colors = ref.obs, ref.after, ref.colors
     symbols = range(len(obs))
-    pool, access = [ref.init_mask], {ref.init_mask: ()}  # strings as observation indexes
-    for A in pool:
-        for y in symbols:
-            B = succ(A, y)
-            if B and B not in access and len(pool) < _FOOLING_SETS:
-                access[B] = access[A] + (y,)
-                pool.append(B)
+    ref.fill(_FOOLING_SETS - 1)
+    pool = range(min(len(colors), _FOOLING_SETS))  # the sets' numbers
+    access = [()] + [None] * (len(pool) - 1)  # strings as observation indexes
+    for r in pool:
+        for y, row in enumerate(after):
+            q = row[r]
+            if 0 <= q < len(pool) and access[q] is None:
+                access[q] = access[r] + (y,)
     tails = itertools.chain([()], *(itertools.product(symbols, repeat=r) for r in (1, 2)))
+    images = {(): list(pool)}  # tail -> the set it leads each pool set to, -1 for none
     found = {}  # (pool index, killed mask) -> the first tail giving it
     for tail in itertools.islice(tails, max(1 + len(obs), _FOOLING_WORK // len(pool))):
         if clock.expired():
             return [], False
+        image = images.get(tail)
+        if image is None:
+            before = images[tail[:-1]]
+            ref.fill(max(before))
+            row = after[tail[-1]]
+            image = images[tail] = [row[A] if A >= 0 else -1 for A in before]
         holders = {}  # colors reached on the tail -> mask of the pool sets reaching them
-        for k, A in enumerate(pool):
-            for y in tail:
-                A = succ(A, y)
-            colors = colors_of(A)
-            if colors:
-                holders[colors] = holders.get(colors, 0) | 1 << k
+        for k, B in enumerate(image):
+            if B >= 0:
+                holders[colors[B]] = holders.get(colors[B], 0) | 1 << k
         for own, at in holders.items():
             killed = 0
             for other, there in holders.items():
                 if not other & own:
                     killed |= there
-            for k in _bits(at):
-                found.setdefault((k, killed), tail)
+            while at:
+                bit = at & -at
+                found.setdefault((bit.bit_length() - 1, killed), tail)
+                at ^= bit
     by_set = {}
     for k, killed in found:
         by_set.setdefault(k, []).append(killed)
     nodes = []
     for k, kills in by_set.items():
         kept = []
-        for killed in sorted(kills, key=lambda mask: -bin(mask).count("1")):
-            if not any(killed & other == killed for other in kept):
+        for killed in sorted(kills, key=int.bit_count, reverse=True):  # a stable sort
+            for other in kept:
+                if killed & other == killed:
+                    break
+            else:
                 kept.append(killed)
                 nodes.append((k, killed))
     members = [0] * len(pool)
@@ -577,7 +581,7 @@ def _fooling_set(ref, target, clock):
             row |= members[j]
         rows.append(row)
     clique, exact = _max_clique(rows, target, _FOOLING_NODES, clock)
-    return [(tuple(obs[y] for y in access[pool[nodes[v][0]]]),
+    return [(tuple(obs[y] for y in access[nodes[v][0]]),
              tuple(obs[y] for y in found[nodes[v]])) for v in clique], exact
 
 
@@ -598,7 +602,7 @@ def _max_clique(rows, target, node_cap, clock):
     node_cap nodes or at the deadline, with the largest clique found so far.
     The recursion goes one level deeper per clique vertex.
     """
-    order = sorted(range(len(rows)), key=lambda v: -bin(rows[v]).count("1"))
+    order = sorted(range(len(rows)), key=lambda v: -rows[v].bit_count())
     rank = {v: i for i, v in enumerate(order)}
     # renumber so that low bits are the vertices of highest degree
     ranked = []
@@ -651,14 +655,6 @@ def _max_clique(rows, target, node_cap, clock):
 
 
 # -- deterministic minimization ------------------------------------------
-
-
-_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flags(mask):
-    """One byte per bit of mask, lowest first: 1 where the bit is set."""
-    return bin(mask)[:1:-1].encode().translate(_ZERO_ONE)
 
 
 def _incompatible(d):
@@ -738,7 +734,7 @@ def _feasible_coloring(inc, precolored, t, node_cap):
         class_masks[c] |= 1 << v
     fixed = set(precolored)
     rest = [v for v in range(len(inc)) if v not in fixed]
-    rest.sort(key=lambda v: -bin(inc[v]).count("1"))
+    rest.sort(key=lambda v: -inc[v].bit_count())
     stack = []
     used = len(precolored)
     nodes = 0
@@ -777,7 +773,7 @@ def _min_clique_cover(inc, node_cap):
     lower_bound falls back to the best proven value (at worst the greedy
     incompatible-clique size), still sound as a bound on the optimum.
     """
-    order = sorted(range(len(inc)), key=lambda i: -bin(inc[i]).count("1"))
+    order = sorted(range(len(inc)), key=lambda i: -inc[i].bit_count())
     clique = []
     member_mask = 0
     for v in order:
@@ -866,13 +862,15 @@ def _verified(ref, candidate, clock):
     return _walk(ref, *ref.encode(candidate)) is None
 
 
-def _greedy_merge(d, ref, clock, merge_cap=None):
+def _greedy_merge(d, ref, clock, merge_cap=None, inc=None):
     """Upper-bound pass: keep merging verified compatible pairs, until no
-    pair merges, the clock refuses, or merge_cap pairs have been tried."""
+    pair merges, the clock refuses, or merge_cap pairs have been tried.
+    inc, if given, is _incompatible(d)."""
     cur = d
     tries = 0
     while True:
-        inc = _incompatible(cur)
+        if inc is None:
+            inc = _incompatible(cur)
         full = (1 << len(inc)) - 1
         merged = None
         for a, row in enumerate(inc):
@@ -891,12 +889,13 @@ def _greedy_merge(d, ref, clock, merge_cap=None):
                 break
         if merged is None:
             return cur
-        cur = merged
+        cur, inc = merged, None
 
 
 def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, merge_cap=None,
                   beat=None):
     """The deterministic pipeline: determinize, cover, quotient, greedy merge.
+    The determinization is read off ref, the reference's own table.
 
     Returns (determinization, best verified deterministic simulator, cover
     lower bound, cover exact).  node_cap caps the cover search, merge_cap
@@ -907,9 +906,10 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, merge_
     states.
     Raises CapExceeded past determinize_cap subsets.
     """
-    d, _ = ft._determinize(determinize_cap)
+    d, _ = ft._determinize(determinize_cap, ref)
     best = d
-    partition, lower, cover_exact = _min_clique_cover(_incompatible(d), node_cap)
+    inc = _incompatible(d)
+    partition, lower, cover_exact = _min_clique_cover(inc, node_cap)
     if beat is not None and lower >= beat:
         return d, best, lower, cover_exact
     if len(best.states) > lower and not clock.expired():
@@ -923,7 +923,7 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, merge_
     if beat is not None and cap is not None and len(best.states) - (cap - clock.candidates) >= beat:
         return d, best, lower, cover_exact
     if len(best.states) > lower and not clock.expired():
-        smaller = _greedy_merge(best, ref, clock, merge_cap)
+        smaller = _greedy_merge(best, ref, clock, merge_cap, inc if best is d else None)
         if len(smaller.states) < len(best.states):
             best = smaller
     return d, best, lower, cover_exact

@@ -11,7 +11,7 @@ states are one bitmask.  The name-keyed views `initial`, `accepting` and
 import functools
 
 from .errors import CapExceeded, NfaError, UnknownSymbol
-from .filters import _bits, _fresh_name, _mask, _names, _path, _Tables
+from .filters import _fresh_name, _mask, _names, _path, _Tables
 
 INCLUSION_CAP = 2 ** 20
 
@@ -129,42 +129,54 @@ def is_included(a, b, cap=INCLUSION_CAP):
 
     Walks breadth-first over pairs (one state of a, mask of the reached
     states of b), so b is determinized on the fly and a not at all; symbols
-    are expanded in a's alphabet order.  The witness is a shortest gap
-    string.  When a is deterministic, as sigma_star in is_universal is, it
-    is also the first gap string in that order; when a is nondeterministic,
-    a later string of the same length may be returned.  Raises CapExceeded
-    once more than cap pairs would be reached.  Output simulation between
-    filters does not use this: see filterkit.simulation.
+    are expanded in a's alphabet order.  A pair is one int, state *
+    2 ** len(b.states) + mask, and its parent is previous pair *
+    len(a.alphabet) + symbol index.  The witness is a shortest gap string.
+    When a is deterministic, as sigma_star in is_universal is, it is also
+    the first gap string in that order; when a is nondeterministic, a later
+    string of the same length may be returned.  Raises CapExceeded once more
+    than cap pairs, the initial ones included, would be reached, and
+    ValueError for a cap below 1.  Output simulation between filters does
+    not use this: see filterkit.simulation.
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     # steps[k][i]: the mask of the states of b that a's k-th symbol leads i to
     steps = b._masks_over(a.alphabet)
     a_accept, b_accept = a._accept, b._accept
+    stride, width = 1 << len(b.states), len(a.alphabet)
     start = _mask(b._init)
     parent = {}
     queue = []
     for x in a._init:
-        node = (x, start)
+        if len(parent) >= cap:
+            raise CapExceeded(cap, "checking language inclusion")
+        node = x * stride + start
         parent[node] = None
         if a_accept >> x & 1 and not start & b_accept:
             return False, ()
         queue.append(node)
     for node in queue:
-        x, reached = node
+        x, reached = divmod(node, stride)
+        base = node * width
         for k, table in enumerate(a._succ):
             targets = table[x]
             if not targets:
                 continue
             step = steps[k]
             nxt_reached = 0
-            for i in _bits(reached):
-                nxt_reached |= step[i]
+            m = reached
+            while m:
+                bit = m & -m
+                nxt_reached |= step[bit.bit_length() - 1]
+                m ^= bit
             for x2 in targets:
-                nxt = (x2, nxt_reached)
+                nxt = x2 * stride + nxt_reached
                 if nxt in parent:
                     continue
                 if len(parent) >= cap:
                     raise CapExceeded(cap, "checking language inclusion")
-                parent[nxt] = (node, k)
+                parent[nxt] = base + k
                 if a_accept >> x2 & 1 and not nxt_reached & b_accept:
                     return False, _path(parent, nxt, a.alphabet)
                 queue.append(nxt)

@@ -7,11 +7,13 @@ string the candidate's output colors are a subset of the reference's.
 Every observation string drives the two filters to a pair of reached state
 sets, and two strings that reach the same pair impose the same requirement.
 Both conditions are therefore decided by one breadth-first walk over the
-reachable pairs (reference set, candidate set), held as bitmasks.  A pair
-whose reference set is empty is never entered: the reference makes no demand
-there.  A pair fails with a language gap when its candidate set is empty and
-with an output violation when the candidate set carries a color the
-reference set does not.
+reachable pairs (reference set, candidate set).  The reference set is a
+number in the reference's reached-set table (filterkit.filters._Reached),
+which the walk fills as it reads it, and the candidate set a bitmask.  The
+empty reference set has no number and is never entered: the reference makes
+no demand there.  A pair fails with a language gap when its candidate set
+is empty and with an output violation when the candidate set carries a
+color the reference set does not.
 
 The walk expands the reference's observations in their declared order and
 checks each pair when it is first reached, so the first failing pair found
@@ -20,13 +22,13 @@ declared order.  A language gap takes precedence over an output violation:
 when the first failure is a violation, a second walk with all-zero
 candidate colors, which check none, looks for a gap before it is reported.
 
-The mask tables, their caches and the walk's parent pointers are indexed by
-observation position; names are read only when a witness string or an
+A pair is one int, and so is its parent pointer; the tables are indexed by
+observation position.  Names are read only when a witness string or an
 offending color is reported.
 """
 
 from .errors import CapExceeded
-from .filters import _bits, _mask, _names, _path
+from .filters import _bits, _mask, _names, _path, _Reached
 from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
@@ -63,18 +65,13 @@ class SimulationVerdict:
         return f"SimulationVerdict(fails, {detail})"
 
 
-class _RefTables:
-    """Bitmask view of a reference filter, with cached successor and color
-    masks of its reached sets."""
+class _RefTables(_Reached):
+    """A reference filter's reached-set table (see filterkit.filters._Reached),
+    with the color names that candidates are encoded over."""
 
     def __init__(self, f):
-        self.obs = f.observations
-        self.colors = f.colors
-        self._color_bit = {c: 1 << i for i, c in enumerate(f.colors)}
-        self.init_mask, self.color_of, self.step = self.encode(f)
-        self._succ_cache = {}
-        self._color_cache = {}
-        self.eps_colors = self.colors_of(self.init_mask)
+        super().__init__(f)
+        self.color_names = f.colors
 
     def encode(self, f):
         """Mask tables (initial mask, color mask per state, step) of a
@@ -84,82 +81,80 @@ class _RefTables:
         and a color the reference lacks gets a bit of its own."""
         step = f._masks_over(self.obs)
         colors = f._color
-        if f.colors != self.colors:
-            color_bit = dict(self._color_bit)
+        if f.colors != self.color_names:
+            color_bit = {c: 1 << i for i, c in enumerate(self.color_names)}
             bits = [color_bit.setdefault(c, 1 << len(color_bit)) for c in f.colors]
             colors = [sum(bit for j, bit in enumerate(bits) if mask >> j & 1) for mask in colors]
         return _mask(f._init), colors, step
 
-    def succ(self, mask, k):
-        """The reached set of the k-th observation from the set mask."""
-        key = (mask, k)
-        out = self._succ_cache.get(key)
-        if out is None:
-            table = self.step[k]
-            out = 0
-            for i in _bits(mask):
-                out |= table[i]
-            self._succ_cache[key] = out
-        return out
-
-    def colors_of(self, mask):
-        out = self._color_cache.get(mask)
-        if out is None:
-            out = 0
-            for i in _bits(mask):
-                out |= self.color_of[i]
-            self._color_cache[mask] = out
-        return out
-
 
 def _walk(ref, init, colors, step, cap=None):
-    """Breadth-first walk over reached-set pairs (reference mask, candidate
+    """Breadth-first walk over reached-set pairs (reference set, candidate
     mask), from the initial pair, expanding ref.obs in declared order.
 
-    The candidate is given as mask tables (see _RefTables.encode).  Returns
-    None when no reached pair fails, else (kind, pair, parent) for the first
-    failing pair in discovery order, where parent maps each reached pair to
-    (previous pair, observation index), or None for the initial pair.
-    Candidate colors that are all zero check none, so such a walk looks for
-    language gaps only.  Raises CapExceeded once more than cap pairs would
-    be reached.
+    The candidate is given as mask tables (see _RefTables.encode).  A pair
+    is one int, r * stride + m for reference set r and candidate mask m,
+    where stride is 2 ** len(colors).  Returns None when no reached pair
+    fails, else (kind, pair, parent, stride) for the first failing pair in
+    discovery order, where parent maps each reached pair to previous pair *
+    len(step) + observation index, or None for the initial pair.  Candidate
+    colors that are all zero check none, so such a walk looks for language
+    gaps only.  Raises CapExceeded once more than cap pairs, the initial one
+    included, would be reached; a cap is None or at least 1.
     """
     # The candidate search runs this walk once per candidate, mostly to a
     # quick failure, so the pair check is written out twice (for the initial
-    # pair and for each pair reached later) rather than called.
-    succ, colors_of = ref.succ, ref.colors_of
-    rm, cm = start = (ref.init_mask, init)
-    parent = {start: None}
-    if not cm:
-        return LANGUAGE_GAP, start, parent
+    # pair and for each pair reached later) and bits are iterated inline.
+    after, ref_colors = ref.after, ref.colors
+    shift = len(colors)
+    stride = 1 << shift
+    low = stride - 1
+    width = len(step)
+    parent = {init: None}  # the initial pair: set 0 and the initial mask
+    if not init:
+        return LANGUAGE_GAP, init, parent, stride
     ccol = 0
-    for i in _bits(cm):
-        ccol |= colors[i]
-    if ccol & ~colors_of(rm):
-        return OUTPUT_VIOLATION, start, parent
-    queue = [start]
+    m = init
+    while m:
+        bit = m & -m
+        ccol |= colors[bit.bit_length() - 1]
+        m ^= bit
+    if ccol & ~ref_colors[0]:
+        return OUTPUT_VIOLATION, init, parent, stride
+    done = ref.done
+    queue = [init]
     for node in queue:
-        rm, cm = node
+        r = node >> shift
+        if r >= done:
+            done = ref.fill(r)
+        cm = node & low
+        base = node * width
         for k, table in enumerate(step):
-            rm2 = succ(rm, k)
-            if not rm2:
+            r2 = after[k][r]
+            if r2 < 0:
                 continue
             cm2 = 0
-            for i in _bits(cm):
-                cm2 |= table[i]
-            nxt = (rm2, cm2)
+            m = cm
+            while m:
+                bit = m & -m
+                cm2 |= table[bit.bit_length() - 1]
+                m ^= bit
+            nxt = r2 << shift | cm2
             if nxt in parent:
                 continue
             if cap is not None and len(parent) >= cap:
                 raise CapExceeded(cap, "checking output simulation")
-            parent[nxt] = (node, k)
+            parent[nxt] = base + k
             if not cm2:
-                return LANGUAGE_GAP, nxt, parent
+                return LANGUAGE_GAP, nxt, parent, stride
             ccol = 0
-            for i in _bits(cm2):
-                ccol |= colors[i]
-            if ccol & ~colors_of(rm2):
-                return OUTPUT_VIOLATION, nxt, parent
+            m = cm2
+            while m:
+                bit = m & -m
+                ccol |= colors[bit.bit_length() - 1]
+                m ^= bit
+            if ccol & ~ref_colors[r2]:
+                return OUTPUT_VIOLATION, nxt, parent, stride
             queue.append(nxt)
     return None
 
@@ -174,8 +169,10 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     violation is the first offending one in the candidate's declared color
     order (colors are matched by name; one the reference lacks always
     offends).  Raises CapExceeded when more than cap reached-set pairs are
-    needed.
+    needed, and ValueError for a cap below 1.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
     ref = _RefTables(reference)
     init, colors, step = ref.encode(candidate)
     failure = _walk(ref, init, colors, step, cap)
@@ -183,12 +180,12 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
         return SimulationVerdict(True)
     if failure[0] == OUTPUT_VIOLATION:
         failure = _walk(ref, init, [0] * len(colors), step, cap) or failure
-    kind, node, parent = failure
+    kind, node, parent, stride = failure
     witness = _path(parent, node, ref.obs)
     if kind == LANGUAGE_GAP:
         return SimulationVerdict(False, kind, witness)
-    ref_mask, cand_mask = node
-    allowed = set(_names(ref.colors_of(ref_mask), reference.colors))
+    ref_set, cand_mask = divmod(node, stride)
+    allowed = set(_names(ref.colors[ref_set], reference.colors))
     shown = 0
     for i in _bits(cand_mask):
         shown |= candidate._color[i]

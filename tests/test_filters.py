@@ -20,7 +20,17 @@ from filterkit import (
     prime_family,
 )
 
-from oracles import NamedFilter, random_description, random_filter, random_string, walk
+from filterkit.filters import _Reached
+
+from oracles import (
+    NamedFilter,
+    colors_of,
+    random_description,
+    random_filter,
+    random_string,
+    step_set,
+    walk,
+)
 
 
 def two_lamp():
@@ -185,6 +195,57 @@ def test_determinize_suffixes_subsets_that_print_alike():
     det, mapping = f.determinize()
     assert det.states == ("{a,b}", "{a,b}~2")
     assert mapping == {"{a,b}": frozenset({"a", "b"}), "{a,b}~2": frozenset({"a,b"})}
+
+
+def reached_sets_oracle(f):
+    """f's nonempty reached sets as frozensets of names, breadth-first from
+    the initial set with the observations in declared order: (sets, their
+    colors, per set and observation the position of its successor or -1)."""
+    order = [frozenset(f.initial)]
+    position = {order[0]: 0}
+    after = []
+    for current in order:
+        row = []
+        for y in f.observations:
+            nxt = step_set(f, current, y)
+            if nxt and nxt not in position:
+                position[nxt] = len(order)
+                order.append(nxt)
+            row.append(position[nxt] if nxt else -1)
+        after.append(row)
+    return order, [colors_of(f, states) for states in order], after
+
+
+def named(mask, names):
+    return frozenset(name for j, name in enumerate(names) if mask >> j & 1)
+
+
+def test_reached_table_matches_a_frozenset_walk():
+    # the full table lists the oracle's sets in its order, with the same
+    # successors and colors; one filled only up to row r, as a walk leaves
+    # it, agrees with the full table on every row and set it holds
+    rng = random.Random(2323)
+    filters = [random_filter(rng, max_states=5) for _ in range(200)]
+    filters += [prime_family(r) for r in (1, 2, 3, 4)]
+    filters += [donut_world(), fig3_input(), fig3_minimizer()]
+    partial = 0
+    for f in filters:
+        order, colors, after = reached_sets_oracle(f)
+        full = _Reached(f)
+        assert full.fill() == len(order)
+        assert [named(mask, f.states) for mask in full.members] == order
+        assert [named(mask, f.colors) for mask in full.colors] == colors
+        assert [list(row) for row in zip(*full.after)] == after
+        for r in sorted(rng.sample(range(len(order)), min(4, len(order)))):
+            part = _Reached(f)
+            part.fill(r // 2)
+            assert part.fill(r) == part.done == r + 1
+            numbered = len(part.members)
+            partial += numbered < len(order)
+            assert part.members == full.members[:numbered]
+            assert part.colors == full.colors[:numbered]
+            assert part.after == [row[:r + 1] for row in full.after]
+    assert partial >= 100
 
 
 def test_roundtrip_dict():

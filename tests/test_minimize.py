@@ -928,3 +928,41 @@ def test_det_bound_walks_within_the_subset_cap():
             assert _walk(ref, *ref.encode(bound), cap=_BOUND_SUBSETS) is None, f
             assert _walk(ref, *ref.encode(bound), cap=reached_sets) is None, f
     assert bounds >= 300 and merged >= 50
+
+
+def test_determinization_reads_the_shared_table():
+    # the deterministic bound determinizes the reference through the table
+    # that level 1 or a failing walk has partly filled: the result, state
+    # names included, and the cap are those of a fresh subset construction,
+    # and a cap hit leaves the table whole
+    from filterkit import CapExceeded
+    from filterkit.minimize import _Clock, _level_one, _RefTables
+    from filterkit.simulation import _walk
+
+    rng = random.Random(5151)
+    filters = [random_filter(rng, max_states=5, max_symbols=3, max_colors=3)
+               for _ in range(150)]
+    filters += [prime_family(r) for r in (1, 2, 3, 4)]
+    partial = 0
+    for i, f in enumerate(filters):
+        ft = f.trim()
+        det = ft.determinize()[0]
+        with pytest.raises(CapExceeded):
+            ft.determinize(det.size() - 1)
+        for cap in (det.size(), det.size() - 1):
+            ref = _RefTables(ft)
+            if i % 3 == 0:
+                _level_one(ref, _Clock(None), False)
+            else:
+                # one state with the initial colors, and a self-loop on every
+                # symbol (i % 3 == 1) or no edge: it fails unless every
+                # reached set shows those colors
+                edges = [[1 if i % 3 == 1 else 0] for _ in ft.observations]
+                _walk(ref, 1, [ref.colors[0]], edges)
+            partial += ref.done < det.size()
+            if cap < det.size():
+                with pytest.raises(CapExceeded):
+                    ft._determinize(cap, ref)
+            assert ft._determinize(det.size(), ref)[0] == det
+            assert ref.done == len(ref.members) == det.size()
+    assert partial >= 80

@@ -214,6 +214,56 @@ def test_inclusion_cap():
         is_included(n, n, cap=1)
 
 
+def test_caps_below_one_are_refused():
+    # a one-state automaton reaches one pair, which no cap below 1 admits
+    one = Nfa(["p"], ["p"], ["a"], {}, ["p"])
+    assert is_included(one, one, cap=1) == (True, None)
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            is_included(one, one, cap=cap)
+        with pytest.raises(ValueError):
+            is_universal(one, cap=cap)
+
+
+def reached_inclusion_pairs(a, b):
+    """The pairs (state of a, set of b's states) reached on the strings over
+    a's alphabet, from each initial state of a with b's initial set."""
+    start = frozenset(b.initial)
+    queue = [(x, start) for x in sorted(a.initial)]
+    seen = set(queue)
+    for x, reached in queue:
+        for y in a.alphabet:
+            after = frozenset(t for s in reached for t in b.transitions.get((s, y), ()))
+            for pair in ((x2, after) for x2 in a.transitions.get((x, y), ())):
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
+    return len(seen)
+
+
+def test_inclusion_cap_counts_every_reached_pair():
+    # an inclusion that holds reaches every pair, the initial ones included:
+    # a cap of exactly that many holds, one less raises
+    rng = random.Random(3131)
+    capped = 0
+    for _ in range(200):
+        a = Nfa(*random_args(rng, deterministic=rng.random() < 0.3))
+        b = rng.choice((a, subset_dfa(a), sigma_star(a.alphabet),
+                        union([a, Nfa(*random_args(rng))])))
+        count = reached_inclusion_pairs(a, b)
+        assert is_included(a, b, cap=count) == (True, None)
+        if count > 1:
+            with pytest.raises(CapExceeded):
+                is_included(a, b, cap=count - 1)
+            capped += 1
+    assert capped >= 100
+    # two initial states and no edges: the two initial pairs exceed a cap of 1
+    two = Nfa(["p", "q"], ["p", "q"], ["a"], {}, [])
+    assert is_included(two, two, cap=2) == (True, None)
+    with pytest.raises(CapExceeded):
+        is_included(two, two, cap=1)
+
+
 def test_equivalence():
     assert equivalent(evens(), evens())
     assert not equivalent(evens(), sigma_star(("a",)))

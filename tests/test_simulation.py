@@ -372,10 +372,19 @@ def test_cap_counts_every_reached_pair():
         assert output_simulates(candidate, reference).holds
         count = reached_pairs(candidate, reference)
         assert output_simulates(candidate, reference, cap=count).holds
-        # the initial pair is never held against the cap, so a cap of 0 is
-        # not tested here
+        # the initial pair counts against the cap, and a cap below 1 is
+        # refused (test_caps_below_one_are_refused), so count - 1 needs count > 1
         if count > 1:
             with pytest.raises(CapExceeded):
                 output_simulates(candidate, reference, cap=count - 1)
             capped += 1
     assert capped >= 60
+
+
+def test_caps_below_one_are_refused():
+    # a one-state filter reaches one pair, which no cap below 1 admits
+    one = Filter(["s"], ["s"], ["a"], {}, ["x"], {"s": ["x"]})
+    assert output_simulates(one, one, cap=1).holds
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            output_simulates(one, one, cap=cap)
