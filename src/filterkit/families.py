@@ -3,38 +3,34 @@
 prime_family(r) grows linearly with r while its exact deterministic
 minimizer, prime_family_minimizer(r), grows like the primorial: the white
 cycles of coprime lengths force a determinized cycle of length p_1*...*p_r.
+The minimizer is built on index tables directly, with no names in between.
 fig3_input/fig3_minimizer are a fixed ten-state deterministic filter and a
 nine-state nondeterministic filter that output-simulates it; donut_world
 models two indistinguishable agents on a circular track split into three
 regions by three beams.
 """
 
+import math
+
 from .errors import FilterError
 from .filters import DETERMINIZE_CAP, Filter
 
 
-def _first_primes(r):
-    primes = []
-    candidate = 2
+def _rows(r):
+    """The first r primes, their product, and the observations and colors
+    of the r-row family; raises FilterError for rows out of range."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise FilterError("rows must be a positive integer")
+    primes, candidate = [], 2
     while len(primes) < r:
         if all(candidate % p for p in primes):
             primes.append(candidate)
         candidate += 1
-    return primes
-
-
-def _check_rows(r):
-    if not isinstance(r, int) or r < 1:
-        raise FilterError("rows must be a positive integer")
-    primes = _first_primes(r)
-    product = 1
-    for p in primes:
-        product *= p
+    product = math.prod(primes)
     if product > DETERMINIZE_CAP:
-        raise FilterError(
-            f"rows={r} puts the determinized cycle ({product}) over the cap"
-        )
-    return primes, product
+        raise FilterError(f"rows={r} puts the determinized cycle ({product}) over the cap")
+    colors = ("black", "white") + tuple(f"o{m}" for m in range(1, primes[-1] + 1))
+    return primes, product, ("a",) + tuple(f"x{i}" for i in range(1, r + 1)), colors
 
 
 def prime_family(r):
@@ -45,22 +41,17 @@ def prime_family(r):
     its own child, colored o_j; reading a^m x_i therefore reveals m mod p_i
     through the child color.
     """
-    primes, _ = _check_rows(r)
-    observations = ("a",) + tuple(f"x{i}" for i in range(1, r + 1))
-    colors = ("black", "white") + tuple(f"o{j}" for j in range(1, max(primes) + 1))
+    primes, _, observations, colors = _rows(r)
     states = ["start"]
     transitions = {}
     coloring = {"start": {"black"}}
     for i, p in enumerate(primes, start=1):
         transitions[("start", f"q{i}_1")] = {"a"}
         for j in range(1, p + 1):
-            loop_state = f"q{i}_{j}"
-            child = f"c{i}_{j}"
-            states.extend([loop_state, child])
-            coloring[loop_state] = {"white"}
-            coloring[child] = {f"o{j}"}
-            succ = f"q{i}_{j % p + 1}"
-            transitions[(loop_state, succ)] = {"a"}
+            loop_state, child = f"q{i}_{j}", f"c{i}_{j}"
+            states += [loop_state, child]
+            coloring.update({loop_state: {"white"}, child: {f"o{j}"}})
+            transitions[(loop_state, f"q{i}_{j % p + 1}")] = {"a"}
             transitions[(loop_state, child)] = {f"x{i}"}
     return Filter(states, ["start"], observations, transitions, colors, coloring)
 
@@ -72,23 +63,16 @@ def prime_family_minimizer(r):
     cycle position j, symbol x_i leads to the sink colored o_{((j-1) mod
     p_i)+1}, so every child color of the input family is reproduced exactly.
     """
-    primes, product = _check_rows(r)
-    observations = ("a",) + tuple(f"x{i}" for i in range(1, r + 1))
-    colors = ("black", "white") + tuple(f"o{j}" for j in range(1, max(primes) + 1))
-    states = ["start"] + [f"r{j}" for j in range(1, product + 1)]
-    sinks = [f"sink{m}" for m in range(1, max(primes) + 1)]
-    states += sinks
-    coloring = {"start": {"black"}}
-    transitions = {("start", "r1"): {"a"}}
-    for j in range(1, product + 1):
-        coloring[f"r{j}"] = {"white"}
-        transitions[(f"r{j}", f"r{j % product + 1}")] = {"a"}
-        for i, p in enumerate(primes, start=1):
-            m = (j - 1) % p + 1
-            transitions.setdefault((f"r{j}", f"sink{m}"), set()).add(f"x{i}")
-    for m in range(1, max(primes) + 1):
-        coloring[f"sink{m}"] = {f"o{m}"}
-    return Filter(states, ["start"], observations, transitions, colors, coloring)
+    primes, product, observations, colors = _rows(r)
+    top = primes[-1]  # start is state 0, r_j state j and sink_m state product + m
+    states = (("start",) + tuple(f"r{j}" for j in range(1, product + 1))
+              + tuple(f"sink{m}" for m in range(1, top + 1)))
+    cells = [(q,) for q in range(len(states))]
+    none = [()] * top  # the sinks have no edges
+    succ = [[cells[1]] + cells[2:product + 1] + [cells[1]] + none]
+    succ += [[()] + cells[product + 1:product + 1 + p] * (product // p) + none for p in primes]
+    color = [1] + [2] * product + [1 << (m + 1) for m in range(1, top + 1)]
+    return Filter._from_tables(states, observations, colors, (0,), succ, color)
 
 
 def fig3_input():
@@ -103,14 +87,8 @@ def fig3_input():
     coloring = {"q0": {"blue"}, "plus": {"pink"}, "minus": {"green"}}
     for s in states[1:8]:
         coloring[s] = {"white"}
-    transitions = {
-        ("q0", "q1"): {"1"},
-        ("q0", "q2"): {"2"},
-        ("q0", "q3"): {"3"},
-        ("q0", "q4"): {"4"},
-        ("q0", "q5"): {"5"},
-        ("q0", "q6"): {"6"},
-        ("q0", "q7"): {"7"},
+    transitions = {("q0", f"q{d}"): {str(d)} for d in range(1, 8)}  # d leads q0 to q_d
+    transitions.update({
         ("q1", "plus"): set("abcde"),
         ("q2", "plus"): set("def"),
         ("q2", "minus"): set("a"),
@@ -123,7 +101,7 @@ def fig3_input():
         ("q6", "minus"): set("bcefgh"),
         ("q7", "plus"): set("f"),
         ("q7", "minus"): set("aceh"),
-    }
+    })
     return Filter(states, ["q0"], observations, transitions, colors, coloring)
 
 

@@ -265,15 +265,21 @@ class _Tables:
         cells = itertools.chain.from_iterable(self._succ)
         return len(self._init) == 1 and max(map(len, cells), default=0) < 2
 
-    def _edges(self):
-        """(source, target, symbol mask) of every edge, by source index, then
-        target index; bit k of the mask stands for the k-th symbol."""
+    def _edges(self, order=None):
+        """The edges as parallel lists of sources, targets and symbol masks
+        (bit k for the k-th symbol), by source, then target.  Given order, a
+        list of all the states, a target is its place in order and sorts so."""
         n = len(self.states)
+        place = list(range(n))
+        for p, j in enumerate(order or ()):
+            place[j] = p
         pairs = {}  # source * n + target -> symbol mask
         for k, table in enumerate(self._succ):
-            for key in [i * n + j for i, cell in enumerate(table) for j in cell]:
-                pairs[key] = pairs.get(key, 0) | 1 << k
-        return [(*divmod(key, n), pairs[key]) for key in sorted(pairs)]
+            bit = 1 << k
+            for key in [i * n + place[j] for i, cell in enumerate(table) for j in cell]:
+                pairs[key] = pairs.get(key, 0) | bit
+        keys = sorted(pairs)
+        return [k // n for k in keys], [k % n for k in keys], list(map(pairs.__getitem__, keys))
 
     def _reach(self, string):
         """The ascending index tuple of the states reached on string."""
@@ -392,7 +398,8 @@ class Filter(_Tables):
     @functools.cached_property
     def transitions(self):
         states, obs = self.states, self.observations
-        return {(states[i], states[j]): frozenset(_names(m, obs)) for i, j, m in self._edges()}
+        return {(states[i], states[j]): frozenset(_names(m, obs))
+                for i, j, m in zip(*self._edges())}
 
     # -- queries ---------------------------------------------------------
 
@@ -480,7 +487,7 @@ class Filter(_Tables):
             "states": [{"id": s, "colors": _names(m, colors)} for s, m in zip(states, self._color)],
             "initial": [states[i] for i in self._init],
             "transitions": [{"from": states[i], "to": states[j], "symbols": _names(m, obs)}
-                            for i, j, m in self._edges()],
+                            for i, j, m in zip(*self._edges())],
         }
 
     @classmethod

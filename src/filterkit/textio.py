@@ -9,8 +9,9 @@ error gives the line and column of the file itself.
 Emitters are deterministic, so identical inputs always serialize to
 identical bytes.  ``emit_filter(f)`` is byte for byte
 ``json.dumps(f.to_dict(), indent=2) + "\n"``, and ``emit_nfa`` keeps the
-same layout; both write it directly, quoting each name once, and lay out
-their transitions from the same edge list with the same row code.
+same layout.  Every writer reads the one sorted edge list of the tables,
+and a document is one list of pieces, joined once: each name is quoted
+once, and each source's prefix and symbol set's suffix laid out once.
 """
 
 import json
@@ -50,53 +51,64 @@ def parse_filter(text):
         raise FilterError(f"malformed filter document: {exc!r}") from None
 
 
-def _array(items, depth):
-    """Encoded JSON values as json.dumps(..., indent=2) lays out an array
-    that opens at nesting depth `depth`."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+def _field(values):
+    """The JSON array of the strings values, never empty, as a field value."""
+    return "[\n        " + ",\n        ".join(map(_quote, values)) + "\n      ]"
 
 
-def _object(fields, depth):
-    """(key, encoded value) pairs laid out as a JSON object, like _array."""
-    return "{" + _array([f"{_quote(key)}: {value}" for key, value in fields], depth)[1:-1] + "}"
+# As json.dumps(..., indent=2) lays them out, each entry of a top-level
+# array opens with _ENTRY, and an object entry opens with _OBJECT,
+# separates its fields with _FIELD and closes with _CLOSE.
+_ENTRY = ",\n    "
+_OBJECT, _FIELD, _CLOSE = _ENTRY + "{\n      ", ",\n      ", "\n    }"
 
 
-def _strings(values, depth):
-    return _array([_quote(v) for v in values], depth)
+def _lines(values):
+    return [_ENTRY + _quote(v) for v in values]
 
 
-def _transitions(name, symbols, edges):
-    """The "transitions" array of a document: one entry per (source, target,
-    symbol mask) edge, in the order given, with name the quoted state names.
-    Each distinct symbol set is laid out once, and an entry is joined from
-    pieces of one layout."""
-    before, between, labeled, after = _object(
-        (("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2).split("%s")
-    sources = [before + s + between for s in name]
-    labels = {m: labeled + _strings(_names(m, symbols), 3) + after
-              for m in {edge[2] for edge in edges}}
-    return _array([sources[i] + name[j] + labels[mask] for i, j, mask in edges], 1)
+def _document(fields):
+    """The object of fields, (key, entries) pairs of arrays, as json.dumps(...,
+    indent=2) lays it out with a final newline, joined once; entries are the
+    pieces of the entries of an array, each entry opening with _ENTRY."""
+    out = []
+    for key, entries in fields:
+        out.append(",\n  " + _quote(key) + (": [" if entries else ": []"))
+        if entries:
+            entries[0] = entries[0][1:]  # the first entry has no comma
+            out += entries + ["\n  ]"]
+    out[0] = "{\n" + out[0][2:]
+    return "".join(out + ["\n}\n"])
+
+
+def _edge_entries(name, target, symbols, edges):
+    """The pieces of the "transitions" entries of edges, a _Tables._edges
+    list whose sources and targets have the quoted names name and target:
+    per edge, its source's prefix, its target's name and its mask's suffix."""
+    sources, targets, masks = edges
+    source = [_OBJECT + '"from": ' + s + _FIELD + '"to": ' for s in name]
+    label = {m: _FIELD + '"symbols": ' + _field(_names(m, symbols)) + _CLOSE
+             for m in set(masks)}
+    out = [None] * (3 * len(masks))
+    out[0::3] = map(source.__getitem__, sources)
+    out[1::3] = map(target.__getitem__, targets)
+    out[2::3] = map(label.__getitem__, masks)
+    return out
 
 
 def emit_filter(f):
     """The filter document of f, equal to json.dumps(f.to_dict(), indent=2)
-    followed by a newline.  Each name is quoted once, each distinct color
-    set and symbol set is laid out once, and an entry is joined from pieces
-    of one layout per entry kind."""
+    followed by a newline."""
     name = [_quote(s) for s in f.states]
-    before, between, after = _object((("id", "%s"), ("colors", "%s")), 2).split("%s")
-    colored = {m: between + _strings(_names(m, f.colors), 3) + after for m in set(f._color)}
-    states = [before + s + colored[mask] for s, mask in zip(name, f._color)]
-    return _object((
-        ("observations", _strings(f.observations, 1)),
-        ("colors", _strings(f.colors, 1)),
-        ("states", _array(states, 1)),
-        ("initial", _array([name[i] for i in f._init], 1)),
-        ("transitions", _transitions(name, f.observations, f._edges())),
-    ), 0) + "\n"
+    colored = {m: _FIELD + '"colors": ' + _field(_names(m, f.colors)) + _CLOSE
+               for m in set(f._color)}
+    return _document((
+        ("observations", _lines(f.observations)),
+        ("colors", _lines(f.colors)),
+        ("states", [_OBJECT + '"id": ' + s + colored[m] for s, m in zip(name, f._color)]),
+        ("initial", [_ENTRY + name[i] for i in f._init]),
+        ("transitions", _edge_entries(name, name, f.observations, f._edges())),
+    ))
 
 
 def parse_nfa(text):
@@ -130,14 +142,16 @@ def emit_nfa(n):
     source's edges ordered by target name and the initial and accepting
     states sorted by name."""
     names = n.states
-    edges = sorted(n._edges(), key=lambda edge: (edge[0], names[edge[1]]))
-    return _object((
-        ("alphabet", _strings(n.alphabet, 1)),
-        ("states", _strings(names, 1)),
-        ("initial", _strings(sorted(names[i] for i in n._init), 1)),
-        ("accepting", _strings(sorted(_names(n._accept, names)), 1)),
-        ("transitions", _transitions([_quote(s) for s in names], n.alphabet, edges)),
-    ), 0) + "\n"
+    name = [_quote(s) for s in names]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return _document((
+        ("alphabet", _lines(n.alphabet)),
+        ("states", [_ENTRY + s for s in name]),
+        ("initial", _lines(sorted(names[i] for i in n._init))),
+        ("accepting", _lines(sorted(_names(n._accept, names)))),
+        ("transitions", _edge_entries(name, [name[i] for i in order], n.alphabet,
+                                      n._edges(order))),
+    ))
 
 
 # Color names Graphviz understands directly; anything else falls back to a
@@ -185,13 +199,13 @@ def filter_to_dot(f):
     taken = set(f.states)
     for index, i in enumerate(f._init):
         start = '"' + _fresh_name(f"__start{index}", taken) + '"'
-        lines.append(f"  {start} [shape=point, style=solid];")
-        lines.append(f"  {start} -> {node[i]};")
+        lines += [f"  {start} [shape=point, style=solid];", f"  {start} -> {node[i]};"]
     # each source's edges, by target name
-    states, edges = f.states, f._edges()
-    labels = {m: _dot_escape(",".join(_names(m, f.observations))) for m in {e[2] for e in edges}}
-    for i, j, mask in sorted(edges, key=lambda e: (e[0], states[e[1]])):
-        lines.append(f'  {node[i]} -> {node[j]} [label="{labels[mask]}"];')
+    order = sorted(range(len(node)), key=f.states.__getitem__)
+    sources, targets, masks = f._edges(order)
+    labels = {m: _dot_escape(",".join(_names(m, f.observations))) for m in set(masks)}
+    lines += [f'  {node[i]} -> {node[order[p]]} [label="{labels[m]}"];'
+              for i, p, m in zip(sources, targets, masks)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

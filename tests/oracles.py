@@ -16,7 +16,11 @@ named_* functions are the automaton core and the reductions kept the same
 way; subset_dfa builds a complete DFA through named_subset_construct.
 reference_from_dict and reference_filter are the filter document reader
 and constructor as they were in two passes, with name-keyed dicts between
-the document and the tables.  All are written for obviousness, not speed.
+the document and the tables.  reference_emit_nfa and reference_filter_to_dot
+are the automaton and DOT writers as they were, with nested layouts and
+their edges read off the name-keyed views, and named_prime_family_minimizer
+builds the primorial family through names.  All are written for
+obviousness, not speed.
 """
 
 import itertools
@@ -672,6 +676,132 @@ class NamedFilter:
 
     def document(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+# -- the writers and the primorial family as they were --------------------
+
+
+def _ref_array(items, depth):
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _ref_object(fields, depth):
+    return "{" + _ref_array([f"{json.dumps(key)}: {value}" for key, value in fields],
+                            depth)[1:-1] + "}"
+
+
+def _ref_strings(values, depth):
+    return _ref_array([json.dumps(v) for v in values], depth)
+
+
+def _ref_edges(states, symbols, successors):
+    """(source index, target index, symbols in declared order) of every
+    edge, by source index, then target name; successors(state, symbol)
+    gives the targets by name."""
+    rank = {s: i for i, s in enumerate(states)}
+    edges = []
+    for i, s in enumerate(states):
+        labels = {}
+        for y in symbols:
+            for t in successors(s, y):
+                labels.setdefault(t, []).append(y)
+        edges += [(i, rank[t], labels[t]) for t in sorted(labels)]
+    return edges
+
+
+def reference_emit_nfa(n):
+    """The automaton document as emit_nfa wrote it with nested layouts,
+    its edges read off the name-keyed `transitions` view."""
+    names = n.states
+    quoted = [json.dumps(s) for s in names]
+    before, between, labeled, after = _ref_object(
+        (("from", "%s"), ("to", "%s"), ("symbols", "%s")), 2).split("%s")
+    edges = _ref_edges(names, n.alphabet, lambda s, y: n.transitions.get((s, y), ()))
+    return _ref_object((
+        ("alphabet", _ref_strings(n.alphabet, 1)),
+        ("states", _ref_strings(names, 1)),
+        ("initial", _ref_strings(sorted(n.initial), 1)),
+        ("accepting", _ref_strings(sorted(n.accepting), 1)),
+        ("transitions", _ref_array([before + quoted[i] + between + quoted[j] + labeled
+                                    + _ref_strings(ys, 3) + after for i, j, ys in edges], 1)),
+    ), 0) + "\n"
+
+
+_REF_DOT_NATIVE = {
+    "black", "blue", "brown", "cyan", "gold", "gray", "green", "magenta",
+    "orange", "pink", "purple", "red", "violet", "white", "yellow",
+}
+_REF_DOT_PALETTE = (
+    "#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6",
+    "#ffff99", "#1f78b4", "#33a02c", "#e31a1c", "#ff7f00",
+)
+_REF_DOT_DARK = {"black", "blue", "purple", "red", "brown", "#1f78b4", "#33a02c", "#e31a1c"}
+
+
+def reference_filter_to_dot(f):
+    """Graphviz DOT of f as filter_to_dot wrote it, its edges read off
+    `successors`."""
+    escape = lambda text: text.replace("\\", "\\\\").replace('"', '\\"')
+    lines = ["digraph filter {", "  rankdir=LR;", '  node [shape=circle, style=filled];']
+    node = ['"' + escape(state) + '"' for state in f.states]
+    assigned = {}
+    for i, state in enumerate(f.states):
+        colors = sorted(f.coloring[state])
+        if len(colors) == 1 and colors[0] in _REF_DOT_NATIVE:
+            fill = colors[0]
+        else:
+            key = tuple(colors)
+            if key not in assigned:
+                assigned[key] = _REF_DOT_PALETTE[len(assigned) % len(_REF_DOT_PALETTE)]
+            fill = assigned[key]
+        font = ", fontcolor=white" if fill in _REF_DOT_DARK else ""
+        label = escape(state)
+        if len(colors) > 1:
+            label += "\\n" + escape(",".join(colors))
+        lines.append(f'  {node[i]} [label="{label}", fillcolor="{fill}"{font}];')
+    taken = set(f.states)
+    for index, s in enumerate(s for s in f.states if s in f.initial):
+        start = '"' + _bump(f"__start{index}", taken, "~") + '"'
+        taken.add(start[1:-1])
+        lines.append(f"  {start} [shape=point, style=solid];")
+        lines.append(f'  {start} -> "{escape(s)}";')
+    for i, j, ys in _ref_edges(f.states, f.observations, f.successors):
+        lines.append(f'  {node[i]} -> {node[j]} [label="{escape(",".join(ys))}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def named_prime_family_minimizer(r):
+    """prime_family_minimizer(r) built through names and the checking
+    constructor."""
+    primes = []
+    candidate = 2
+    while len(primes) < r:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    product = 1
+    for p in primes:
+        product *= p
+    observations = ("a",) + tuple(f"x{i}" for i in range(1, r + 1))
+    colors = ("black", "white") + tuple(f"o{j}" for j in range(1, max(primes) + 1))
+    states = ["start"] + [f"r{j}" for j in range(1, product + 1)]
+    sinks = [f"sink{m}" for m in range(1, max(primes) + 1)]
+    states += sinks
+    coloring = {"start": {"black"}}
+    transitions = {("start", "r1"): {"a"}}
+    for j in range(1, product + 1):
+        coloring[f"r{j}"] = {"white"}
+        transitions[(f"r{j}", f"r{j % product + 1}")] = {"a"}
+        for i, p in enumerate(primes, start=1):
+            m = (j - 1) % p + 1
+            transitions.setdefault((f"r{j}", f"sink{m}"), set()).add(f"x{i}")
+    for m in range(1, max(primes) + 1):
+        coloring[f"sink{m}"] = {f"o{m}"}
+    return Filter(states, ["start"], observations, transitions, colors, coloring)
 
 
 # -- the filter document reader in two passes -----------------------------

@@ -3,12 +3,15 @@ import pytest
 from filterkit import (
     FilterError,
     donut_world,
+    emit_filter,
     fig3_input,
     fig3_minimizer,
     output_simulates,
     prime_family,
     prime_family_minimizer,
 )
+
+from oracles import named_prime_family_minimizer
 
 
 def primes_up_to_row(r):
@@ -61,10 +64,20 @@ def test_prime_family_minimizer_simulates():
         assert output_simulates(prime_family_minimizer(r), prime_family(r)).holds
 
 
+def test_minimizer_tables_match_the_named_build():
+    for r in range(1, 7):
+        built, named = prime_family_minimizer(r), named_prime_family_minimizer(r)
+        assert built == named and hash(built) == hash(named)
+        assert emit_filter(built) == emit_filter(named)
+    assert built.size() == 30044
+
+
 def test_prime_family_rejects_out_of_range_rows():
-    for bad in (0, -3, "2", 2.0):
-        with pytest.raises(FilterError):
+    for bad in (0, -3, "2", 2.0, True, False):
+        with pytest.raises(FilterError, match="rows must be a positive integer"):
             prime_family(bad)
+        with pytest.raises(FilterError, match="rows must be a positive integer"):
+            prime_family_minimizer(bad)
     # the primorial passes a million around r = 8
     with pytest.raises(FilterError):
         prime_family_minimizer(8)

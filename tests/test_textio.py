@@ -15,6 +15,7 @@ from filterkit import (
     emit_filter,
     emit_nfa,
     fig3_input,
+    fig3_minimizer,
     filter_to_dot,
     format_string,
     parse_filter,
@@ -24,7 +25,7 @@ from filterkit import (
     prime_family_minimizer,
 )
 
-from oracles import random_filter
+from oracles import NamedFilter, random_filter, reference_emit_nfa, reference_filter_to_dot
 
 
 def test_filter_roundtrip_exact_bytes():
@@ -85,21 +86,90 @@ def test_emit_filter_is_json_dumps_of_to_dict():
     for _ in range(100):
         f = random_filter(rng, max_states=6)
         filters += [f, f.determinize()[0]]
-    # no transitions at all
-    filters.append(Filter(["only"], ["only"], ("a",), {}, ("c",), {"only": {"c"}}))
-    # names that need escaping: quotes, backslashes, control characters,
-    # non-ASCII, astral characters and line separators
+    filters += [no_transitions(), odd_names()]
+    for f in filters:
+        assert emit_filter(f) == dumps_reference(f)
+
+
+def no_transitions():
+    return Filter(["only"], ["only"], ("a",), {}, ("c",), {"only": {"c"}})
+
+
+def odd_names():
+    """A filter whose names need escaping: quotes, backslashes, control
+    characters, non-ASCII, astral characters and line separators."""
     odd = ['q"uote', "back\\slash", "tab\tnl\nnul\x00", "caf\u00e9", "\U0001f600",
            "ls\u2028ps\u2029nel\x85", "", "/", "\x7f"]
     symbols = ("\u00e9", 'y"', "\U0001d11e")
     colors = ("gr\u00fcn", "\\c", "\u2028")
-    filters.append(Filter(
+    return Filter(
         odd, odd[::3], symbols,
         {(u, v): set(symbols[: 1 + (i + j) % 3])
          for i, u in enumerate(odd) for j, v in enumerate(odd) if (i * j) % 4 == 1},
-        colors, {s: set(colors[: 1 + i % 3]) for i, s in enumerate(odd)}))
+        colors, {s: set(colors[: 1 + i % 3]) for i, s in enumerate(odd)})
+
+
+def named_copy(f):
+    """f as a NamedFilter, its edges read off `successors`."""
+    edges = {}
+    for s in f.states:
+        for y in f.observations:
+            for t in f.successors(s, y):
+                edges.setdefault((s, t), set()).add(y)
+    return NamedFilter(f.states, f.initial, f.observations, edges, f.colors, f.coloring)
+
+
+def seeded_filters(seed, count):
+    """count seeded filters of up to 12 states, whose names sort apart
+    from their indexes (s10 before s2), with multi-symbol edges and
+    multi-target cells."""
+    rng = random.Random(seed)
+    return [random_filter(rng, max_states=12, edge_bias=rng.choice((0.5, 1.5, 3.0)))
+            for _ in range(count)]
+
+
+def test_emit_filter_matches_the_named_document():
+    filters = [prime_family(5).determinize()[0], prime_family_minimizer(5),
+               odd_names(), no_transitions()] + seeded_filters(2718, 200)
+    shapes = set()
     for f in filters:
-        assert emit_filter(f) == dumps_reference(f)
+        assert emit_filter(f) == named_copy(f).document()
+        shapes |= {"multi-symbol" for ys in f.transitions.values() if len(ys) > 1}
+        shapes |= {"multi-target" for table in f._succ for cell in table if len(cell) > 1}
+    assert shapes == {"multi-symbol", "multi-target"}
+
+
+def seeded_automata(seed, count):
+    """count seeded automata with shuffled names over up to 12 states."""
+    rng = random.Random(seed)
+    automata = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        states = rng.sample([f"q\u00e9{i}" for i in range(20)], n)
+        alphabet = ("a", '"b', "\U0001f600")[: rng.randint(1, 3)]
+        bias = rng.choice((0.1, 0.3))
+        transitions = {(s, y): {t for t in states if rng.random() < bias}
+                       for s in states for y in alphabet}
+        automata.append(Nfa(states, rng.sample(states, rng.randint(1, n)), alphabet,
+                            transitions, [s for s in states if rng.random() < 0.5]))
+    return automata
+
+
+def test_writers_match_the_kept_copies():
+    families = [donut_world(), fig3_input(), fig3_minimizer(), odd_names(), no_transitions()]
+    families += [prime_family(r) for r in range(1, 6)]
+    families += [prime_family_minimizer(r) for r in range(1, 5)]
+    for f in families + seeded_filters(3141, 200):
+        assert filter_to_dot(f) == reference_filter_to_dot(f)
+        d = f.determinize()[0]
+        assert filter_to_dot(d) == reference_filter_to_dot(d)
+    automata = seeded_automata(1414, 200) + [Nfa(["s"], ["s"], ("a",), {}, ())]
+    for f in families:
+        automata.append(Nfa(f.states, f.initial, f.observations,
+                            {(s, y): f.successors(s, y) for s in f.states for y in f.observations},
+                            [s for s in f.states if len(f.coloring[s]) > 1]))
+    for n in automata:
+        assert emit_nfa(n) == reference_emit_nfa(n)
 
 
 def test_emit_nfa_is_json_dumps_layout():
