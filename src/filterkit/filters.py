@@ -398,8 +398,9 @@ class Filter(_Tables):
     @functools.cached_property
     def transitions(self):
         states, obs = self.states, self.observations
-        return {(states[i], states[j]): frozenset(_names(m, obs))
-                for i, j, m in zip(*self._edges())}
+        sources, targets, masks = self._edges()
+        labels = {m: frozenset(_names(m, obs)) for m in set(masks)}  # one per symbol set
+        return {(states[i], states[j]): labels[m] for i, j, m in zip(sources, targets, masks)}
 
     # -- queries ---------------------------------------------------------
 
@@ -480,6 +481,8 @@ class Filter(_Tables):
     # -- serialization ---------------------------------------------------
 
     def to_dict(self):
+        """The filter as a plain document.  Every list in it is new, as a
+        caller may change it, so none is shared between entries."""
         states, obs, colors = self.states, self.observations, self.colors
         return {
             "observations": list(obs),

@@ -14,11 +14,12 @@ the walks as `walked`.  A candidate that passes is built as a Filter and
 walked again, so a fault in building it raises instead of returning a
 filter that does not simulate the input.
 
-All three entry points search through one level driver, _search_levels.
-It tries the sizes of a range in turn and stops at the first that finds a
-simulator or runs out of budget; capped, at the first size above max_k or
-once the clock has refused; else exhausted past the range, every size in it
-ruled out.  So max_k caps the sizes searched, not the bounds.
+All three entry points search through one level driver, _search_levels,
+given the search of one size.  It tries the sizes of a range in turn and
+stops at the first that finds a simulator or runs out of budget; capped, at
+the first size above max_k or once the clock has refused; else exhausted
+past the range, every size in it ruled out.  So max_k caps the sizes
+searched, not the bounds.
 
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its
@@ -27,13 +28,14 @@ below; the lower bound is a fooling set, a family of string pairs that no
 two simulator states can serve together.  Where the bounds meet, the upper
 bound is the answer, proven; otherwise only the levels between them are
 searched.  Every bound phase has a fixed work cap and checks the time cap.
-Quotients are certified by a linear check; the deterministic bound's result
-is walked with no clock, as it is in one state per reached set of the input.
+Quotients are certified by a linear check, and the deterministic bound's
+result was walked inside its pipeline, so neither is walked again.
 
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
-quotients and verified greedy merges supply upper bounds, and a complete
-per-level search closes any remaining gap while the budget lasts.
+the cover's verified quotient an upper bound, and a search for closed
+covers (_closed_cover) decides the levels between them while the budget
+lasts; there `candidates` counts the choices tried.
 """
 
 import functools
@@ -99,7 +101,8 @@ class MinimizationResult:
 
 class _Clock:
     """Candidates accounted for in canonical order, and the walks that checked
-    them (walked; level 1 takes one); the rest were ruled out in blocks."""
+    them (walked; level 1 takes one); the rest were ruled out in blocks.  In
+    the closed-cover search a candidate is one choice tried."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
@@ -158,37 +161,32 @@ def _confirm(ref, candidate):
     return candidate
 
 
-def _search_size(ref, n, clock, det):
-    """Exhaust the n-state candidates in canonical order.
-
-    Deterministic candidates have s0 as their only initial state and at most
-    one target per (state, symbol).
-    """
+def _search_size(ref, n, clock):
+    """Exhaust the n-state candidates in canonical order."""
     if n == 1:
-        return _level_one(ref, clock, det)
+        return _level_one(ref, clock)
     color_count = len(ref.color_names)
-    for init_mask in (1,) if det else range(1, 1 << n):
+    for init_mask in range(1, 1 << n):
         for colors in itertools.product(range(1, 1 << color_count), repeat=n):
             eps = 0
             for i in _bits(init_mask):
                 eps |= colors[i]
             if eps & ~ref.colors[0]:
                 continue
-            status, witness = _search_tables(ref, n, init_mask, colors, clock, det)
+            status, witness = _search_tables(ref, n, init_mask, colors, clock)
             if status != _EXHAUSTED:
                 return status, witness
     return _EXHAUSTED, None
 
 
-def _level_one(ref, clock, det):
+def _level_one(ref, clock):
     """Level 1 of _search_size, decided by the rows of ref's table, in order.
 
     A one-state candidate with color mask c and self-loop mask d simulates
     the reference iff c lies in `common`, the colors that every reached set
     shows, and d holds `survive`, the symbols some reached set survives.  The
     candidates up to the first such one, or all, are charged as one block:
-    2^|Y| tables per coloring within the initial colors, a deterministic
-    table ranked by d bit-reversed (observation 0 is its most significant digit).
+    2^|Y| tables per coloring within the initial colors.
     """
     symbols = range(len(ref.obs))
     colors, r = ref.colors, 0
@@ -202,7 +200,7 @@ def _level_one(ref, clock, det):
     # 2^|Y| tables per coloring below c; all colorings when common is empty (c - 1 = -1)
     count = ((1 << (colors[0] & (c - 1)).bit_count()) - 1) << len(symbols)
     if c:
-        count += (int(format(survive, f"0{len(symbols)}b")[::-1], 2) if det else survive) + 1
+        count += survive + 1
     if not clock.spend(count):
         return _CAPPED, None
     if not c:
@@ -211,25 +209,20 @@ def _level_one(ref, clock, det):
     return _FOUND, _confirm(ref, _candidate_filter(ref, 1, 1, [c], step))
 
 
-def _search_tables(ref, n, init_mask, colors, clock, det):
+def _search_tables(ref, n, init_mask, colors, clock):
     """Exhaust the transition tables of n-state candidates with a fixed
     initial mask and coloring, in canonical order.
 
     The tables are an odometer of digits grouped by source state, state 0
-    most significant: a nondeterministic row holds one symbol-set bitmask
-    per target state, a deterministic row one target per symbol (0 for
-    none, else target + 1).  A candidate that fails depends only on the rows
-    of the states its check read: the reached states when it is not trim,
-    else the candidate states of every pair the walk expanded.  Every
-    candidate that agrees with it up to the highest of those rows fails in
-    the same way, so the rest of that block is charged to the clock without
-    being checked.  The count and the first witness are those of checking
+    most significant: a row holds one symbol-set bitmask per target state.
+    A candidate that fails depends only on the rows of the states its check
+    read: the reached states when it is not trim, else the candidate states
+    of every pair the walk expanded.  Every candidate that agrees with it up
+    to the highest of those rows fails in the same way, so the rest of that
+    block is charged to the clock without being checked.  The count and the first witness are those of checking
     every candidate in turn.
     """
-    if det:
-        width, radix = len(ref.obs), n + 1
-    else:
-        width, radix = n, 1 << len(ref.obs)
+    width, radix = n, 1 << len(ref.obs)
     size = n * width
     digits = [0] * size
     tables = [[0] * n for _ in ref.obs]  # the candidate's step, as _walk takes it
@@ -241,18 +234,11 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
         u, k = divmod(pos, width)
         old = digits[pos]
         digits[pos] = value
-        if det:
-            tables[k][u] = 1 << (value - 1) if value else 0
-            reach = 0
-            for table in tables:
-                reach |= table[u]
-            targets[u] = reach
-        else:
-            bit = 1 << k
-            for j in _bits(old ^ value):
-                tables[j][u] ^= bit
-            if not old or not value:
-                targets[u] ^= bit
+        bit = 1 << k
+        for j in _bits(old ^ value):
+            tables[j][u] ^= bit
+        if not old or not value:
+            targets[u] ^= bit
 
     while True:
         if not clock.spend():
@@ -298,8 +284,9 @@ def _search_tables(ref, n, init_mask, colors, clock, det):
         set_digit(pos, digits[pos] + 1)
 
 
-def _search_levels(ref, levels, clock, det):
-    """Search the sizes of the range levels in turn: (status, witness, level).
+def _search_levels(levels, clock, search):
+    """Search the sizes of the range levels in turn, each by search(size,
+    clock) -> (status, witness): (status, witness, level).
 
     Stops at the first size that finds a simulator or is capped, or _CAPPED
     at the first size above max_k or reached after the clock refused; else
@@ -309,7 +296,7 @@ def _search_levels(ref, levels, clock, det):
     for level in levels:
         if (max_k is not None and level > max_k) or clock.refused:
             return _CAPPED, None, level
-        status, witness = _search_size(ref, level, clock, det)
+        status, witness = search(level, clock)
         if status != _EXHAUSTED:
             return status, witness, level
     return _EXHAUSTED, None, levels.stop
@@ -329,7 +316,8 @@ def decide_size_k(f, k, budget=None):
         # the trimmed filter is its own witness; no enumeration needed
         return SizeDecision(YES, ft, 0)
     clock = _Clock(budget)
-    status, witness, _ = _search_levels(_RefTables(ft), range(1, k + 1), clock, det=False)
+    search = functools.partial(_search_size, _RefTables(ft))
+    status, witness, _ = _search_levels(range(1, k + 1), clock, search)
     outcome = {_FOUND: YES, _CAPPED: BUDGET_EXHAUSTED, _EXHAUSTED: NO}[status]
     return SizeDecision(outcome, witness, clock.candidates)
 
@@ -340,12 +328,12 @@ def minimize_nondet(f, budget=None):
 
     Level 1 is searched first.  If it fails, sound bounds come next: upper
     bounds from the trimmed filter, its certified forward and backward
-    bisimulation quotients and the deterministic pipeline, whose result is
-    walked, and a fooling-set lower bound, at least 2.  When the lower bound
-    meets the best upper bound, that filter is returned as proven optimal
-    without a search; otherwise the levels from the lower bound up to one
-    below the best upper bound are searched in turn, and the first level
-    with a simulator gives the canonically-first one.  The bounds are
+    bisimulation quotients and the deterministic pipeline, which walks its
+    own result, and a fooling-set lower bound, at least 2.  When the lower
+    bound meets the best upper bound, that filter is returned as proven
+    optimal without a search; otherwise the levels from the lower bound up
+    to one below the best upper bound are searched in turn, and the first
+    level with a simulator gives the canonically-first one.  The bounds are
     computed only when max_k allows level 2.
     """
     start = time.monotonic()
@@ -354,7 +342,8 @@ def minimize_nondet(f, budget=None):
     clock = _Clock(budget)
     max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
-    status, witness, level = _search_levels(ref, range(1, min(2, len(ft.states))), clock, False)
+    search = functools.partial(_search_size, ref)
+    status, witness, level = _search_levels(range(1, min(2, len(ft.states))), clock, search)
     if status == _EXHAUSTED and len(ft.states) > 1:
         lower = 2
         if max_k is None or max_k > 1:
@@ -362,9 +351,7 @@ def minimize_nondet(f, budget=None):
             if lower < len(best.states):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
-            if source == "deterministic":
-                _confirm(ref, best)
-        status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, False)
+        status, witness, level = _search_levels(range(lower, len(best.states)), clock, search)
     if status == _FOUND:
         best, source = witness, "search"
     stats = {
@@ -385,8 +372,7 @@ def minimize_nondet(f, budget=None):
 # Work caps of the bound phases and of minimize_det's cover.  They are fixed, so
 # every bound, and with it every answer under a candidate cap, repeats exactly.
 _BOUND_SUBSETS = 1_000      # the deterministic bound is skipped past this many subsets
-_BOUND_CANDIDATES = 50      # verified merges the deterministic bound may try
-_BOUND_MERGES = 5_000       # state pairs its greedy merge pass may try in all
+_BOUND_CANDIDATES = 250     # closed-cover choices the deterministic bound may try
 _BOUND_COVER_NODES = 20_000  # clique-cover search nodes of the deterministic bound
 _COVER_NODES = 500_000      # clique-cover search nodes of minimize_det
 _BISIMULATION_WORK = 100_000  # state signatures one bisimulation quotient may compute
@@ -397,9 +383,9 @@ _FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
 
 def _upper_bound(ft, ref, clock, lower):
     """The smallest simulator among the trimmed filter, its two certified
-    bisimulation quotients and the deterministic pipeline's result, which
-    the caller walks, with the name of its source.  Stops once one has
-    `lower` states, below which the search has ruled everything out."""
+    bisimulation quotients and the deterministic pipeline's result, with
+    the name of its source.  Stops once one has `lower` states, below which
+    the search has ruled everything out."""
     best, source = ft, "trim"
     for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
         if len(best.states) <= lower or clock.expired():
@@ -418,7 +404,7 @@ def _det_bound(ft, ref, clock, beat):
     when the determinization passes _BOUND_SUBSETS subsets."""
     try:
         return _det_pipeline(ft, ref, clock.sub(_BOUND_CANDIDATES), _BOUND_SUBSETS,
-                             _BOUND_COVER_NODES, _BOUND_MERGES, beat)[1]
+                             _BOUND_COVER_NODES, beat)[1]
     except CapExceeded:
         return None
 
@@ -811,11 +797,11 @@ def _min_clique_cover(inc, node_cap):
     return partition, lower, exact
 
 
-def _quotient_filter(f, partition, names=None):
+def _quotient_filter(f, partition):
     """Collapse each class of partition, a list of index lists, to one state,
     colored by the colors its members share and with the union of their
     edges; None if a class shares no color.  The states are named by their
-    members joined with + unless names are given."""
+    members joined with +."""
     new = [0] * len(f.states)
     color = []
     for k, members in enumerate(partition):
@@ -826,33 +812,13 @@ def _quotient_filter(f, partition, names=None):
         if not shared:
             return None
         color.append(shared)
-    if names is None:
-        taken = set()
-        names = [_fresh_name("+".join(f.states[i] for i in sorted(members)), taken)
-                 for members in partition]
+    taken = set()
+    names = [_fresh_name("+".join(f.states[i] for i in sorted(members)), taken)
+             for members in partition]
     succ = [[tuple(sorted({new[j] for i in members for j in table[i]})) for members in partition]
             for table in f._succ]
     initial = tuple(sorted({new[i] for i in f._init}))
     return Filter._from_tables(tuple(names), f.observations, f.colors, initial, succ, color)
-
-
-def _merge_pair(d, a, b):
-    """Merge states a and b (indexes) of a deterministic filter; None if it
-    breaks."""
-    # only the merged state's own edges can now leave toward two targets
-    for table in d._succ:
-        ta, tb = table[a], table[b]
-        if ta and tb and ta != tb and not {ta[0], tb[0]} <= {a, b}:
-            return None
-    merged = "+".join(d.states[i] for i in sorted((a, b)))
-    taken = set(d.states) - {d.states[a], d.states[b]}
-    while merged in taken:
-        merged += "'"
-    # b's state goes; the merged one takes a's place
-    partition = [[i] for i in range(len(d.states)) if i != b]
-    partition[a - (a > b)] = [a, b]
-    names = [merged if i == a else s for i, s in enumerate(d.states) if i != b]
-    return _quotient_filter(d, partition, names)
 
 
 def _verified(ref, candidate, clock):
@@ -862,90 +828,118 @@ def _verified(ref, candidate, clock):
     return _walk(ref, *ref.encode(candidate)) is None
 
 
-def _greedy_merge(d, ref, clock, merge_cap=None, inc=None):
-    """Upper-bound pass: keep merging verified compatible pairs, until no
-    pair merges, the clock refuses, or merge_cap pairs have been tried.
-    inc, if given, is _incompatible(d)."""
-    cur = d
-    tries = 0
+def _closed_cover(ref, inc, n, clock):
+    """Search the deterministic simulators of at most n states: (status,
+    witness).  ref's table is filled, and inc is _incompatible of the
+    determinization read off it, whose state p is ref's reached set p.
+
+    A deterministic simulator reaches one state on each string the
+    reference survives, so the pairs (reached set, state) it reaches are a
+    closed cover: the sets on one state are pairwise compatible and share a
+    color, and a symbol y leads those on state q to sets on state δ(q, y).
+    The search walks the pairs breadth-first from (0, 0) and chooses δ(q, y)
+    when a pair first needs it: a state in use, lowest first, then the next
+    new one, so states are numbered by first use.  A pair fails when its set
+    is incompatible with a set already on its state, or shares no color with
+    them; the search then backs up to the last choice with an option left,
+    on an explicit stack.  Each option tried spends one candidate.  The
+    witness colors each state by the lowest color its sets share and has an
+    edge only where a pair needs one.
+    """
+    after, colors = ref.after, ref.colors
+    sets = [1] + [0] * (n - 1)  # sets[q]: mask of the reached sets on state q
+    shared = [colors[0]] + [-1] * (n - 1)  # the colors they share; all while unused
+    delta = [[-1] * n for _ in after]  # delta[k][q]: the state chosen, or -1
+    # (set, state, k) per pair reached and symbol k that leads it on, in order
+    needs = [(row[0], 0, k) for k, row in enumerate(after) if row[0] >= 0]
+    added = []  # (set, state, its shared colors before) per pair after (0, 0)
+    choices = []  # (pos, len(needs), len(added), used) per open choice
+    pos, used, ok = 0, 1, True
     while True:
-        if inc is None:
-            inc = _incompatible(cur)
-        full = (1 << len(inc)) - 1
-        merged = None
-        for a, row in enumerate(inc):
-            # the states after a that are compatible with it, in index order
-            for b in _bits(full & ~row & ~((2 << a) - 1)):
-                tries += 1
-                if merge_cap is not None and tries > merge_cap:
-                    return cur
-                cand = _merge_pair(cur, a, b)
-                if cand is not None and _verified(ref, cand, clock):
-                    merged = cand
-                    break
-                if clock.refused:
-                    return cur
-            if merged is not None:
+        if ok:
+            if pos == len(needs):
                 break
-        if merged is None:
-            return cur
-        cur, inc = merged, None
+            r, q, k = needs[pos]
+            t = delta[k][q]
+            if t < 0:
+                choices.append((pos, len(needs), len(added), used))
+                t = delta[k][q] = 0
+                if not clock.spend():
+                    return _CAPPED, None
+        else:
+            if not choices:
+                return _EXHAUSTED, None
+            pos, count, size, used = choices[-1]
+            del needs[count:]
+            while len(added) > size:
+                r, t, shared[t] = added.pop()
+                sets[t] ^= 1 << r
+            r, q, k = needs[pos]
+            t = delta[k][q] + 1
+            if t > min(used, n - 1):
+                delta[k][q] = -1
+                choices.pop()
+                continue
+            delta[k][q] = t
+            if not clock.spend():
+                return _CAPPED, None
+        ok = sets[t] >> r & 1 or not inc[r] & sets[t] and shared[t] & colors[r]
+        if ok and not sets[t] >> r & 1:
+            added.append((r, t, shared[t]))
+            sets[t] |= 1 << r
+            shared[t] &= colors[r]
+            used = max(used, t + 1)
+            needs.extend((row[r], t, k) for k, row in enumerate(after) if row[r] >= 0)
+        pos += 1
+    step = [[1 << t if t >= 0 else 0 for t in row[:used]] for row in delta]
+    found = _candidate_filter(ref, used, 1, [c & -c for c in shared[:used]], step)
+    return _FOUND, _confirm(ref, found)
 
 
-def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, merge_cap=None,
-                  beat=None):
-    """The deterministic pipeline: determinize, cover, quotient, greedy merge.
-    The determinization is read off ref, the reference's own table.
+def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=None):
+    """The deterministic pipeline: determinize, cover, the cover's quotient,
+    then a closed-cover search of the levels between them.  The
+    determinization is read off ref, the reference's own table.
 
-    Returns (determinization, best verified deterministic simulator, cover
-    lower bound, cover exact).  node_cap caps the cover search, merge_cap
-    the pairs the greedy merge pass tries.  The quotient of the cover's
-    partition and the merge pass run only while the simulator is above the
-    lower bound, and not once the clock's deadline has passed.  When beat is
-    given, each runs only if it can still bring the simulator below beat
-    states.
+    Returns (determinization, best simulator, cover lower bound, cover
+    exact, search status, level).  node_cap caps the cover search.  The
+    quotient of the cover's partition is walked on the clock and kept if it
+    simulates; it is skipped when the lower bound is not below both the
+    determinization and beat, and once the deadline has passed.  The levels
+    searched run from the lower bound up to one below the best simulator,
+    or below beat if that is lower.
     Raises CapExceeded past determinize_cap subsets.
     """
     d, _ = ft._determinize(determinize_cap, ref)
     best = d
     inc = _incompatible(d)
     partition, lower, cover_exact = _min_clique_cover(inc, node_cap)
-    if beat is not None and lower >= beat:
-        return d, best, lower, cover_exact
-    if len(best.states) > lower and not clock.expired():
+    top = len(d.states) if beat is None else min(len(d.states), beat)
+    if lower < top and not clock.expired():
         quotient = _quotient_filter(d, partition)
         if (quotient is not None and quotient.is_deterministic()
-                and len(quotient.states) < len(best.states)):
-            if _verified(ref, quotient, clock):
-                best = quotient
-    # each verified merge spends a candidate and removes one state
-    cap = clock.budget.candidate_cap
-    if beat is not None and cap is not None and len(best.states) - (cap - clock.candidates) >= beat:
-        return d, best, lower, cover_exact
-    if len(best.states) > lower and not clock.expired():
-        smaller = _greedy_merge(best, ref, clock, merge_cap, inc if best is d else None)
-        if len(smaller.states) < len(best.states):
-            best = smaller
-    return d, best, lower, cover_exact
+                and len(quotient.states) < len(best.states) and _verified(ref, quotient, clock)):
+            best = quotient
+    levels = range(lower, min(top, len(best.states)))
+    search = functools.partial(_closed_cover, ref, inc)
+    status, witness, level = _search_levels(levels, clock, search)
+    return d, witness or best, lower, cover_exact, status, level
 
 
 def minimize_det(f, budget=None):
     """Exact minimization over deterministic filters only.
 
     Determinizes first, bounds the optimum from below by the minimum clique
-    cover of the compatibility graph, then closes in from above with a
-    quotient of the optimal partition, a verified greedy merge pass, and (if
-    a gap is left) a complete per-level candidate search under the budget.
+    cover of the compatibility graph and from above by the quotient of that
+    cover, then searches the levels left between them for closed covers
+    (see _closed_cover) under the budget.  A level the budget cuts short
+    leaves the quotient, or the determinization, unproven.
     """
     start = time.monotonic()
     ft = f.trim()
-    ref = _RefTables(ft)
     clock = _Clock(budget)
-    d, best, lower, cover_exact = _det_pipeline(ft, ref, clock, DETERMINIZE_CAP)
-    status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, True)
-    if status == _FOUND:
-        best = witness
-    _confirm(ref, best)
+    d, best, lower, cover_exact, status, level = _det_pipeline(
+        ft, _RefTables(ft), clock, DETERMINIZE_CAP)
     stats = {
         "candidates": clock.candidates,
         "walked": clock.walked,

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -108,7 +110,7 @@ def test_decide_size_k_stops_at_max_k():
         f = one_color_filter(rng, rng.randint(3, 5), 2)
         ft = f.trim()
         for max_k in (1, 2):
-            status, witness, spent = reference_levels(ft, range(1, max_k + 1), False, None)
+            status, witness, spent = reference_levels(ft, range(1, max_k + 1), None)
             for k in range(max_k + 1, ft.size()):
                 decision = decide_size_k(f, k, SearchBudget(max_k=max_k))
                 outcome = YES if status == "found" else BUDGET_EXHAUSTED
@@ -132,22 +134,22 @@ def color_lasso(rng, n):
 
 def test_max_k_stops_minimize_det_between_its_bounds():
     # minimize_det searches the levels from its cover's lower bound up to
-    # one below its verified upper bound; max_k cuts that range, not the
-    # bounds, so the answer stays proven when the levels up to max_k find a
-    # simulator or leave no level above them.  Filters whose uncapped search
-    # runs past the candidate cap are skipped
-    from filterkit import DETERMINIZE_CAP
-    from filterkit.minimize import _Clock, _det_pipeline, _RefTables
-
+    # one below its upper bound, the verified quotient of the cover or the
+    # determinization; max_k cuts that range, not the bounds, so the answer
+    # stays proven when the levels up to max_k find a simulator or leave no
+    # level above them.  A max_k below the lower bound searches no level,
+    # which reads the upper bound.  Every draw is proven uncapped
     rng = random.Random(2)
     apart = 0
     for _ in range(150):
         f = color_lasso(rng, rng.randint(4, 8))
-        ft = f.trim()
-        _, best, lower, _ = _det_pipeline(ft, _RefTables(ft), _Clock(None), DETERMINIZE_CAP)
         full = minimize_det(f)
-        if not full.proven_optimal:
+        assert full.proven_optimal
+        lower = full.stats["lower_bound"]
+        if lower == 1:  # pairwise compatible x/y sets share a color: one state
+            assert full.size() == 1
             continue
+        best = minimize_det(f, SearchBudget(max_k=lower - 1)).minimizer
         for max_k in range(1, best.size()):
             result = minimize_det(f, SearchBudget(max_k=max_k))
             assert result.stats["lower_bound"] == lower
@@ -328,31 +330,36 @@ def test_decide_size_k_is_monotone_in_k():
         assert all(o == NO for o in outcomes[:first_yes])
 
 
-def test_det_level_search_semantics():
-    # the enumerative search itself, independent of the merge heuristics
-    from filterkit.minimize import (
-        _CAPPED,
-        _EXHAUSTED,
-        _FOUND,
-        _Clock,
-        _RefTables,
-        _search_size,
-    )
+def closed_cover_search(ft):
+    """The closed-cover search of ft's levels, as search(n, clock): on ft's
+    reached-set table, filled by determinizing it."""
+    from filterkit import DETERMINIZE_CAP
+    from filterkit.minimize import _closed_cover, _incompatible, _RefTables
 
-    ref = _RefTables(color_chain())
-    status, witness = _search_size(ref, 3, _Clock(None), det=True)
+    ref = _RefTables(ft)
+    d, _ = ft._determinize(DETERMINIZE_CAP, ref)
+    return functools.partial(_closed_cover, ref, _incompatible(d))
+
+
+def test_det_level_search_semantics():
+    # the closed-cover search itself, apart from the bounds around it
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _FOUND, _Clock
+
+    search = closed_cover_search(color_chain())
+    status, witness = search(3, _Clock(None))
     assert status == _FOUND
     assert witness.is_deterministic() and witness.size() == 3
-    assert output_simulates(witness, color_chain()).holds
+    assert simulates_oracle(witness, color_chain())[0]
     # no two-state deterministic filter can produce x, xy, y, x in order:
     # any walk of length four repeats a state under an impossible color
-    status, witness = _search_size(ref, 2, _Clock(None), det=True)
+    status, witness = search(2, _Clock(None))
     assert status == _EXHAUSTED and witness is None
-    status, witness = _search_size(ref, 2, _Clock(SearchBudget(candidate_cap=1)), det=True)
-    assert status == _CAPPED
+    clock = _Clock(SearchBudget(candidate_cap=1))
+    assert search(2, clock) == (_CAPPED, None)
+    assert clock.candidates == 2
 
 
-def charged_blocks(ft, levels, det):
+def charged_blocks(ft, levels):
     """(candidates before, size) of every block of more than one candidate
     that an uncapped search of the given levels charges at once, and the
     count at the end of that search."""
@@ -369,16 +376,16 @@ def charged_blocks(ft, levels, det):
     ref = _RefTables(ft)
     clock = RecordingClock(SearchBudget(candidate_cap=None))
     for n in levels:
-        if _search_size(ref, n, clock, det)[0] != _EXHAUSTED:
+        if _search_size(ref, n, clock)[0] != _EXHAUSTED:
             break
     return blocks, clock.candidates
 
 
-def search_caps(rng, ft, levels, det, limit):
+def search_caps(rng, ft, levels, limit):
     """A seeded cap below limit, two caps that fall inside charged blocks,
     and no cap (None) when the whole search stays below 8,000 candidates.
     Returns None when the search charges no block below limit."""
-    blocks, total = charged_blocks(ft, levels, det)
+    blocks, total = charged_blocks(ft, levels)
     blocks = [(before, k) for before, k in blocks if before + k <= limit]
     if not blocks:
         return None
@@ -387,11 +394,11 @@ def search_caps(rng, ft, levels, det, limit):
     return [rng.randint(1, limit)] + inside + [None] * (total <= 8000)
 
 
-def reference_levels(ft, levels, det, cap):
+def reference_levels(ft, levels, cap):
     """canonical_search over the levels in turn: (status, witness, spent)."""
     spent = 0
     for n in levels:
-        status, witness, spent = canonical_search(ft, n, det, spent, cap)
+        status, witness, spent = canonical_search(ft, n, False, spent, cap)
         if status != "exhausted":
             return status, witness, spent
     return "exhausted", None, spent
@@ -415,9 +422,9 @@ def test_nondet_search_matches_one_by_one_reference():
         f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
         ft = f.trim()
         smallest = None
-        caps = ft.size() == 3 and search_caps(rng, ft, (1, 2), det=False, limit=1500)
+        caps = ft.size() == 3 and search_caps(rng, ft, (1, 2), limit=1500)
         for cap in caps or ():
-            status, witness, spent = reference_levels(ft, (1, 2), False, cap)
+            status, witness, spent = reference_levels(ft, (1, 2), cap)
             statuses.append(status)
             outcome = {"found": YES, "capped": BUDGET_EXHAUSTED, "exhausted": NO}[status]
             decision = decide_size_k(f, 2, SearchBudget(candidate_cap=cap))
@@ -437,30 +444,90 @@ def test_nondet_search_matches_one_by_one_reference():
     assert set(statuses) == {"found", "capped", "exhausted"}
 
 
-def test_det_search_matches_one_by_one_reference():
-    from filterkit.minimize import _Clock, _RefTables, _search_size
+def small_det_references(rng, count):
+    """Seeded trimmed filters with at most 4 reached sets: one-color
+    filters, color lassos and random filters in turn."""
+    found = []
+    while len(found) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = one_color_filter(rng, rng.randint(2, 5), rng.randint(1, 2))
+        elif kind == 1:
+            f = color_lasso(rng, rng.randint(2, 4))
+        else:
+            f = random_filter(rng, max_states=4, max_symbols=2, max_colors=3)
+        ft = f.trim()
+        if ft.determinize()[0].size() <= 4:
+            found.append(ft)
+    return found
 
+
+def test_det_search_matches_one_by_one_reference():
+    # at each level the closed-cover search finds a simulator iff one of at
+    # most that many states exists: the one-by-one search of the trim
+    # deterministic candidates finds one at that level or below.  Each
+    # witness is deterministic, fits the level and simulates
+    from filterkit.minimize import _FOUND, _Clock
+
+    # a chain colored ab, bc, ac: its sets are pairwise compatible, yet no
+    # color is on all three, so one state cannot hold them
+    chain = Filter(["p", "q", "r"], ["p"], ("s",), {("p", "q"): {"s"}, ("q", "r"): {"s"}},
+                   ("a", "b", "c"), {"p": {"a", "b"}, "q": {"b", "c"}, "r": {"a", "c"}})
     rng = random.Random(4242)
     statuses = []
-    while len(statuses) < 60:
-        f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
-        ft = f.trim()
-        levels = tuple(range(1, ft.size()))
-        caps = ft.size() >= 3 and search_caps(rng, ft, levels, det=True, limit=1500)
-        for cap in caps or ():
-            ref = _RefTables(ft)
-            clock = _Clock(SearchBudget(candidate_cap=cap))
-            spent = 0
-            for n in levels:
-                status, witness, spent = canonical_search(ft, n, True, spent, cap)
-                statuses.append(status)
-                found_status, found = _search_size(ref, n, clock, det=True)
-                assert (found_status, as_dict(found), clock.candidates) == (
-                    status, as_dict(witness), spent)
-                assert clock.walked <= clock.candidates
-                if status != "exhausted":
-                    break
-    assert set(statuses) == {"found", "capped", "exhausted"}
+    for ft in [chain] + small_det_references(rng, 300):
+        search = closed_cover_search(ft)
+        exists = False
+        for n in range(1, ft.determinize()[0].size() + 1):
+            exists = exists or canonical_search(ft, n, True)[0] == "found"
+            status, witness = search(n, _Clock(None))
+            assert (status == _FOUND) == exists, (ft, n)
+            statuses.append((n, status))
+            if exists:
+                assert witness.is_deterministic() and witness.size() <= n, (ft, n)
+                assert simulates_oracle(witness, ft)[0], (ft, n)
+    for n in (1, 2, 3):
+        assert {status for level, status in statuses if level == n} == {"found", "exhausted"}
+
+
+def test_closed_cover_stops_at_the_cap():
+    # each option tried is one candidate: under a cap below the uncapped
+    # count, minimize_det stops at cap + 1 and returns its upper bound
+    # unproven.  Filters that one candidate proves are skipped
+    rng = random.Random(3)
+    capped = 0
+    for i in range(300):
+        if i % 2:
+            f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+        else:
+            f = color_lasso(rng, rng.randint(4, 8))
+        if minimize_det(f, SearchBudget(candidate_cap=1)).proven_optimal:
+            continue
+        full = minimize_det(f)
+        assert full.proven_optimal
+        cap = rng.randrange(1, full.stats["candidates"])
+        result = minimize_det(f, SearchBudget(candidate_cap=cap))
+        assert result.stats["candidates"] == cap + 1
+        assert not result.proven_optimal
+        assert result.size() >= full.size()
+        assert_level(result)
+        assert simulates_oracle(result.minimizer, f)[0]
+        capped += 1
+    assert capped >= 20
+
+
+def test_closed_cover_deeper_than_the_recursion_limit_returns():
+    # a chain colored x, ..., x, y: any two of its reached sets are told
+    # apart by the string leading the later one to y, so each pair needs
+    # a new state, one choice nested in the last
+    from filterkit.minimize import _FOUND, _Clock
+
+    n = sys.getrecursionlimit() + 50
+    states = [f"a{i}" for i in range(n)]
+    chain = Filter(states, ["a0"], ("s",), {(u, v): {"s"} for u, v in zip(states, states[1:])},
+                   ("x", "y"), {s: {"y" if s == states[-1] else "x"} for s in states})
+    status, witness = closed_cover_search(chain)(n, _Clock(SearchBudget(candidate_cap=None)))
+    assert status == _FOUND and witness.size() == n
 
 
 def test_level_one_matches_one_by_one_reference():
@@ -469,9 +536,9 @@ def test_level_one_matches_one_by_one_reference():
     # turn, under every cap up to one past the uncapped count
     from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _RefTables, _search_size
 
-    def level_one(ref, det, budget):
+    def level_one(ref, budget):
         clock = _Clock(budget)
-        status, witness = _search_size(ref, 1, clock, det)
+        status, witness = _search_size(ref, 1, clock)
         return (status, as_dict(witness), clock.candidates), clock.walked
 
     rng = random.Random(1701)
@@ -482,33 +549,28 @@ def test_level_one_matches_one_by_one_reference():
         if not ft.states:
             continue
         ref = _RefTables(ft)
-        for det in (False, True):
-            total = canonical_search(ft, 1, det)[2]
-            for cap in range(1, total + 2):
-                status, witness, spent = canonical_search(ft, 1, det, 0, cap)
-                statuses.add(status)
-                assert level_one(ref, det, SearchBudget(candidate_cap=cap)) == (
-                    (status, as_dict(witness), spent), 1)
+        total = canonical_search(ft, 1, False)[2]
+        for cap in range(1, total + 2):
+            status, witness, spent = canonical_search(ft, 1, False, 0, cap)
+            statuses.add(status)
+            assert level_one(ref, SearchBudget(candidate_cap=cap)) == (
+                (status, as_dict(witness), spent), 1)
     assert statuses == {"found", "capped", "exhausted"}
     # fig3's level 1 has 32,768 candidates and no simulator; under a cap
-    # the one-by-one search stops at the first candidate past it.  The two
-    # orders hold the same one-state candidates, so one of them per filter
-    # is checked one by one
-    for f, oracle_det in ((fig3_input(), False), (fig3_minimizer(), True)):
+    # the one-by-one search stops at the first candidate past it
+    for f in (fig3_input(), fig3_minimizer()):
         ft = f.trim()
         ref = _RefTables(ft)
-        status, witness, spent = canonical_search(ft, 1, oracle_det)
+        status, witness, spent = canonical_search(ft, 1, False)
         assert (status, spent) == ("exhausted", 32768)
-        for det in (False, True):
-            assert level_one(ref, det, SearchBudget(candidate_cap=None)) == (
-                (_EXHAUSTED, None, spent), 1)
-            for cap in range(1, spent + 2):
-                expected = (_CAPPED, None, cap + 1) if cap < spent else (_EXHAUSTED, None, spent)
-                assert level_one(ref, det, SearchBudget(candidate_cap=cap))[0] == expected
+        assert level_one(ref, SearchBudget(candidate_cap=None)) == ((_EXHAUSTED, None, spent), 1)
+        for cap in range(1, spent + 2):
+            expected = (_CAPPED, None, cap + 1) if cap < spent else (_EXHAUSTED, None, spent)
+            assert level_one(ref, SearchBudget(candidate_cap=cap))[0] == expected
     # past the deadline the count stops at the first multiple of 512
     late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
     time.sleep(0.001)
-    assert _search_size(_RefTables(fig3_input()), 1, late, False) == (_CAPPED, None)
+    assert _search_size(_RefTables(fig3_input()), 1, late) == (_CAPPED, None)
     assert (late.candidates, late.walked) == (512, 1)
 
 
@@ -551,8 +613,8 @@ def test_stats_count_walked_candidates():
 
     ref = _RefTables(donut_world())
     clock = _Clock(SearchBudget(candidate_cap=800))
-    assert _search_size(ref, 1, clock, det=False) == (_EXHAUSTED, None)
-    assert _search_size(ref, 2, clock, det=False) == (_CAPPED, None)
+    assert _search_size(ref, 1, clock) == (_EXHAUSTED, None)
+    assert _search_size(ref, 2, clock) == (_CAPPED, None)
     assert clock.candidates == 801
     assert 0 < clock.walked < 80
     # minimize_nondet searches level 1 only, in one walk: the bounds meet
@@ -589,19 +651,6 @@ def test_compatibility_graph_matches_rev_map_reference():
         dets.append(f.determinize()[0])
     for d in dets:
         assert compatible(d) == compatibility_graph_oracle(d)
-
-
-def test_greedy_merge_stops_at_the_cap():
-    rng = random.Random(3)
-    for _ in range(9):
-        f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
-    for cap in (1, 2):
-        result = minimize_det(f, SearchBudget(candidate_cap=cap))
-        assert result.stats["candidates"] == cap + 1
-        assert result.stats["walked"] == cap
-        assert not result.proven_optimal
-        assert result.size() > result.stats["lower_bound"]
-        assert output_simulates(result.minimizer, f).holds
 
 
 def test_capped_minimize_det_proves_only_at_the_lower_bound():
@@ -854,32 +903,6 @@ def test_max_clique_matches_brute_force():
             assert _max_clique(rows, n, 1, _Clock(None))[1] is False
 
 
-def test_merge_pair_refuses_exactly_the_nondeterministic_merges():
-    from filterkit.minimize import _merge_pair
-
-    rng = random.Random(1212)
-    merged = refused = 0
-    for _ in range(80):
-        f = random_filter(rng, max_states=4, max_symbols=2, max_colors=2)
-        d, _ = f.determinize()
-        for u, v in itertools.combinations(d.states, 2):
-            if not d.coloring[u] & d.coloring[v]:
-                continue
-            ends = {}
-            for (src, dst), syms in d.transitions.items():
-                src, dst = ("m" if s in (u, v) else s for s in (src, dst))
-                for y in syms:
-                    ends.setdefault((src, y), set()).add(dst)
-            deterministic = all(len(targets) == 1 for targets in ends.values())
-            result = _merge_pair(d, d.states.index(u), d.states.index(v))
-            assert (result is not None) == deterministic, (d, u, v)
-            if result is not None:
-                assert result.is_deterministic() and result.size() == d.size() - 1
-            merged += deterministic
-            refused += not deterministic
-    assert merged >= 20 and refused >= 20
-
-
 def test_det_bound_skips_only_what_cannot_win():
     # with beat set, the pipeline may stop early, but only when its result
     # could not have fewer than beat states
@@ -903,9 +926,10 @@ def test_det_bound_skips_only_what_cannot_win():
 
 
 def test_det_bound_walks_within_the_subset_cap():
-    # the deterministic bound's result is confirmed by a walk with no clock:
-    # it is in one state per reached set of the reference, and the bound
-    # gives up past _BOUND_SUBSETS of those
+    # the deterministic bound's result was walked inside the pipeline and is
+    # not walked again: a quotient of the cover reaches one pair per reached
+    # set of the reference, a closed cover at most one per reached set and
+    # state, and the bound gives up past _BOUND_SUBSETS reached sets
     from filterkit.minimize import _BOUND_SUBSETS, _Clock, _det_bound, _RefTables
     from filterkit.simulation import _walk
 
@@ -925,8 +949,8 @@ def test_det_bound_walks_within_the_subset_cap():
                 continue
             bounds += 1
             merged += bound.size() < reached_sets
-            assert _walk(ref, *ref.encode(bound), cap=_BOUND_SUBSETS) is None, f
-            assert _walk(ref, *ref.encode(bound), cap=reached_sets) is None, f
+            assert reached_sets <= _BOUND_SUBSETS
+            assert _walk(ref, *ref.encode(bound), cap=reached_sets * bound.size()) is None, f
     assert bounds >= 300 and merged >= 50
 
 
@@ -952,7 +976,7 @@ def test_determinization_reads_the_shared_table():
         for cap in (det.size(), det.size() - 1):
             ref = _RefTables(ft)
             if i % 3 == 0:
-                _level_one(ref, _Clock(None), False)
+                _level_one(ref, _Clock(None))
             else:
                 # one state with the initial colors, and a self-loop on every
                 # symbol (i % 3 == 1) or no edge: it fails unless every
