@@ -19,7 +19,8 @@ held by the private base class _Tables, which filterkit.nfa's automata share.
 A filter's subset construction is the private class _Reached, its reached
 sets numbered breadth-first and filled only as far as its readers need:
 determinize reads all of it, the simulation walk and the minimizers one
-table per reference.
+table per reference, which also encodes their candidates over its
+observations and colors.
 """
 
 import functools
@@ -312,10 +313,12 @@ class _Reached:
     for the empty set, which has no number.  Rows are filled in order and on
     demand: the first `done` are, and every set they lead to is numbered.
     step[k][i] is the mask of the states observation k leads state i to.
+    color_names are the colors that encode writes candidates over.
     """
 
     def __init__(self, f):
         self.obs = f.observations
+        self.color_names = f.colors
         self.step = f._masks_over(f.observations)
         self.color_of = f._color
         self.init_mask = _mask(f._init)
@@ -365,6 +368,20 @@ class _Reached:
         if len(members) > cap:
             raise CapExceeded(cap, "determinizing")
         return r
+
+    def encode(self, f):
+        """Mask tables (initial mask, color mask per state, step) of a
+        candidate filter over this table's observations and colors.
+        step[k][i] is the mask of the targets of state i under the k-th of
+        the observations; a symbol f does not declare has none, and a color
+        the reference lacks gets a bit of its own."""
+        step = f._masks_over(self.obs)
+        colors = f._color
+        if f.colors != self.color_names:
+            color_bit = {c: 1 << i for i, c in enumerate(self.color_names)}
+            bits = [color_bit.setdefault(c, 1 << len(color_bit)) for c in f.colors]
+            colors = [sum(bit for j, bit in enumerate(bits) if mask >> j & 1) for mask in colors]
+        return _mask(f._init), colors, step
 
 
 class Filter(_Tables):
@@ -453,8 +470,10 @@ class Filter(_Tables):
         Returns (D, mapping) where D is deterministic, reaches the same
         outputs on every string, and mapping sends each subset-state id to
         the frozenset of original states it stands for.  Raises CapExceeded
-        if more than cap subset states appear.
+        if more than cap subset states appear, and ValueError for a NaN cap.
         """
+        if math.isnan(cap):
+            raise ValueError("cap must be a number")
         det, members = self._determinize(cap)
         names = self.states
         mapping = {name: frozenset(itertools.compress(names, _flags(mask)))

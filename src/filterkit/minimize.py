@@ -10,9 +10,9 @@ without being walked; level 1 takes one walk of the input's reached sets and
 counts its candidates as one block.  So the `candidates` count (and the cap)
 covers every candidate in canonical order up to where the search stopped,
 walked or ruled out in a block, as if each were checked in turn; stats count
-the walks as `walked`.  A candidate that passes is built as a Filter and
-walked again, so a fault in building it raises instead of returning a
-filter that does not simulate the input.
+the walks as `walked`.  A simulator that any search finds is built as a
+Filter and walked again (_confirm), so a fault raises instead of returning
+a filter that does not simulate the input.
 
 All three entry points search through one level driver, _search_levels,
 given the search of one size.  It tries the sizes of a range in turn and
@@ -27,15 +27,18 @@ forward and backward bisimulation quotients and the deterministic pipeline
 below; the lower bound is a fooling set, a family of string pairs that no
 two simulator states can serve together.  Where the bounds meet, the upper
 bound is the answer, proven; otherwise only the levels between them are
-searched.  Every bound phase has a fixed work cap and checks the time cap.
-Quotients are certified by a linear check, and the deterministic bound's
-result was walked inside its pipeline, so neither is walked again.
+searched.  Each bound phase runs on a sub-clock of the search's _Clock:
+the same deadline, and a fixed work cap of its own, in search nodes or in
+states signed.  Quotients are certified by a linear check, and the
+deterministic bound's result was walked inside its pipeline, so neither is
+walked again.
 
 minimize_det works on the determinization: the minimum clique cover of its
 compatibility graph is a sound lower bound on any deterministic minimizer,
-the cover's verified quotient an upper bound, and a search for closed
-covers (_closed_cover) decides the levels between them while the budget
-lasts; there `candidates` counts the choices tried.
+the cover's quotient an upper bound, and a search for closed covers
+(_closed_cover) decides the levels between them while the budget lasts;
+there `candidates` counts the choices tried.  Both minimizers build their
+result, and the stats they share, in _result.
 """
 
 import functools
@@ -44,8 +47,8 @@ import operator
 import time
 
 from .errors import CapExceeded
-from .filters import DETERMINIZE_CAP, Filter, _bits, _flags, _fresh_name
-from .simulation import _RefTables, _walk
+from .filters import DETERMINIZE_CAP, Filter, _bits, _flags, _fresh_name, _Reached
+from .simulation import _walk
 
 YES = "yes"
 NO = "no"
@@ -58,11 +61,10 @@ class SearchBudget:
     """Caps for the candidate search: deepest size, candidate count, seconds."""
 
     def __init__(self, max_k=None, candidate_cap=250_000, time_cap=None):
-        if max_k is not None and max_k < 1:
-            raise ValueError("max_k must be positive")
-        if candidate_cap is not None and candidate_cap < 1:
-            raise ValueError("candidate_cap must be positive")
-        if time_cap is not None and time_cap <= 0:
+        for name, value in (("max_k", max_k), ("candidate_cap", candidate_cap)):
+            if value is not None and (type(value) is not int or value < 1):  # not a bool
+                raise ValueError(f"{name} must be a positive integer")
+        if time_cap is not None and not time_cap > 0:  # NaN fails too
             raise ValueError("time_cap must be positive")
         self.max_k = max_k
         self.candidate_cap = candidate_cap
@@ -102,7 +104,9 @@ class MinimizationResult:
 class _Clock:
     """Candidates accounted for in canonical order, and the walks that checked
     them (walked; level 1 takes one); the rest were ruled out in blocks.  In
-    the closed-cover search a candidate is one choice tried."""
+    the closed-cover search a candidate is one choice tried.  A sub-clock
+    meters a bound phase in its own unit: one clique or coloring search
+    node, or one state signed in a refinement round."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
@@ -219,8 +223,8 @@ def _search_tables(ref, n, init_mask, colors, clock):
     read: the reached states when it is not trim, else the candidate states
     of every pair the walk expanded.  Every candidate that agrees with it up
     to the highest of those rows fails in the same way, so the rest of that
-    block is charged to the clock without being checked.  The count and the first witness are those of checking
-    every candidate in turn.
+    block is charged to the clock without being checked.  The count and the
+    first witness are those of checking every candidate in turn.
     """
     width, radix = n, 1 << len(ref.obs)
     size = n * width
@@ -302,6 +306,15 @@ def _search_levels(levels, clock, search):
     return _EXHAUSTED, None, levels.stop
 
 
+def _result(best, status, level, clock, start, **stats):
+    """The MinimizationResult of either minimizer: the stats both give
+    (candidates, walked, level, wall_time_s), then its own; proven unless
+    the search was capped."""
+    shared = {"candidates": clock.candidates, "walked": clock.walked, "level": level,
+              "wall_time_s": time.monotonic() - start}
+    return MinimizationResult(best, status != _CAPPED, {**shared, **stats})
+
+
 def decide_size_k(f, k, budget=None):
     """Is there a filter with at most k states that output-simulates f?
 
@@ -309,14 +322,14 @@ def decide_size_k(f, k, budget=None):
     level |trim(f)| the trimmed filter itself settles the question, so
     enumeration only ever runs below it.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if type(k) is not int or k < 1:  # not a bool either
+        raise ValueError("k must be a positive integer")
     ft = f.trim()
     if k >= len(ft.states):
         # the trimmed filter is its own witness; no enumeration needed
         return SizeDecision(YES, ft, 0)
     clock = _Clock(budget)
-    search = functools.partial(_search_size, _RefTables(ft))
+    search = functools.partial(_search_size, _Reached(ft))
     status, witness, _ = _search_levels(range(1, k + 1), clock, search)
     outcome = {_FOUND: YES, _CAPPED: BUDGET_EXHAUSTED, _EXHAUSTED: NO}[status]
     return SizeDecision(outcome, witness, clock.candidates)
@@ -338,7 +351,7 @@ def minimize_nondet(f, budget=None):
     """
     start = time.monotonic()
     ft = f.trim()
-    ref = _RefTables(ft)
+    ref = _Reached(ft)
     clock = _Clock(budget)
     max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
@@ -354,17 +367,8 @@ def minimize_nondet(f, budget=None):
         status, witness, level = _search_levels(range(lower, len(best.states)), clock, search)
     if status == _FOUND:
         best, source = witness, "search"
-    stats = {
-        "candidates": clock.candidates,
-        "walked": clock.walked,
-        "level": level,
-        "wall_time_s": time.monotonic() - start,
-        "trim_size": len(ft.states),
-        "lower_bound": lower,
-        "lower_bound_exact": lower_exact,
-        "upper_bound_source": source,
-    }
-    return MinimizationResult(best, status != _CAPPED, stats)
+    return _result(best, status, level, clock, start, trim_size=len(ft.states),
+                   lower_bound=lower, lower_bound_exact=lower_exact, upper_bound_source=source)
 
 
 # -- bounds for nondeterministic minimization ------------------------------
@@ -393,7 +397,8 @@ def _upper_bound(ft, ref, clock, lower):
         if name == "deterministic":
             bound = _det_bound(ft, ref, clock, len(best.states))
         else:
-            bound = _bisimulation_quotient(ft, ref, clock, name == "backward-bisimulation")
+            bound = _bisimulation_quotient(ft, ref, clock.sub(_BISIMULATION_WORK),
+                                           name == "backward-bisimulation")
         if bound is not None and len(bound.states) < len(best.states):
             best, source = bound, name
     return best, source
@@ -413,9 +418,10 @@ def _bisimulation_quotient(ft, ref, clock, backward):
     """The quotient of ft by its coarsest forward (or backward) bisimulation
     (see _is_bisimulation), or None if every block is a single state.  The
     partition is refined from the color classes (backward: and initial
-    status) until no block splits; a round signs every state, and None is
-    also the answer past _BISIMULATION_WORK signatures or the deadline.
-    RuntimeError if the partition found fails the certificate."""
+    status) until no block splits.  A round signs every state and spends
+    one unit of clock per state first; None is also the answer once the
+    clock refuses.  RuntimeError if the partition found fails the
+    certificate."""
     n = len(ft.states)
     if backward:
         edges = []
@@ -430,12 +436,12 @@ def _bisimulation_quotient(ft, ref, clock, backward):
         edges = ref.step
         keys = list(ref.color_of)
     count = 0
-    for _ in range(max(1, _BISIMULATION_WORK // n)):
+    while clock.spend(n):
         ids = {}
         block = [ids.setdefault(key, len(ids)) for key in keys]
         if len(ids) == count:
             break
-        if len(ids) == n or clock.expired():
+        if len(ids) == n:
             return None
         count = len(ids)
         keys = []
@@ -566,27 +572,23 @@ def _fooling_set(ref, target, clock):
         for j in _bits(killed):
             row |= members[j]
         rows.append(row)
-    clique, exact = _max_clique(rows, target, _FOOLING_NODES, clock)
+    clique, exact = _max_clique(rows, target, clock.sub(_FOOLING_NODES))
     return [(tuple(obs[y] for y in access[nodes[v][0]]),
              tuple(obs[y] for y in found[nodes[v]])) for v in clique], exact
 
 
-class _NodeCapHit(Exception):
-    pass
+class _Stop(Exception):
+    """A graph search ends early: its clock refused, or its target was met."""
 
 
-class _CliqueDone(Exception):
-    pass
-
-
-def _max_clique(rows, target, node_cap, clock):
+def _max_clique(rows, target, clock):
     """A largest clique of the graph with adjacency bitmask rows, found by
     branch and bound with greedy-coloring bounds (Tomita & Seki 2003).
 
     Returns (clique, exact).  The search stops at the first clique it finds
-    with at least `target` vertices.  exact is False when it stopped at
-    node_cap nodes or at the deadline, with the largest clique found so far.
-    The recursion goes one level deeper per clique vertex.
+    with at least `target` vertices.  Each node spends one unit of clock;
+    exact is False when the clock refused one, with the largest clique
+    found so far.  The recursion goes one level deeper per clique vertex.
     """
     order = sorted(range(len(rows)), key=lambda v: -rows[v].bit_count())
     rank = {v: i for i, v in enumerate(order)}
@@ -598,10 +600,9 @@ def _max_clique(rows, target, node_cap, clock):
             row |= 1 << rank[u]
         ranked.append(row)
     best = []
-    nodes = 0
 
     def expand(clique, cands):
-        nonlocal best, nodes
+        nonlocal best
         colored = []  # (vertex, color bound), in coloring order
         color = 0
         rest = cands
@@ -616,9 +617,8 @@ def _max_clique(rows, target, node_cap, clock):
         for v, bound in reversed(colored):
             if len(clique) + bound <= len(best):
                 return
-            nodes += 1
-            if nodes > node_cap or (nodes & 255 == 0 and clock.expired()):
-                raise _NodeCapHit
+            if not clock.spend():
+                raise _Stop
             clique.append(v)
             inner = cands & ranked[v]
             if inner:
@@ -626,18 +626,15 @@ def _max_clique(rows, target, node_cap, clock):
             elif len(clique) > len(best):
                 best = list(clique)
                 if len(best) >= target:
-                    raise _CliqueDone
+                    raise _Stop
             clique.pop()
             cands &= ~(1 << v)
 
-    exact = True
     try:
         expand([], (1 << len(rows)) - 1)
-    except _CliqueDone:
+    except _Stop:
         pass
-    except _NodeCapHit:
-        exact = False
-    return [order[v] for v in best], exact
+    return [order[v] for v in best], not clock.refused
 
 
 # -- deterministic minimization ------------------------------------------
@@ -707,13 +704,14 @@ def _incompatible(d):
     return bad
 
 
-def _feasible_coloring(inc, precolored, t, node_cap):
+def _feasible_coloring(inc, precolored, t, clock):
     """Color the incompatibility graph with t colors, or prove impossible.
 
     A depth-first search over the uncolored vertices, most incompatible
-    first, trying the colors in order.  It counts every node it enters and
-    raises _NodeCapHit past node_cap.  The stack holds, for each vertex
-    colored so far, its color and the number of colors in use before it.
+    first, trying the colors in order.  Every node it enters spends one
+    unit of clock, and _Stop is raised once the clock refuses.  The
+    stack holds, for each vertex colored so far, its color and the number
+    of colors in use before it.
     """
     class_masks = [0] * t
     for c, v in enumerate(precolored):
@@ -723,12 +721,10 @@ def _feasible_coloring(inc, precolored, t, node_cap):
     rest.sort(key=lambda v: -inc[v].bit_count())
     stack = []
     used = len(precolored)
-    nodes = 0
     while True:
         # enter the node that colors rest[len(stack)]
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeCapHit
+        if not clock.spend():
+            raise _Stop
         if len(stack) == len(rest):
             return class_masks
         c = 0
@@ -749,15 +745,16 @@ def _feasible_coloring(inc, precolored, t, node_cap):
             c += 1
 
 
-def _min_clique_cover(inc, node_cap):
+def _min_clique_cover(inc, clock):
     """Exact minimum clique cover of a graph given by the bitmask rows inc
     of its complement (see _incompatible).
 
     Returns (partition, lower_bound, exact), the partition as ascending
-    lists of vertex indexes ordered by their first.  When the
-    branch-and-bound caps out, the partition is the greedy one and
-    lower_bound falls back to the best proven value (at worst the greedy
-    incompatible-clique size), still sound as a bound on the optimum.
+    lists of vertex indexes ordered by their first.  The colorings for
+    every color count t spend one clock, one unit per node.  When it
+    refuses, the partition is the greedy one and lower_bound falls back to
+    the best proven value (at worst the greedy incompatible-clique size),
+    still sound as a bound on the optimum.
     """
     order = sorted(range(len(inc)), key=lambda i: -inc[i].bit_count())
     clique = []
@@ -774,24 +771,16 @@ def _min_clique_cover(inc, node_cap):
                 break
         else:
             classes.append(1 << v)
-    lower = len(clique)
-    exact = lower == len(classes)
-    if not exact:
-        for t in range(lower, len(classes)):
-            try:
-                found = _feasible_coloring(inc, clique, t, node_cap)
-            except _NodeCapHit:
-                break
+    lower, exact = len(clique), True
+    try:  # color with lower colors, the fewest not ruled out, until it fits
+        while lower < len(classes):
+            found = _feasible_coloring(inc, clique, lower, clock)
             if found is None:
-                lower = t + 1
-                continue
-            classes = [m for m in found if m]
-            exact = True
-            break
-        else:
-            exact = True
-        if exact:
-            lower = len(classes)
+                lower += 1
+            else:
+                classes = [m for m in found if m]
+    except _Stop:
+        exact = False
     partition = [list(_bits(mask)) for mask in classes]
     partition.sort(key=lambda part: part[0])
     return partition, lower, exact
@@ -819,13 +808,6 @@ def _quotient_filter(f, partition):
             for table in f._succ]
     initial = tuple(sorted({new[i] for i in f._init}))
     return Filter._from_tables(tuple(names), f.observations, f.colors, initial, succ, color)
-
-
-def _verified(ref, candidate, clock):
-    if not clock.spend():
-        return False
-    clock.walked += 1
-    return _walk(ref, *ref.encode(candidate)) is None
 
 
 def _closed_cover(ref, inc, n, clock):
@@ -903,23 +885,33 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
 
     Returns (determinization, best simulator, cover lower bound, cover
     exact, search status, level).  node_cap caps the cover search.  The
-    quotient of the cover's partition is walked on the clock and kept if it
-    simulates; it is skipped when the lower bound is not below both the
-    determinization and beat, and once the deadline has passed.  The levels
+    quotient of the cover's partition is kept if it is deterministic and
+    smaller than the determinization d; it is skipped when the lower bound
+    is not below both d and beat, once the deadline has passed, and when
+    the clock refuses the one candidate its walk spends.  The levels
     searched run from the lower bound up to one below the best simulator,
     or below beat if that is lower.
     Raises CapExceeded past determinize_cap subsets.
+
+    Such a quotient always simulates, so _confirm's walk of it is a check
+    against faults.  Its classes share a color, and on every string w that
+    d survives it reaches the class of d's state p(w), with colors inside
+    those of p(w), the colors of the reference's reached set.  By induction
+    on w: the initial class holds p(()), and as the quotient is
+    deterministic, the y-edges of the class of p(w) lead to one class,
+    which holds p(wy), the y-successor of p(w).
     """
     d, _ = ft._determinize(determinize_cap, ref)
     best = d
     inc = _incompatible(d)
-    partition, lower, cover_exact = _min_clique_cover(inc, node_cap)
+    partition, lower, cover_exact = _min_clique_cover(inc, clock.sub(node_cap))
     top = len(d.states) if beat is None else min(len(d.states), beat)
     if lower < top and not clock.expired():
         quotient = _quotient_filter(d, partition)
         if (quotient is not None and quotient.is_deterministic()
-                and len(quotient.states) < len(best.states) and _verified(ref, quotient, clock)):
-            best = quotient
+                and len(quotient.states) < len(best.states) and clock.spend()):
+            clock.walked += 1
+            best = _confirm(ref, quotient)
     levels = range(lower, min(top, len(best.states)))
     search = functools.partial(_closed_cover, ref, inc)
     status, witness, level = _search_levels(levels, clock, search)
@@ -939,14 +931,6 @@ def minimize_det(f, budget=None):
     ft = f.trim()
     clock = _Clock(budget)
     d, best, lower, cover_exact, status, level = _det_pipeline(
-        ft, _RefTables(ft), clock, DETERMINIZE_CAP)
-    stats = {
-        "candidates": clock.candidates,
-        "walked": clock.walked,
-        "level": level,
-        "wall_time_s": time.monotonic() - start,
-        "determinized_size": len(d.states),
-        "lower_bound": lower,
-        "cover_exact": cover_exact,
-    }
-    return MinimizationResult(best, status != _CAPPED, stats)
+        ft, _Reached(ft), clock, DETERMINIZE_CAP)
+    return _result(best, status, level, clock, start, determinized_size=len(d.states),
+                   lower_bound=lower, cover_exact=cover_exact)

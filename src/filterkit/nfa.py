@@ -136,10 +136,10 @@ def is_included(a, b, cap=INCLUSION_CAP):
     the first gap string in that order; when a is nondeterministic, a later
     string of the same length may be returned.  Raises CapExceeded once more
     than cap pairs, the initial ones included, would be reached, and
-    ValueError for a cap below 1.  Output simulation between filters does
-    not use this: see filterkit.simulation.
+    ValueError for a cap below 1 or NaN.  Output simulation between filters
+    does not use this: see filterkit.simulation.
     """
-    if cap < 1:
+    if not cap >= 1:
         raise ValueError("cap must be positive")
     # steps[k][i]: the mask of the states of b that a's k-th symbol leads i to
     steps = b._masks_over(a.alphabet)

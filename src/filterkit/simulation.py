@@ -9,7 +9,8 @@ sets, and two strings that reach the same pair impose the same requirement.
 Both conditions are therefore decided by one breadth-first walk over the
 reachable pairs (reference set, candidate set).  The reference set is a
 number in the reference's reached-set table (filterkit.filters._Reached),
-which the walk fills as it reads it, and the candidate set a bitmask.  The
+which the walk fills as it reads it and which encodes the candidate as
+mask tables, and the candidate set a bitmask of candidate states.  The
 empty reference set has no number and is never entered: the reference makes
 no demand there.  A pair fails with a language gap when its candidate set
 is empty and with an output violation when the candidate set carries a
@@ -28,7 +29,7 @@ offending color is reported.
 """
 
 from .errors import CapExceeded
-from .filters import _bits, _mask, _names, _path, _Reached
+from .filters import _bits, _names, _path, _Reached
 from .nfa import INCLUSION_CAP
 
 LANGUAGE_GAP = "language-gap"
@@ -65,36 +66,13 @@ class SimulationVerdict:
         return f"SimulationVerdict(fails, {detail})"
 
 
-class _RefTables(_Reached):
-    """A reference filter's reached-set table (see filterkit.filters._Reached),
-    with the color names that candidates are encoded over."""
-
-    def __init__(self, f):
-        super().__init__(f)
-        self.color_names = f.colors
-
-    def encode(self, f):
-        """Mask tables (initial mask, color mask per state, step) of a
-        candidate filter over this reference's observations and colors.
-        step[k][i] is the mask of the targets of state i under the k-th of
-        the reference's observations; a symbol f does not declare has none,
-        and a color the reference lacks gets a bit of its own."""
-        step = f._masks_over(self.obs)
-        colors = f._color
-        if f.colors != self.color_names:
-            color_bit = {c: 1 << i for i, c in enumerate(self.color_names)}
-            bits = [color_bit.setdefault(c, 1 << len(color_bit)) for c in f.colors]
-            colors = [sum(bit for j, bit in enumerate(bits) if mask >> j & 1) for mask in colors]
-        return _mask(f._init), colors, step
-
-
 def _walk(ref, init, colors, step, cap=None):
     """Breadth-first walk over reached-set pairs (reference set, candidate
     mask), from the initial pair, expanding ref.obs in declared order.
 
-    The candidate is given as mask tables (see _RefTables.encode).  A pair
-    is one int, r * stride + m for reference set r and candidate mask m,
-    where stride is 2 ** len(colors).  Returns None when no reached pair
+    The candidate is given as mask tables (see _Reached.encode).  A pair is
+    one int, r * stride + m for reference set r and candidate mask m, where
+    stride is 2 ** len(colors).  Returns None when no reached pair
     fails, else (kind, pair, parent, stride) for the first failing pair in
     discovery order, where parent maps each reached pair to previous pair *
     len(step) + observation index, or None for the initial pair.  Candidate
@@ -169,11 +147,11 @@ def output_simulates(candidate, reference, cap=INCLUSION_CAP):
     violation is the first offending one in the candidate's declared color
     order (colors are matched by name; one the reference lacks always
     offends).  Raises CapExceeded when more than cap reached-set pairs are
-    needed, and ValueError for a cap below 1.
+    needed, and ValueError for a cap below 1 or NaN.
     """
-    if cap is not None and cap < 1:
+    if cap is not None and not cap >= 1:
         raise ValueError("cap must be positive")
-    ref = _RefTables(reference)
+    ref = _Reached(reference)
     init, colors, step = ref.encode(candidate)
     failure = _walk(ref, init, colors, step, cap)
     if failure is None:

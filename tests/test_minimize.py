@@ -22,6 +22,7 @@ from filterkit import (
     prime_family,
     prime_family_minimizer,
 )
+from filterkit.filters import _Reached
 
 from oracles import (
     all_filters,
@@ -79,6 +80,24 @@ def test_budget_validation():
         SearchBudget(candidate_cap=0)
     with pytest.raises(ValueError):
         SearchBudget(time_cap=0)
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_k": float("nan")}, {"max_k": 2.0}, {"max_k": True},
+    {"candidate_cap": float("nan")}, {"candidate_cap": 2.5}, {"candidate_cap": True},
+    {"time_cap": float("nan")},
+])
+def test_budget_refuses_caps_that_nan_or_a_float_would_lift(caps):
+    # NaN compares false with everything, so a cap checked as `value < 1`
+    # would admit it and never stop; a float count stops at a fraction
+    with pytest.raises(ValueError):
+        SearchBudget(**caps)
+
+
+@pytest.mark.parametrize("k", [0, 1.5, float("nan"), True])
+def test_decide_size_k_refuses_a_size_that_is_not_a_positive_int(k):
+    with pytest.raises(ValueError):
+        decide_size_k(mergeable_pair(), k)
 
 
 def test_minimize_nondet_collapses_pair():
@@ -334,9 +353,9 @@ def closed_cover_search(ft):
     """The closed-cover search of ft's levels, as search(n, clock): on ft's
     reached-set table, filled by determinizing it."""
     from filterkit import DETERMINIZE_CAP
-    from filterkit.minimize import _closed_cover, _incompatible, _RefTables
+    from filterkit.minimize import _closed_cover, _incompatible
 
-    ref = _RefTables(ft)
+    ref = _Reached(ft)
     d, _ = ft._determinize(DETERMINIZE_CAP, ref)
     return functools.partial(_closed_cover, ref, _incompatible(d))
 
@@ -363,7 +382,7 @@ def charged_blocks(ft, levels):
     """(candidates before, size) of every block of more than one candidate
     that an uncapped search of the given levels charges at once, and the
     count at the end of that search."""
-    from filterkit.minimize import _EXHAUSTED, _Clock, _RefTables, _search_size
+    from filterkit.minimize import _EXHAUSTED, _Clock, _search_size
 
     blocks = []
 
@@ -373,7 +392,7 @@ def charged_blocks(ft, levels):
                 blocks.append((self.candidates, k))
             return super().spend(k)
 
-    ref = _RefTables(ft)
+    ref = _Reached(ft)
     clock = RecordingClock(SearchBudget(candidate_cap=None))
     for n in levels:
         if _search_size(ref, n, clock)[0] != _EXHAUSTED:
@@ -534,7 +553,7 @@ def test_level_one_matches_one_by_one_reference():
     # level 1 is decided by one walk and charged as one block: the status,
     # the witness and the count are those of checking every candidate in
     # turn, under every cap up to one past the uncapped count
-    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _RefTables, _search_size
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _search_size
 
     def level_one(ref, budget):
         clock = _Clock(budget)
@@ -548,7 +567,7 @@ def test_level_one_matches_one_by_one_reference():
         ft = f.trim()
         if not ft.states:
             continue
-        ref = _RefTables(ft)
+        ref = _Reached(ft)
         total = canonical_search(ft, 1, False)[2]
         for cap in range(1, total + 2):
             status, witness, spent = canonical_search(ft, 1, False, 0, cap)
@@ -560,7 +579,7 @@ def test_level_one_matches_one_by_one_reference():
     # the one-by-one search stops at the first candidate past it
     for f in (fig3_input(), fig3_minimizer()):
         ft = f.trim()
-        ref = _RefTables(ft)
+        ref = _Reached(ft)
         status, witness, spent = canonical_search(ft, 1, False)
         assert (status, spent) == ("exhausted", 32768)
         assert level_one(ref, SearchBudget(candidate_cap=None)) == ((_EXHAUSTED, None, spent), 1)
@@ -570,7 +589,7 @@ def test_level_one_matches_one_by_one_reference():
     # past the deadline the count stops at the first multiple of 512
     late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
     time.sleep(0.001)
-    assert _search_size(_RefTables(fig3_input()), 1, late) == (_CAPPED, None)
+    assert _search_size(_Reached(fig3_input()), 1, late) == (_CAPPED, None)
     assert (late.candidates, late.walked) == (512, 1)
 
 
@@ -609,9 +628,9 @@ def test_time_cap_stops_search_unproven():
 def test_stats_count_walked_candidates():
     # level 2 of the donut fails on the rows of state 0 alone, so most of
     # its candidates are charged in blocks without a walk
-    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _RefTables, _search_size
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _search_size
 
-    ref = _RefTables(donut_world())
+    ref = _Reached(donut_world())
     clock = _Clock(SearchBudget(candidate_cap=800))
     assert _search_size(ref, 1, clock) == (_EXHAUSTED, None)
     assert _search_size(ref, 2, clock) == (_CAPPED, None)
@@ -628,18 +647,97 @@ def test_stats_count_walked_candidates():
 def test_clique_cover_of_deep_graph_returns():
     # incompatibility K700,700 + C5: the exact coloring search goes about
     # 1,400 vertices deep, past the interpreter's recursion limit
-    from filterkit.minimize import _min_clique_cover
+    from filterkit.minimize import _Clock, _min_clique_cover
 
     left, right, ring = range(700), range(700, 1400), range(1400, 1405)
     hostile = {u: set(right) for u in left}
     hostile.update((v, set(left)) for v in right)
     hostile.update((u, {ring[i - 1], ring[(i + 1) % 5]}) for i, u in enumerate(ring))
     inc = [sum(1 << v for v in hostile[u]) for u in range(1405)]
-    partition, lower, exact = _min_clique_cover(inc, 500_000)
+    partition, lower, exact = _min_clique_cover(inc, _Clock(None).sub(500_000))
     assert (len(partition), lower, exact) == (3, 3, True)
     assert sorted(v for part in partition for v in part) == list(range(1405))
     for part in partition:
         assert all(v not in hostile[u] for u in part for v in part)
+
+
+def mycielski(k):
+    """Adjacency bitmask rows of the Mycielski graph M_k (k >= 2): clique
+    number 2, chromatic number k; M5 has 23 vertices, M6 47."""
+    rows = [0b10, 0b01]
+    for _ in range(k - 2):
+        n = len(rows)  # vertex v gets a shadow n + v on its neighbours, all joined to 2n
+        rows = ([r | r << n for r in rows] + [r | 1 << 2 * n for r in rows]
+                + [((1 << n) - 1) << n])
+    return rows
+
+
+def assert_clique_cover(partition, inc):
+    assert sorted(v for part in partition for v in part) == list(range(len(inc)))
+    for part in partition:
+        assert all(not inc[u] >> v & 1 for u in part for v in part)
+
+
+def test_clique_cover_coloring_stops_at_the_deadline():
+    # M5 as incompatibility rows: the greedy cover has 5 cliques, its
+    # greedy incompatible clique 2 vertices, and the coloring search proves
+    # 5 in 32,320 nodes.  Past the deadline the clock refuses at node 512
+    from filterkit.minimize import _Clock, _min_clique_cover
+
+    inc = mycielski(5)
+    clock = _Clock(SearchBudget(candidate_cap=None))
+    partition, lower, exact = _min_clique_cover(inc, clock)
+    assert (len(partition), lower, exact, clock.candidates) == (5, 5, True, 32_320)
+    assert_clique_cover(partition, inc)
+    late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
+    time.sleep(0.001)
+    partition, lower, exact = _min_clique_cover(inc, late)
+    assert not exact and late.candidates <= 512 and 2 <= lower <= 5
+    assert_clique_cover(partition, inc)
+
+
+def test_clique_cover_node_cap_is_one_total():
+    # the colorings of every color count spend one clock: on M6 a cap of
+    # 10,000 nodes stops the cover after 10,001, the one refused included
+    from filterkit.minimize import _Clock, _min_clique_cover
+
+    inc = mycielski(6)
+    clock = _Clock(SearchBudget(candidate_cap=10_000))
+    partition, lower, exact = _min_clique_cover(inc, clock)
+    assert not exact and clock.candidates <= 10_001 and 2 <= lower <= 6
+    assert_clique_cover(partition, inc)
+
+
+def test_minimize_det_cover_stops_at_the_deadline():
+    # a root leads, each on its own symbol, to one state per vertex of M6,
+    # colored by the vertex's non-edges: two vertex states are compatible
+    # iff their vertices are not adjacent, so proving the cover means
+    # coloring M6, far past the time cap
+    inc = mycielski(6)
+    n = len(inc)
+    apart = [(u, v) for u in range(n) for v in range(u + 1, n) if not inc[u] >> v & 1]
+    colors = [f"c{u}_{v}" for u, v in apart]
+    coloring = {"root": set(colors)}
+    coloring.update((f"v{i}", {f"c{u}_{v}" for u, v in apart if i in (u, v)}) for i in range(n))
+    f = Filter(["root"] + [f"v{i}" for i in range(n)], ["root"], [f"y{i}" for i in range(n)],
+               {("root", f"v{i}"): {f"y{i}"} for i in range(n)}, colors, coloring)
+    start = time.monotonic()
+    result = minimize_det(f, SearchBudget(time_cap=0.2))
+    assert time.monotonic() - start < 0.6
+    assert not result.proven_optimal and not result.stats["cover_exact"]
+    assert simulates_oracle(result.minimizer, f)[0]
+
+
+def test_cover_quotient_failing_its_walk_raises(monkeypatch):
+    # a deterministic quotient of the cover always simulates (see
+    # _det_pipeline), so a walk that fails is a fault, not a bound to skip
+    import filterkit.minimize as minimize
+
+    f = donut_world()
+    wrong = Filter(["q"], ["q"], f.observations, {}, f.colors, {"q": set(f.colors)})
+    monkeypatch.setattr(minimize, "_quotient_filter", lambda d, partition: wrong)
+    with pytest.raises(RuntimeError):
+        minimize_det(f)
 
 
 def test_compatibility_graph_matches_rev_map_reference():
@@ -692,7 +790,7 @@ def one_color_filter(rng, n, symbols):
 
 
 def test_fooling_pairs_hold_by_direct_trace():
-    from filterkit.minimize import _Clock, _fooling_set, _RefTables
+    from filterkit.minimize import _Clock, _fooling_set
 
     filters = [prime_family(r) for r in (1, 2, 3)]
     filters += [donut_world(), fig3_input(), fig3_minimizer()]
@@ -701,7 +799,7 @@ def test_fooling_pairs_hold_by_direct_trace():
     sizes = []
     for f in filters:
         ft = f.trim()
-        pairs, exact = _fooling_set(_RefTables(ft), ft.size(), _Clock(None))
+        pairs, exact = _fooling_set(_Reached(ft), ft.size(), _Clock(None))
         assert fooling_set_error(ft, pairs) is None, f
         sizes.append(len(pairs))
     assert sizes[:6] == [5, 9, 16, 4, 7, 7]
@@ -722,7 +820,8 @@ def test_bounds_bracket_the_brute_force_size():
 
 
 def test_bisimulation_quotients_simulate_both_ways():
-    from filterkit.minimize import _bisimulation_quotient, _Clock, _is_bisimulation, _RefTables
+    from filterkit.minimize import (
+        _BISIMULATION_WORK, _bisimulation_quotient, _Clock, _is_bisimulation)
 
     filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
     rng = random.Random(818)
@@ -732,9 +831,10 @@ def test_bisimulation_quotients_simulate_both_ways():
     for f in filters:
         ft = f.trim()
         assert not any("+" in s for s in ft.states)
-        ref = _RefTables(ft)
+        ref = _Reached(ft)
         for backward in (False, True):
-            quotient = _bisimulation_quotient(ft, ref, _Clock(None), backward)
+            clock = _Clock(None).sub(_BISIMULATION_WORK)
+            quotient = _bisimulation_quotient(ft, ref, clock, backward)
             if quotient is None:
                 continue
             shrunk[backward] += 1
@@ -747,13 +847,13 @@ def test_bisimulation_quotients_simulate_both_ways():
             assert _is_bisimulation(ref, block, backward), (f, backward)
             assert bisimulation_faults(ft, block, backward) == set(), (f, backward)
     assert min(shrunk.values()) >= 10
-    forward = _bisimulation_quotient(prime_family(2), _RefTables(prime_family(2)),
-                                     _Clock(None), False)
+    forward = _bisimulation_quotient(prime_family(2), _Reached(prime_family(2)),
+                                     _Clock(None).sub(_BISIMULATION_WORK), False)
     assert forward.size() == 9
 
 
 def test_bisimulation_certificate_rejects_each_broken_condition():
-    from filterkit.minimize import _is_bisimulation, _quotient_filter, _RefTables
+    from filterkit.minimize import _is_bisimulation, _quotient_filter
 
     x, y, xy = {"x"}, {"y"}, {"x", "y"}
     swap = Filter(["p", "q"], ["p", "q"], ("a",), {("p", "q"): {"a"}, ("q", "p"): {"a"}},
@@ -779,12 +879,12 @@ def test_bisimulation_certificate_rejects_each_broken_condition():
     ]
     for f, block, backward, broken in cases:
         assert bisimulation_faults(f, block, backward) == {broken}, broken
-        assert not _is_bisimulation(_RefTables(f), block, backward), broken
+        assert not _is_bisimulation(_Reached(f), block, backward), broken
         quotient = _quotient_filter(f, [[i for i, b in enumerate(block) if b == k]
                                         for k in range(max(block) + 1)])
         assert not (simulates_oracle(quotient, f)[0] and simulates_oracle(f, quotient)[0])
         # the partition into single states always passes
-        assert _is_bisimulation(_RefTables(f), list(range(f.size())), backward)
+        assert _is_bisimulation(_Reached(f), list(range(f.size())), backward)
     # and on random partitions the certificate says what the named check says
     rng = random.Random(3131)
     passed = 0
@@ -792,7 +892,7 @@ def test_bisimulation_certificate_rejects_each_broken_condition():
         f = random_filter(rng, max_states=5, max_symbols=2, max_colors=2)
         block = [rng.randrange(3) for _ in f.states]
         backward = rng.random() < 0.5
-        certified = _is_bisimulation(_RefTables(f), block, backward)
+        certified = _is_bisimulation(_Reached(f), block, backward)
         assert certified == (not bisimulation_faults(f, block, backward)), (f, block, backward)
         passed += certified
     assert passed >= 20
@@ -892,28 +992,28 @@ def test_max_clique_matches_brute_force():
             for group in itertools.combinations(range(n), size)
             if all(rows[u] >> v & 1 for u, v in itertools.combinations(group, 2))
         )
-        clique, exact = _max_clique(rows, n, 10_000, _Clock(None))
+        clique, exact = _max_clique(rows, n, _Clock(None).sub(10_000))
         assert exact and len(clique) == largest
         assert all(rows[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
         # the search stops at the first clique that reaches the target, and
-        # a node cap leaves it inexact
+        # a clock that refuses a node leaves it inexact
         target = rng.randint(1, largest)
-        assert len(_max_clique(rows, target, 10_000, _Clock(None))[0]) >= target
+        assert len(_max_clique(rows, target, _Clock(None).sub(10_000))[0]) >= target
         if largest > 1:
-            assert _max_clique(rows, n, 1, _Clock(None))[1] is False
+            assert _max_clique(rows, n, _Clock(None).sub(1))[1] is False
 
 
 def test_det_bound_skips_only_what_cannot_win():
     # with beat set, the pipeline may stop early, but only when its result
     # could not have fewer than beat states
-    from filterkit.minimize import _Clock, _det_pipeline, _RefTables
+    from filterkit.minimize import _Clock, _det_pipeline
 
     rng = random.Random(2626)
     skipped = 0
     for _ in range(150):
         f = random_filter(rng, max_states=6, max_symbols=2, max_colors=2)
         ft = f.trim()
-        ref = _RefTables(ft)
+        ref = _Reached(ft)
         cap = rng.choice((2, 4, 20))
         full = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000)[1]
         for beat in range(1, ft.size() + 2):
@@ -930,7 +1030,7 @@ def test_det_bound_walks_within_the_subset_cap():
     # not walked again: a quotient of the cover reaches one pair per reached
     # set of the reference, a closed cover at most one per reached set and
     # state, and the bound gives up past _BOUND_SUBSETS reached sets
-    from filterkit.minimize import _BOUND_SUBSETS, _Clock, _det_bound, _RefTables
+    from filterkit.minimize import _BOUND_SUBSETS, _Clock, _det_bound
     from filterkit.simulation import _walk
 
     filters = [donut_world(), fig3_input(), fig3_minimizer()]
@@ -941,7 +1041,7 @@ def test_det_bound_walks_within_the_subset_cap():
     bounds = merged = 0
     for f in filters:
         ft = f.trim()
-        ref = _RefTables(ft)
+        ref = _Reached(ft)
         reached_sets = ft.determinize()[0].size()
         for beat in (None, ft.size()):
             bound = _det_bound(ft, ref, _Clock(None), beat)
@@ -960,7 +1060,7 @@ def test_determinization_reads_the_shared_table():
     # names included, and the cap are those of a fresh subset construction,
     # and a cap hit leaves the table whole
     from filterkit import CapExceeded
-    from filterkit.minimize import _Clock, _level_one, _RefTables
+    from filterkit.minimize import _Clock, _level_one
     from filterkit.simulation import _walk
 
     rng = random.Random(5151)
@@ -974,7 +1074,7 @@ def test_determinization_reads_the_shared_table():
         with pytest.raises(CapExceeded):
             ft.determinize(det.size() - 1)
         for cap in (det.size(), det.size() - 1):
-            ref = _RefTables(ft)
+            ref = _Reached(ft)
             if i % 3 == 0:
                 _level_one(ref, _Clock(None))
             else:

@@ -11,6 +11,9 @@ from filterkit import (
     Filter,
     fig3_input,
     fig3_minimizer,
+    Nfa,
+    is_included,
+    is_universal,
     output_simulates,
     prime_family,
     prime_family_minimizer,
@@ -388,3 +391,19 @@ def test_caps_below_one_are_refused():
     for cap in (0, -5):
         with pytest.raises(ValueError):
             output_simulates(one, one, cap=cap)
+
+
+@pytest.mark.parametrize("check", [
+    lambda f, a, cap: output_simulates(f, f, cap=cap),
+    lambda f, a, cap: is_included(a, a, cap=cap),
+    lambda f, a, cap: is_universal(a, cap=cap),
+    lambda f, a, cap: f.determinize(cap=cap),
+], ids=["output_simulates", "is_included", "is_universal", "determinize"])
+def test_nan_caps_are_refused(check):
+    # NaN fails every comparison, so a cap checked only by `len > cap`
+    # would never stop the walk
+    f = Filter(["s"], ["s"], ["a"], {}, ["x"], {"s": ["x"]})
+    a = Nfa(["p"], ["p"], ["a"], {}, ["p"])
+    check(f, a, 10)
+    with pytest.raises(ValueError):
+        check(f, a, float("nan"))
