@@ -2,10 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 means success (or "the property
 holds"), 1 means a well-formed negative answer (crash, simulation failure,
-unprovable minimality, no accepting state), 2 means the input or invocation
-was bad, and 3 means a search or construction budget ran out.  Everything
-written to stdout is byte-deterministic for a given input; timing and
-diagnostics go to stderr.
+no accepting state), 2 means the input or invocation was bad, and 3 means a
+search or construction budget ran out or a minimum is left unproven.
+Everything written to stdout is byte-deterministic for a given input;
+timing and diagnostics go to stderr.
 
 ``main(argv)`` returns the exit code and may be called any number of times
 in one process: the argument parser is built on the first call and reused.

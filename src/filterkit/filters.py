@@ -321,12 +321,11 @@ class _Reached:
         self.color_names = f.colors
         self.step = f._masks_over(f.observations)
         self.color_of = f._color
-        self.init_mask = _mask(f._init)
-        self.members = [self.init_mask]
+        self.members = [_mask(f._init)]
         self.colors = [functools.reduce(operator.or_, map(f._color.__getitem__, f._init))]
         self.after = [[] for _ in self.step]
         self.done = 0
-        self._number = {self.init_mask: 0}
+        self._number = {self.members[0]: 0}
         self._rows = list(zip(self.step, self.after))
 
     def fill(self, last=None, cap=math.inf):

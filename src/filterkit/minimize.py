@@ -23,13 +23,13 @@ searched, not the bounds.
 
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its
-forward and backward bisimulation quotients and the deterministic pipeline
-below; the lower bound is a fooling set, a family of string pairs that no
-two simulator states can serve together.  Where the bounds meet, the upper
+forward bisimulation quotient and the deterministic pipeline below; the
+lower bound is a fooling set, a family of string pairs that no two
+simulator states can serve together.  Where the bounds meet, the upper
 bound is the answer, proven; otherwise only the levels between them are
 searched.  Each bound phase runs on a sub-clock of the search's _Clock:
 the same deadline, and a fixed work cap of its own, in search nodes or in
-states signed.  Quotients are certified by a linear check, and the
+states signed.  The quotient is certified by a linear check, and the
 deterministic bound's result was walked inside its pipeline, so neither is
 walked again.
 
@@ -64,8 +64,9 @@ class SearchBudget:
         for name, value in (("max_k", max_k), ("candidate_cap", candidate_cap)):
             if value is not None and (type(value) is not int or value < 1):  # not a bool
                 raise ValueError(f"{name} must be a positive integer")
-        if time_cap is not None and not time_cap > 0:  # NaN fails too
-            raise ValueError("time_cap must be positive")
+        if time_cap is not None and (type(time_cap) not in (int, float)  # not a bool
+                                     or not time_cap > 0):  # NaN fails too
+            raise ValueError("time_cap must be a positive number of seconds")
         self.max_k = max_k
         self.candidate_cap = candidate_cap
         self.time_cap = time_cap
@@ -340,13 +341,13 @@ def minimize_nondet(f, budget=None):
     the levels between them.
 
     Level 1 is searched first.  If it fails, sound bounds come next: upper
-    bounds from the trimmed filter, its certified forward and backward
-    bisimulation quotients and the deterministic pipeline, which walks its
-    own result, and a fooling-set lower bound, at least 2.  When the lower
-    bound meets the best upper bound, that filter is returned as proven
-    optimal without a search; otherwise the levels from the lower bound up
-    to one below the best upper bound are searched in turn, and the first
-    level with a simulator gives the canonically-first one.  The bounds are
+    bounds from the trimmed filter, its certified forward bisimulation
+    quotient and the deterministic pipeline, which walks its own result,
+    and a fooling-set lower bound, at least 2.  When the lower bound meets
+    the best upper bound, that filter is returned as proven optimal
+    without a search; otherwise the levels from the lower bound up to one
+    below the best upper bound are searched in turn, and the first level
+    with a simulator gives the canonically-first one.  The bounds are
     computed only when max_k allows level 2.
     """
     start = time.monotonic()
@@ -386,19 +387,18 @@ _FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
 
 
 def _upper_bound(ft, ref, clock, lower):
-    """The smallest simulator among the trimmed filter, its two certified
-    bisimulation quotients and the deterministic pipeline's result, with
+    """The smallest simulator among the trimmed filter, its certified
+    bisimulation quotient and the deterministic pipeline's result, with
     the name of its source.  Stops once one has `lower` states, below which
     the search has ruled everything out."""
     best, source = ft, "trim"
-    for name in ("forward-bisimulation", "backward-bisimulation", "deterministic"):
+    for name in ("forward-bisimulation", "deterministic"):
         if len(best.states) <= lower or clock.expired():
             break
         if name == "deterministic":
             bound = _det_bound(ft, ref, clock, len(best.states))
         else:
-            bound = _bisimulation_quotient(ft, ref, clock.sub(_BISIMULATION_WORK),
-                                           name == "backward-bisimulation")
+            bound = _bisimulation_quotient(ft, ref, clock.sub(_BISIMULATION_WORK))
         if bound is not None and len(bound.states) < len(best.states):
             best, source = bound, name
     return best, source
@@ -414,27 +414,15 @@ def _det_bound(ft, ref, clock, beat):
         return None
 
 
-def _bisimulation_quotient(ft, ref, clock, backward):
-    """The quotient of ft by its coarsest forward (or backward) bisimulation
-    (see _is_bisimulation), or None if every block is a single state.  The
-    partition is refined from the color classes (backward: and initial
-    status) until no block splits.  A round signs every state and spends
-    one unit of clock per state first; None is also the answer once the
-    clock refuses.  RuntimeError if the partition found fails the
-    certificate."""
+def _bisimulation_quotient(ft, ref, clock):
+    """The quotient of ft by its coarsest forward bisimulation (see
+    _is_bisimulation), or None if every block is a single state.  The
+    partition is refined from the color classes until no block splits.  A
+    round signs every state and spends one unit of clock per state first;
+    None is also the answer once the clock refuses.  RuntimeError if the
+    partition found fails the certificate."""
     n = len(ft.states)
-    if backward:
-        edges = []
-        for table in ref.step:
-            into = [0] * n
-            for i, targets in enumerate(table):
-                for j in _bits(targets):
-                    into[j] |= 1 << i
-            edges.append(into)
-        keys = [(ref.color_of[i], ref.init_mask >> i & 1) for i in range(n)]
-    else:
-        edges = ref.step
-        keys = list(ref.color_of)
+    keys = list(ref.color_of)
     count = 0
     while clock.spend(n):
         ids = {}
@@ -447,7 +435,7 @@ def _bisimulation_quotient(ft, ref, clock, backward):
         keys = []
         for i in range(n):
             key = [block[i]]
-            for table in edges:
+            for table in ref.step:
                 blocks = 0
                 for j in _bits(table[i]):
                     blocks |= 1 << block[j]
@@ -458,33 +446,29 @@ def _bisimulation_quotient(ft, ref, clock, backward):
     partition = [[] for _ in range(count)]
     for i in range(n):
         partition[block[i]].append(i)
-    if not _is_bisimulation(ref, block, backward):
+    if not _is_bisimulation(ref, block):
         raise RuntimeError("the bisimulation refinement returned a partition that is not one")
     return _quotient_filter(ft, partition)
 
 
-def _is_bisimulation(ref, block, backward):
+def _is_bisimulation(ref, block):
     """Whether block, the block index of each of ref's states, joins only
-    states with the same colors (backward: and initial status) and, under
-    every symbol, the same blocks holding their successors (predecessors):
-    the certificate of a bisimulation quotient, apart from the refinement.
+    states with the same colors and, under every symbol, the same blocks
+    holding their successors: the certificate of a bisimulation quotient,
+    apart from the refinement.
 
     Then the quotient reaches on every string w the blocks of R(w), the
     filter's reached set, so it survives w iff the filter does, with the
-    same colors.  By induction on w.  Forward: a block's y-successors are
-    those of any one member, and a block reached on w has one in R(w).
-    Backward, where all of a block reached on w lies in R(w): a state is in
-    R(wy) iff a y-predecessor is in a block reached on w, which all members
-    of its block have or none do.  The check reads each edge once.
+    same colors.  By induction on w: a block's y-successors are those of
+    any one member, and a block reached on w has one in R(w).  The check
+    reads each edge once.
     """
     ends = [[0] * len(block) for _ in ref.step]  # per symbol and state: a mask of blocks
     for table, out in zip(ref.step, ends):
         for i, targets in enumerate(table):
             for j in _bits(targets):
-                a, b = (j, i) if backward else (i, j)
-                out[a] |= 1 << block[b]
-    keys = {(block[i], ref.color_of[i], backward and ref.init_mask >> i & 1,
-             *(out[i] for out in ends)) for i in range(len(block))}
+                out[i] |= 1 << block[j]
+    keys = {(block[i], ref.color_of[i], *(out[i] for out in ends)) for i in range(len(block))}
     return len(keys) == len(set(block))
 
 

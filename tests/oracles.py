@@ -348,20 +348,16 @@ def fooling_set_error(reference, pairs):
     return None
 
 
-def bisimulation_faults(f, block, backward):
-    """The conditions of a forward (or backward) bisimulation that block, a
-    block number per state of f, breaks: a subset of {"colors", "initial",
-    "edges"}.
+def bisimulation_faults(f, block):
+    """The conditions of a forward bisimulation that block, a block number
+    per state of f, breaks: a subset of {"colors", "edges"}.
 
-    Two states in one block must have the same colors (backward: the same
-    initial status) and, under every symbol, successors (backward:
-    predecessors) in the same set of blocks.
+    Two states in one block must have the same colors and, under every
+    symbol, successors in the same set of blocks.
     """
     number = dict(zip(f.states, block))
 
     def ends(s, symbol):
-        if backward:
-            return {number[t] for t in f.states if s in f.successors(t, symbol)}
         return {number[t] for t in f.successors(s, symbol)}
 
     faults = set()
@@ -370,8 +366,6 @@ def bisimulation_faults(f, block, backward):
             continue
         if f.coloring[s] != f.coloring[t]:
             faults.add("colors")
-        if backward and (s in f.initial) != (t in f.initial):
-            faults.add("initial")
         if any(ends(s, y) != ends(t, y) for y in f.observations):
             faults.add("edges")
     return faults

@@ -85,7 +85,7 @@ def test_budget_validation():
 @pytest.mark.parametrize("caps", [
     {"max_k": float("nan")}, {"max_k": 2.0}, {"max_k": True},
     {"candidate_cap": float("nan")}, {"candidate_cap": 2.5}, {"candidate_cap": True},
-    {"time_cap": float("nan")},
+    {"time_cap": float("nan")}, {"time_cap": True}, {"time_cap": "5"},
 ])
 def test_budget_refuses_caps_that_nan_or_a_float_would_lift(caps):
     # NaN compares false with everything, so a cap checked as `value < 1`
@@ -271,6 +271,19 @@ def test_minimize_det_output_always_simulates():
         assert result.size() >= result.stats["lower_bound"]
         holds, _ = simulates_oracle(result.minimizer, f)
         assert holds, f
+
+
+def test_minimize_det_proves_the_seeded_corpus():
+    # the closed-cover search under the default budget proves all but one
+    # of these draws (draw #175 spends its cap), and every result simulates
+    rng = random.Random(5)
+    proven = 0
+    for _ in range(300):
+        f = random_filter(rng, max_states=7, max_symbols=3, max_colors=3)
+        result = minimize_det(f)
+        assert output_simulates(result.minimizer, f).holds, f
+        proven += result.proven_optimal
+    assert proven >= 299
 
 
 def test_minimize_det_matches_det_brute_force():
@@ -827,28 +840,26 @@ def test_bisimulation_quotients_simulate_both_ways():
     rng = random.Random(818)
     filters += [random_filter(rng, max_states=6, max_symbols=2, max_colors=2)
                 for _ in range(150)]
-    shrunk = {False: 0, True: 0}
+    shrunk = 0
     for f in filters:
         ft = f.trim()
         assert not any("+" in s for s in ft.states)
         ref = _Reached(ft)
-        for backward in (False, True):
-            clock = _Clock(None).sub(_BISIMULATION_WORK)
-            quotient = _bisimulation_quotient(ft, ref, clock, backward)
-            if quotient is None:
-                continue
-            shrunk[backward] += 1
-            assert quotient.size() < ft.size()
-            assert simulates_oracle(quotient, ft)[0], (f, backward)
-            assert simulates_oracle(ft, quotient)[0], (f, backward)
-            # a quotient state is named by its members joined with +
-            number = {s: b for b, name in enumerate(quotient.states) for s in name.split("+")}
-            block = [number[s] for s in ft.states]
-            assert _is_bisimulation(ref, block, backward), (f, backward)
-            assert bisimulation_faults(ft, block, backward) == set(), (f, backward)
-    assert min(shrunk.values()) >= 10
+        quotient = _bisimulation_quotient(ft, ref, _Clock(None).sub(_BISIMULATION_WORK))
+        if quotient is None:
+            continue
+        shrunk += 1
+        assert quotient.size() < ft.size()
+        assert simulates_oracle(quotient, ft)[0], f
+        assert simulates_oracle(ft, quotient)[0], f
+        # a quotient state is named by its members joined with +
+        number = {s: b for b, name in enumerate(quotient.states) for s in name.split("+")}
+        block = [number[s] for s in ft.states]
+        assert _is_bisimulation(ref, block), f
+        assert bisimulation_faults(ft, block) == set(), f
+    assert shrunk >= 10
     forward = _bisimulation_quotient(prime_family(2), _Reached(prime_family(2)),
-                                     _Clock(None).sub(_BISIMULATION_WORK), False)
+                                     _Clock(None).sub(_BISIMULATION_WORK))
     assert forward.size() == 9
 
 
@@ -856,44 +867,36 @@ def test_bisimulation_certificate_rejects_each_broken_condition():
     from filterkit.minimize import _is_bisimulation, _quotient_filter
 
     x, y, xy = {"x"}, {"y"}, {"x", "y"}
-    swap = Filter(["p", "q"], ["p", "q"], ("a",), {("p", "q"): {"a"}, ("q", "p"): {"a"}},
-                  ("x", "y"), {"p": x, "q": xy})
-    # (filter, block per state, backward, the one condition broken): each
-    # partition keeps every other condition, and its quotient and the filter
-    # do not simulate each other
+    # (filter, block per state, the one condition broken): each partition
+    # keeps the other condition, and its quotient and the filter do not
+    # simulate each other
     cases = [
         # p and q share their colors, but a leads p into r's block and q into s's
         (Filter(["p", "q", "r", "s"], ["p"], ("a", "b"),
                 {("p", "r"): {"a"}, ("q", "s"): {"a"}, ("r", "q"): {"b"}},
                 ("x", "y"), {"p": x, "q": x, "r": x, "s": y}),
-         [0, 0, 1, 2], False, "edges"),
-        # p and q share colors and predecessors, but only p is initial
-        (Filter(["p", "q", "r"], ["p"], ("a", "b"),
-                {("q", "r"): {"a"}, ("r", "p"): {"b"}, ("r", "q"): {"b"}},
-                ("x", "y"), {"p": x, "q": x, "r": y}),
-         [0, 0, 1], True, "initial"),
-        # p and q share initial status and the blocks of their successors and
-        # predecessors, but not their colors
-        (swap, [0, 0], False, "colors"),
-        (swap, [0, 0], True, "colors"),
+         [0, 0, 1, 2], "edges"),
+        # p and q share the blocks of their successors, but not their colors
+        (Filter(["p", "q"], ["p", "q"], ("a",), {("p", "q"): {"a"}, ("q", "p"): {"a"}},
+                ("x", "y"), {"p": x, "q": xy}),
+         [0, 0], "colors"),
     ]
-    for f, block, backward, broken in cases:
-        assert bisimulation_faults(f, block, backward) == {broken}, broken
-        assert not _is_bisimulation(_Reached(f), block, backward), broken
+    for f, block, broken in cases:
+        assert bisimulation_faults(f, block) == {broken}, broken
+        assert not _is_bisimulation(_Reached(f), block), broken
         quotient = _quotient_filter(f, [[i for i, b in enumerate(block) if b == k]
                                         for k in range(max(block) + 1)])
         assert not (simulates_oracle(quotient, f)[0] and simulates_oracle(f, quotient)[0])
         # the partition into single states always passes
-        assert _is_bisimulation(_Reached(f), list(range(f.size())), backward)
+        assert _is_bisimulation(_Reached(f), list(range(f.size())))
     # and on random partitions the certificate says what the named check says
     rng = random.Random(3131)
     passed = 0
     for _ in range(600):
         f = random_filter(rng, max_states=5, max_symbols=2, max_colors=2)
         block = [rng.randrange(3) for _ in f.states]
-        backward = rng.random() < 0.5
-        certified = _is_bisimulation(_Reached(f), block, backward)
-        assert certified == (not bisimulation_faults(f, block, backward)), (f, block, backward)
+        certified = _is_bisimulation(_Reached(f), block)
+        assert certified == (not bisimulation_faults(f, block)), (f, block)
         passed += certified
     assert passed >= 20
 
