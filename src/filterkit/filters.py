@@ -83,6 +83,15 @@ def _fresh_name(base, taken, sep="~"):
     return name
 
 
+def _subset_names(names, masks):
+    """The name of the subset of names that each bitmask of masks picks:
+    {a,b,...} by sorted member names, suffixed ~2, ~3, ... where two print
+    alike."""
+    taken = set()
+    return tuple(_fresh_name("{" + ",".join(sorted(itertools.compress(names, _flags(mask)))) + "}",
+                             taken) for mask in masks)
+
+
 def _names(mask, names):
     """The names whose bits are set in mask, in declared order."""
     return [name for j, name in enumerate(names) if mask >> j & 1]
@@ -486,14 +495,11 @@ class Filter(_Tables):
         table = _Reached(self) if reached is None else reached
         table.fill(cap=cap)
         members = table.members
-        # {a,b,...} by sorted member names, suffixed ~2, ~3, ... where two print alike
-        taken, names = set(), self.states
-        states = tuple(_fresh_name("{" + ",".join(sorted(itertools.compress(names, _flags(mask))))
-                                   + "}", taken) for mask in members)
         cells = [(q,) for q in range(len(members))] + [()]  # cells[-1] is the empty set's
         succ = [list(map(cells.__getitem__, row)) for row in table.after]
         # a filled table never changes, so D may share its colors
-        det = Filter._from_tables(states, self.observations, self.colors, (0,), succ, table.colors)
+        det = Filter._from_tables(_subset_names(self.states, members), self.observations,
+                                  self.colors, (0,), succ, table.colors)
         return det, members
 
     # -- serialization ---------------------------------------------------

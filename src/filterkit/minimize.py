@@ -29,16 +29,20 @@ simulator states can serve together.  Where the bounds meet, the upper
 bound is the answer, proven; otherwise only the levels between them are
 searched.  Each bound phase runs on a sub-clock of the search's _Clock:
 the same deadline, and a fixed work cap of its own, in search nodes or in
-states signed.  The quotient is certified by a linear check, and the
-deterministic bound's result was walked inside its pipeline, so neither is
-walked again.
+states signed.  The bounds stay tables, compared by size, and only the
+winner is built as a Filter, names included.  The quotient is certified by
+a linear check and not walked; a deterministic winner other than the
+determinization itself is walked by _confirm once built, the cover's
+quotient after a walk of its tables inside the pipeline.
 
-minimize_det works on the determinization: the minimum clique cover of its
-compatibility graph is a sound lower bound on any deterministic minimizer,
-the cover's quotient an upper bound, and a search for closed covers
-(_closed_cover) decides the levels between them while the budget lasts;
-there `candidates` counts the choices tried.  Both minimizers build their
-result, and the stats they share, in _result.
+minimize_det works on the determinization, read off the reference's
+reached-set table: the minimum clique cover of its compatibility graph is
+a sound lower bound on any deterministic minimizer, the cover's quotient
+an upper bound, and a search for closed covers (_closed_cover) decides the
+levels between them while the budget lasts; there `candidates` counts the
+choices tried.  The compatibility graph checks the deadline too, and past
+it the determinization is the answer, unproven.  Both minimizers build
+their result, and the stats they share, in _result.
 """
 
 import functools
@@ -47,7 +51,7 @@ import operator
 import time
 
 from .errors import CapExceeded
-from .filters import DETERMINIZE_CAP, Filter, _bits, _flags, _fresh_name, _Reached
+from .filters import DETERMINIZE_CAP, Filter, _bits, _flags, _fresh_name, _Reached, _subset_names
 from .simulation import _walk
 
 YES = "yes"
@@ -147,9 +151,16 @@ class _Clock:
 
     def sub(self, candidate_cap):
         """A fresh clock with its own candidate cap and this clock's deadline."""
-        clock = _Clock(SearchBudget(candidate_cap=candidate_cap))
+        clock = _Clock(_capped(candidate_cap))
         clock._deadline = self._deadline
         return clock
+
+
+@functools.cache
+def _capped(candidate_cap):
+    """The budget of a sub-clock, checked once per cap; shared, as no clock
+    changes its budget."""
+    return SearchBudget(candidate_cap=candidate_cap)
 
 
 def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
@@ -380,6 +391,7 @@ _BOUND_SUBSETS = 1_000      # the deterministic bound is skipped past this many 
 _BOUND_CANDIDATES = 250     # closed-cover choices the deterministic bound may try
 _BOUND_COVER_NODES = 20_000  # clique-cover search nodes of the deterministic bound
 _COVER_NODES = 500_000      # clique-cover search nodes of minimize_det
+_NARROW = 32                # _incompatible reads a pending row this sparse bit by bit
 _BISIMULATION_WORK = 100_000  # state signatures one bisimulation quotient may compute
 _FOOLING_SETS = 64          # reached sets that fooling pairs start from
 _FOOLING_WORK = 50_000      # (reached set, tail) pairs the fooling-set bound walks
@@ -390,23 +402,30 @@ def _upper_bound(ft, ref, clock, lower):
     """The smallest simulator among the trimmed filter, its certified
     bisimulation quotient and the deterministic pipeline's result, with
     the name of its source.  Stops once one has `lower` states, below which
-    the search has ruled everything out."""
-    best, source = ft, "trim"
+    the search has ruled everything out.
+
+    Each bound is a size and a build() that gives its Filter: the sizes are
+    compared, and only the winner is built, names included.  A
+    deterministic winner is walked again by _confirm once built, unless it
+    is the determinization itself; the quotient is certified instead."""
+    size, source, build = len(ft.states), "trim", None
     for name in ("forward-bisimulation", "deterministic"):
-        if len(best.states) <= lower or clock.expired():
+        if size <= lower or clock.expired():
             break
         if name == "deterministic":
-            bound = _det_bound(ft, ref, clock, len(best.states))
+            bound = _det_bound(ft, ref, clock, size)
         else:
-            bound = _bisimulation_quotient(ft, ref, clock.sub(_BISIMULATION_WORK))
-        if bound is not None and len(bound.states) < len(best.states):
-            best, source = bound, name
-    return best, source
+            partition = _bisimulation_partition(ref, clock.sub(_BISIMULATION_WORK))
+            bound = partition and (len(partition),
+                                   functools.partial(_quotient_filter, ft, partition))
+        if bound and bound[0] < size:
+            (size, build), source = bound, name
+    return (ft if build is None else build()), source
 
 
 def _det_bound(ft, ref, clock, beat):
-    """The deterministic pipeline's simulator under the bound caps, or None
-    when the determinization passes _BOUND_SUBSETS subsets."""
+    """The deterministic pipeline's (size, build) under the bound caps, or
+    None when the determinization passes _BOUND_SUBSETS subsets."""
     try:
         return _det_pipeline(ft, ref, clock.sub(_BOUND_CANDIDATES), _BOUND_SUBSETS,
                              _BOUND_COVER_NODES, beat)[1]
@@ -414,14 +433,15 @@ def _det_bound(ft, ref, clock, beat):
         return None
 
 
-def _bisimulation_quotient(ft, ref, clock):
-    """The quotient of ft by its coarsest forward bisimulation (see
-    _is_bisimulation), or None if every block is a single state.  The
-    partition is refined from the color classes until no block splits.  A
-    round signs every state and spends one unit of clock per state first;
-    None is also the answer once the clock refuses.  RuntimeError if the
-    partition found fails the certificate."""
-    n = len(ft.states)
+def _bisimulation_partition(ref, clock):
+    """The classes of the coarsest forward bisimulation of ref's filter (see
+    _is_bisimulation), as ascending lists of state indexes ordered by their
+    first, or None if every class is a single state.  The partition is
+    refined from the color classes until no block splits.  A round signs
+    every state and spends one unit of clock per state first; None is also
+    the answer once the clock refuses.  RuntimeError if the partition found
+    fails the certificate."""
+    n = len(ref.color_of)
     keys = list(ref.color_of)
     count = 0
     while clock.spend(n):
@@ -433,12 +453,15 @@ def _bisimulation_quotient(ft, ref, clock):
             return None
         count = len(ids)
         keys = []
+        into = [1 << b for b in block]  # into[j]: the bit of state j's block
         for i in range(n):
             key = [block[i]]
             for table in ref.step:
-                blocks = 0
-                for j in _bits(table[i]):
-                    blocks |= 1 << block[j]
+                blocks, targets = 0, table[i]
+                while targets:
+                    bit = targets & -targets
+                    blocks |= into[bit.bit_length() - 1]
+                    targets ^= bit
                 key.append(blocks)
             keys.append(tuple(key))
     else:
@@ -448,7 +471,7 @@ def _bisimulation_quotient(ft, ref, clock):
         partition[block[i]].append(i)
     if not _is_bisimulation(ref, block):
         raise RuntimeError("the bisimulation refinement returned a partition that is not one")
-    return _quotient_filter(ft, partition)
+    return partition
 
 
 def _is_bisimulation(ref, block):
@@ -495,33 +518,44 @@ def _fooling_set(ref, target, clock):
     sets are maximal are kept.  The largest fitting family is a maximum
     clique, searched up to `target` pairs with at most _FOOLING_NODES nodes;
     exact is False when that cap or the deadline cut the search short.
+
+    The tails are numbered in that order from () as 0, so that tail t > 0
+    is the tail numbered parent(t) and one symbol more, and its image is
+    read off its parent's.
     """
     obs, after, colors = ref.obs, ref.after, ref.colors
-    symbols = range(len(obs))
+    m = len(obs)
     ref.fill(_FOOLING_SETS - 1)
-    pool = range(min(len(colors), _FOOLING_SETS))  # the sets' numbers
-    access = [()] + [None] * (len(pool) - 1)  # strings as observation indexes
-    for r in pool:
+    pool = min(len(colors), _FOOLING_SETS)  # the sets numbered below it
+    access = [()] + [None] * (pool - 1)  # strings as observation indexes
+    for r in range(pool):
         for y, row in enumerate(after):
             q = row[r]
-            if 0 <= q < len(pool) and access[q] is None:
+            if 0 <= q < pool and access[q] is None:
                 access[q] = access[r] + (y,)
-    tails = itertools.chain([()], *(itertools.product(symbols, repeat=r) for r in (1, 2)))
-    images = {(): list(pool)}  # tail -> the set it leads each pool set to, -1 for none
-    found = {}  # (pool index, killed mask) -> the first tail giving it
-    for tail in itertools.islice(tails, max(1 + len(obs), _FOOLING_WORK // len(pool))):
+    images = [list(range(pool))]  # images[t]: the set tail t leads each pool set to, or -1
+    tops = [pool - 1]  # the highest set number in each of images
+    kills = [{} for _ in range(pool)]  # kills[k]: killed mask -> the first tail giving it
+    for t in range(min(1 + m + m * m, max(1 + m, _FOOLING_WORK // pool))):
         if clock.expired():
             return [], False
-        image = images.get(tail)
-        if image is None:
-            before = images[tail[:-1]]
-            ref.fill(max(before))
-            row = after[tail[-1]]
-            image = images[tail] = [row[A] if A >= 0 else -1 for A in before]
+        if t == 0:
+            image = images[0]
+        elif t <= m:  # the pool sets' own rows, filled
+            image = after[t - 1][:pool]
+            images.append(image)
+            tops.append(max(image))
+        else:
+            parent, y = divmod(t - 1, m)
+            if tops[parent] >= ref.done:
+                ref.fill(tops[parent])
+            row = after[y]
+            image = [row[A] if A >= 0 else -1 for A in images[parent]]
         holders = {}  # colors reached on the tail -> mask of the pool sets reaching them
         for k, B in enumerate(image):
             if B >= 0:
-                holders[colors[B]] = holders.get(colors[B], 0) | 1 << k
+                c = colors[B]
+                holders[c] = holders.get(c, 0) | 1 << k
         for own, at in holders.items():
             killed = 0
             for other, there in holders.items():
@@ -529,36 +563,46 @@ def _fooling_set(ref, target, clock):
                     killed |= there
             while at:
                 bit = at & -at
-                found.setdefault((bit.bit_length() - 1, killed), tail)
+                kills[bit.bit_length() - 1].setdefault(killed, t)
                 at ^= bit
-    by_set = {}
-    for k, killed in found:
-        by_set.setdefault(k, []).append(killed)
+    # the pool sets in the order tail () first gave them a killed mask: by
+    # color, the colors in order of first use
+    first = {}
+    for k in range(pool):
+        first.setdefault(colors[k], k)
     nodes = []
-    for k, kills in by_set.items():
+    for k in sorted(range(pool), key=lambda k: (first[colors[k]], k)):
         kept = []
-        for killed in sorted(kills, key=int.bit_count, reverse=True):  # a stable sort
+        for killed in sorted(kills[k], key=int.bit_count, reverse=True):  # a stable sort
             for other in kept:
                 if killed & other == killed:
                     break
             else:
                 kept.append(killed)
                 nodes.append((k, killed))
-    members = [0] * len(pool)
-    killers = [0] * len(pool)
+    members = [0] * pool
+    killers = [0] * pool
     for v, (k, killed) in enumerate(nodes):
         members[k] |= 1 << v
-        for j in _bits(killed):
-            killers[j] |= 1 << v
+        while killed:
+            bit = killed & -killed
+            killers[bit.bit_length() - 1] |= 1 << v
+            killed ^= bit
     rows = []
     for k, killed in nodes:
         row = killers[k]
-        for j in _bits(killed):
-            row |= members[j]
+        while killed:
+            bit = killed & -killed
+            row |= members[bit.bit_length() - 1]
+            killed ^= bit
         rows.append(row)
     clique, exact = _max_clique(rows, target, clock.sub(_FOOLING_NODES))
-    return [(tuple(obs[y] for y in access[nodes[v][0]]),
-             tuple(obs[y] for y in found[nodes[v]])) for v in clique], exact
+    pairs = []
+    for k, killed in map(nodes.__getitem__, clique):
+        t = kills[k][killed]
+        tail = () if t == 0 else (t - 1,) if t <= m else divmod(t - 1 - m, m)
+        pairs.append((tuple(map(obs.__getitem__, access[k])), tuple(map(obs.__getitem__, tail))))
+    return pairs, exact
 
 
 class _Stop(Exception):
@@ -574,14 +618,18 @@ def _max_clique(rows, target, clock):
     exact is False when the clock refused one, with the largest clique
     found so far.  The recursion goes one level deeper per clique vertex.
     """
-    order = sorted(range(len(rows)), key=lambda v: -rows[v].bit_count())
-    rank = {v: i for i, v in enumerate(order)}
+    order = sorted(range(len(rows)), key=[-row.bit_count() for row in rows].__getitem__)
+    moved = [0] * len(rows)  # moved[v]: the bit that stands for vertex v
+    for i, v in enumerate(order):
+        moved[v] = 1 << i
     # renumber so that low bits are the vertices of highest degree
     ranked = []
     for v in order:
-        row = 0
-        for u in _bits(rows[v]):
-            row |= 1 << rank[u]
+        row, old = 0, rows[v]
+        while old:
+            bit = old & -old
+            row |= moved[bit.bit_length() - 1]
+            old ^= bit
         ranked.append(row)
     best = []
 
@@ -594,9 +642,10 @@ def _max_clique(rows, target, clock):
             color += 1
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~ranked[v] & ~(1 << v)
-                rest &= ~(1 << v)
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                avail &= ~(ranked[v] | bit)
+                rest ^= bit
                 colored.append((v, color))
         for v, bound in reversed(colored):
             if len(clique) + bound <= len(best):
@@ -624,13 +673,16 @@ def _max_clique(rows, target, clock):
 # -- deterministic minimization ------------------------------------------
 
 
-def _incompatible(d):
-    """The complement of the compatibility graph of a deterministic filter,
-    as one bitmask row per state; no row has its own state's bit.
+def _incompatible(after, colors, clock):
+    """The complement of the compatibility graph of a deterministic filter
+    given by its rows, as (rows, complete): one bitmask row per state, no
+    row with its own state's bit.  after[k][p] is the state that the k-th
+    observation leads state p to, or -1 for none, and colors[p] is state
+    p's color mask, as in a filled _Reached.
 
     Two states are compatible iff their color sets intersect and every
     extension alive from both leads again to color-intersecting states.  The
-    states of d that a deterministic simulator maps to one state are
+    states of the filter that a deterministic simulator maps to one state are
     pairwise compatible, so the minimum clique cover of the compatibility
     graph is a lower bound on any deterministic simulator, though not always
     attainable: cliques need not merge into a consistent transition function.
@@ -639,45 +691,60 @@ def _incompatible(d):
     color set, and propagated backwards by a worklist: when a and b are
     incompatible, so is every pair of states that one symbol leads to a and
     b.  The worklist holds the states whose rows gained bits that have not
-    been propagated yet.
+    been propagated yet; a row of at most _NARROW pending bits is read bit
+    by bit, a wider one through a byte mask.  Every 256 pops the deadline
+    is checked, and once it has passed the rows are returned as they stand
+    with complete False: every bit in them is a proven incompatibility, but
+    some are missing.
     """
-    if not d.is_deterministic():
-        raise ValueError("compatibility graph needs a deterministic filter")
-    states = d.states
-    n = len(states)
-    palette = d._color
-    holders = [0] * len(d.colors)  # holders[k]: the states that carry color k
-    for i, colors in enumerate(palette):
-        for k in _bits(colors):
-            holders[k] |= 1 << i
+    n = len(colors)
+    holders = {}  # color bit -> mask of the states that carry it
+    for i, c in enumerate(colors):
+        while c:
+            bit = c & -c
+            holders[bit] = holders.get(bit, 0) | 1 << i
+            c ^= bit
     full = (1 << n) - 1
     disjoint = {}
-    for colors in set(palette):
+    for c in set(colors):
         sharing = 0
-        for k in _bits(colors):
-            sharing |= holders[k]
-        disjoint[colors] = full & ~sharing
-    bad = [disjoint[colors] for colors in palette]
+        for bit, there in holders.items():
+            if bit & c:
+                sharing |= there
+        disjoint[c] = full & ~sharing
+    bad = [disjoint[c] for c in colors]
     # per symbol: into[b] is the mask, sources[b] the list, of the states
     # that it leads to b
     preds = []
-    for table in d._succ:
+    for row in after:
         into, sources = [0] * n, [[] for _ in range(n)]
-        for i, cell in enumerate(table):
-            for b in cell:
+        for i, b in enumerate(row):
+            if b >= 0:
                 into[b] |= 1 << i
                 sources[b].append(i)
         preds.append((into, sources))
     pending = list(bad)
     work = [i for i in range(n) if bad[i]]
+    pops = 0
     while work:
+        pops += 1
+        if not pops & 255 and clock.expired():
+            return bad, False
         a = work.pop()
-        flags = _flags(pending[a])
+        row = pending[a]
         pending[a] = 0
+        flags = _flags(row) if row.bit_count() > _NARROW else None
         for into, sources in preds:
             if not sources[a]:
                 continue
-            behind = functools.reduce(operator.or_, itertools.compress(into, flags), 0)
+            if flags is None:
+                behind, rest = 0, row
+                while rest:
+                    bit = rest & -rest
+                    behind |= into[bit.bit_length() - 1]
+                    rest ^= bit
+            else:
+                behind = functools.reduce(operator.or_, itertools.compress(into, flags), 0)
             for i in sources[a]:
                 new = behind & ~bad[i]
                 if new:
@@ -685,7 +752,7 @@ def _incompatible(d):
                     if not pending[i]:
                         work.append(i)
                     pending[i] |= new
-    return bad
+    return bad, True
 
 
 def _feasible_coloring(inc, precolored, t, clock):
@@ -729,6 +796,19 @@ def _feasible_coloring(inc, precolored, t, clock):
             c += 1
 
 
+def _greedy_clique(inc):
+    """(order, clique): the vertices of the graph with bitmask rows inc, most
+    adjacent first, and the clique taken greedily in that order."""
+    order = sorted(range(len(inc)), key=lambda i: -inc[i].bit_count())
+    clique = []
+    member_mask = 0
+    for v in order:
+        if inc[v] & member_mask == member_mask:
+            clique.append(v)
+            member_mask |= 1 << v
+    return order, clique
+
+
 def _min_clique_cover(inc, clock):
     """Exact minimum clique cover of a graph given by the bitmask rows inc
     of its complement (see _incompatible).
@@ -740,13 +820,7 @@ def _min_clique_cover(inc, clock):
     the best proven value (at worst the greedy incompatible-clique size),
     still sound as a bound on the optimum.
     """
-    order = sorted(range(len(inc)), key=lambda i: -inc[i].bit_count())
-    clique = []
-    member_mask = 0
-    for v in order:
-        if inc[v] & member_mask == member_mask:
-            clique.append(v)
-            member_mask |= 1 << v
+    order, clique = _greedy_clique(inc)
     classes = []
     for v in order:
         for k in range(len(classes)):
@@ -796,8 +870,9 @@ def _quotient_filter(f, partition):
 
 def _closed_cover(ref, inc, n, clock):
     """Search the deterministic simulators of at most n states: (status,
-    witness).  ref's table is filled, and inc is _incompatible of the
-    determinization read off it, whose state p is ref's reached set p.
+    witness).  ref's table is filled, and inc holds the complete rows that
+    _incompatible gives for it: state p of the determinization is ref's
+    reached set p.
 
     A deterministic simulator reaches one state on each string the
     reference survives, so the pairs (reached set, state) it reaches are a
@@ -862,44 +937,110 @@ def _closed_cover(ref, inc, n, clock):
     return _FOUND, _confirm(ref, found)
 
 
+def _cover_quotient(ref, partition):
+    """Mask tables (initial mask, color mask per state, step), as _walk takes
+    them, of the quotient of ref's determinization by partition, a list of
+    lists of reached-set numbers; None if a class shares no color or one
+    symbol leads a class to two.  ref's table is filled.  A class is colored
+    by the colors its sets share and has the union of their edges, as in
+    _quotient_filter."""
+    block = [0] * len(ref.colors)
+    shared = []
+    for k, members in enumerate(partition):
+        common = -1
+        for r in members:
+            block[r] = k
+            common &= ref.colors[r]
+        if not common:
+            return None
+        shared.append(common)
+    step = []
+    for row in ref.after:
+        table = []
+        for members in partition:
+            targets = 0
+            for r in members:
+                if row[r] >= 0:
+                    targets |= 1 << block[row[r]]
+            if targets & (targets - 1):
+                return None
+            table.append(targets)
+        step.append(table)
+    return 1 << block[0], shared, step
+
+
+def _cover_filter(ft, ref, partition, tables):
+    """The Filter of the cover's quotient on its tables (see _cover_quotient):
+    a class is named by the names of its sets in the determinization of ft
+    joined with +, as _quotient_filter would name it."""
+    init, colors, step = tables
+    sets = _subset_names(ft.states, ref.members)
+    taken = set()
+    names = tuple(_fresh_name("+".join(map(sets.__getitem__, members)), taken)
+                  for members in partition)
+    return Filter._from_tables(
+        names, ref.obs, ref.color_names, (init.bit_length() - 1,),
+        [[(t.bit_length() - 1,) if t else () for t in table] for table in step], colors)
+
+
 def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=None):
-    """The deterministic pipeline: determinize, cover, the cover's quotient,
-    then a closed-cover search of the levels between them.  The
-    determinization is read off ref, the reference's own table.
+    """The deterministic pipeline on the determinization d of ft, read off
+    ref, the reference's own table: the clique cover of d's compatibility
+    graph, the cover's quotient, then a closed-cover search of the levels
+    between them.  Raises CapExceeded past determinize_cap subsets.
 
-    Returns (determinization, best simulator, cover lower bound, cover
-    exact, search status, level).  node_cap caps the cover search.  The
-    quotient of the cover's partition is kept if it is deterministic and
-    smaller than the determinization d; it is skipped when the lower bound
-    is not below both d and beat, once the deadline has passed, and when
-    the clock refuses the one candidate its walk spends.  The levels
-    searched run from the lower bound up to one below the best simulator,
-    or below beat if that is lower.
-    Raises CapExceeded past determinize_cap subsets.
+    Returns (d's size, (size, build), cover lower bound, cover exact,
+    search status, level), where build() gives the best simulator as a
+    Filter, so that a caller comparing sizes builds only the one it keeps:
+    d, named by _determinize; the cover's quotient, built by _cover_filter
+    and walked by _confirm; or the closed cover the search found and walked.
+    node_cap caps the cover search.  The quotient is kept if its tables
+    show it deterministic and smaller than d; it is skipped when the lower
+    bound is not below both d and beat, once the deadline has passed, and
+    when the clock refuses the one candidate that the walk of its tables
+    spends.  The levels searched run from the lower bound up to one below
+    the best simulator, or below beat if that is lower.
 
-    Such a quotient always simulates, so _confirm's walk of it is a check
-    against faults.  Its classes share a color, and on every string w that
-    d survives it reaches the class of d's state p(w), with colors inside
+    Such a quotient always simulates, so its walks are checks against
+    faults.  Its classes share a color, and on every string w that d
+    survives it reaches the class of d's state p(w), with colors inside
     those of p(w), the colors of the reference's reached set.  By induction
     on w: the initial class holds p(()), and as the quotient is
     deterministic, the y-edges of the class of p(w) lead to one class,
     which holds p(wy), the y-successor of p(w).
+
+    Once the deadline passes inside _incompatible, its rows lack some
+    incompatible pairs, and a cover of them could join sets that no state
+    can serve together: the cover, the quotient and the search are skipped,
+    and d is the result, unproven unless a clique of the rows reaches its
+    size.  That clique is a sound lower bound, as the rows only ever gain
+    proven incompatibilities.
     """
-    d, _ = ft._determinize(determinize_cap, ref)
-    best = d
-    inc = _incompatible(d)
+    n = ref.fill(cap=determinize_cap)
+
+    def determinization():
+        return ft._determinize(determinize_cap, ref)[0]
+
+    best = (n, determinization)
+    inc, complete = _incompatible(ref.after, ref.colors, clock)
+    if not complete:
+        lower = len(_greedy_clique(inc)[1])
+        return n, best, lower, False, _CAPPED if lower < n else _EXHAUSTED, lower
     partition, lower, cover_exact = _min_clique_cover(inc, clock.sub(node_cap))
-    top = len(d.states) if beat is None else min(len(d.states), beat)
-    if lower < top and not clock.expired():
-        quotient = _quotient_filter(d, partition)
-        if (quotient is not None and quotient.is_deterministic()
-                and len(quotient.states) < len(best.states) and clock.spend()):
+    top = n if beat is None else min(n, beat)
+    if lower < top and len(partition) < n and not clock.expired():
+        tables = _cover_quotient(ref, partition)
+        if tables is not None and clock.spend():
             clock.walked += 1
-            best = _confirm(ref, quotient)
-    levels = range(lower, min(top, len(best.states)))
+            if _walk(ref, *tables) is not None:
+                raise RuntimeError("the cover's quotient fails output simulation")
+            best = len(partition), lambda: _confirm(ref, _cover_filter(ft, ref, partition, tables))
+    levels = range(lower, min(top, best[0]))
     search = functools.partial(_closed_cover, ref, inc)
     status, witness, level = _search_levels(levels, clock, search)
-    return d, witness or best, lower, cover_exact, status, level
+    if witness is not None:
+        best = (len(witness.states), lambda: witness)
+    return n, best, lower, cover_exact, status, level
 
 
 def minimize_det(f, budget=None):
@@ -909,12 +1050,13 @@ def minimize_det(f, budget=None):
     cover of the compatibility graph and from above by the quotient of that
     cover, then searches the levels left between them for closed covers
     (see _closed_cover) under the budget.  A level the budget cuts short
-    leaves the quotient, or the determinization, unproven.
+    leaves the quotient, or the determinization, unproven; so does a
+    deadline that passes while the compatibility graph is computed.
     """
     start = time.monotonic()
     ft = f.trim()
     clock = _Clock(budget)
-    d, best, lower, cover_exact, status, level = _det_pipeline(
+    size, (_, build), lower, cover_exact, status, level = _det_pipeline(
         ft, _Reached(ft), clock, DETERMINIZE_CAP)
-    return _result(best, status, level, clock, start, determinized_size=len(d.states),
+    return _result(build(), status, level, clock, start, determinized_size=size,
                    lower_bound=lower, cover_exact=cover_exact)

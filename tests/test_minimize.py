@@ -22,7 +22,7 @@ from filterkit import (
     prime_family,
     prime_family_minimizer,
 )
-from filterkit.filters import _Reached
+from filterkit.filters import _flags, _Reached
 
 from oracles import (
     all_filters,
@@ -208,13 +208,26 @@ def test_minimize_nondet_matches_brute_force():
         assert output_simulates(result.minimizer, f).holds
 
 
-def compatible(d):
+def compatible(d, rows=None):
     """The compatibility graph of a deterministic filter by state names,
-    read off the rows of _incompatible."""
-    from filterkit.minimize import _incompatible
+    read off the rows of _incompatible for rows (after, colors) of d's
+    states: by default, d's own tables."""
+    from filterkit.minimize import _Clock, _incompatible
 
+    if rows is None:
+        rows = [[cell[0] if cell else -1 for cell in table] for table in d._succ], d._color
+    inc, complete = _incompatible(*rows, _Clock(None))
+    assert complete
     return {s: {t for j, t in enumerate(d.states) if j != i and not row >> j & 1}
-            for i, (s, row) in enumerate(zip(d.states, _incompatible(d)))}
+            for i, (s, row) in enumerate(zip(d.states, inc))}
+
+
+def table_rows(f):
+    """The rows of f's reached-set table, filled: those of f's
+    determinization, whose state p is reached set p."""
+    ref = _Reached(f)
+    ref.fill()
+    return ref.after, ref.colors
 
 
 def test_compatibility_graph_shape():
@@ -231,9 +244,14 @@ def test_compatibility_graph_shape():
         assert adj[c] == set()
 
 
-def test_compatibility_graph_needs_determinism():
-    with pytest.raises(ValueError):
-        compatible(donut_world())
+def test_compatibility_graph_of_a_nondeterministic_filter_is_its_determinizations():
+    # _incompatible reads the rows of a reached-set table, which are
+    # deterministic by construction: a nondeterministic filter's table gives
+    # the graph of its determinization
+    f = donut_world()
+    assert not f.is_deterministic()
+    d = f.determinize()[0]
+    assert compatible(d, table_rows(f)) == compatible(d) == compatibility_graph_oracle(d)
 
 
 def test_compatibility_graph_prime_cycle_is_edgeless():
@@ -366,11 +384,12 @@ def closed_cover_search(ft):
     """The closed-cover search of ft's levels, as search(n, clock): on ft's
     reached-set table, filled by determinizing it."""
     from filterkit import DETERMINIZE_CAP
-    from filterkit.minimize import _closed_cover, _incompatible
+    from filterkit.minimize import _closed_cover, _Clock, _incompatible
 
     ref = _Reached(ft)
-    d, _ = ft._determinize(DETERMINIZE_CAP, ref)
-    return functools.partial(_closed_cover, ref, _incompatible(d))
+    ft._determinize(DETERMINIZE_CAP, ref)
+    return functools.partial(_closed_cover, ref,
+                             _incompatible(ref.after, ref.colors, _Clock(None))[0])
 
 
 def test_det_level_search_semantics():
@@ -721,6 +740,23 @@ def test_clique_cover_node_cap_is_one_total():
     assert_clique_cover(partition, inc)
 
 
+def test_compatibility_graph_stops_at_the_deadline():
+    # prime r=5 determinizes to 2,339 states, whose compatibility graph takes
+    # most of a second; past the deadline its rows are partial, so the cover
+    # and the quotient are skipped and the determinization comes back
+    # unproven, with a clique of the partial rows as its lower bound
+    f = prime_family(5)
+    start = time.monotonic()
+    result = minimize_det(f, SearchBudget(time_cap=0.05))
+    assert time.monotonic() - start < 0.3
+    stats = result.stats
+    assert not result.proven_optimal and not stats["cover_exact"]
+    assert result.size() == stats["determinized_size"] == 2339
+    assert 2 <= stats["lower_bound"] == stats["level"] <= 2322
+    assert stats["candidates"] == stats["walked"] == 0
+    assert simulates_oracle(result.minimizer, f)[0]
+
+
 def test_minimize_det_cover_stops_at_the_deadline():
     # a root leads, each on its own symbol, to one state per vertex of M6,
     # colored by the vertex's non-edges: two vertex states are compatible
@@ -743,25 +779,54 @@ def test_minimize_det_cover_stops_at_the_deadline():
 
 def test_cover_quotient_failing_its_walk_raises(monkeypatch):
     # a deterministic quotient of the cover always simulates (see
-    # _det_pipeline), so a walk that fails is a fault, not a bound to skip
+    # _det_pipeline), so a walk of its tables that fails is a fault, not a
+    # bound to skip: one state with every color and no edge
     import filterkit.minimize as minimize
 
     f = donut_world()
-    wrong = Filter(["q"], ["q"], f.observations, {}, f.colors, {"q": set(f.colors)})
-    monkeypatch.setattr(minimize, "_quotient_filter", lambda d, partition: wrong)
+    wrong = (1, [(1 << len(f.colors)) - 1], [[0] for _ in f.observations])
+    monkeypatch.setattr(minimize, "_cover_quotient", lambda ref, partition: wrong)
     with pytest.raises(RuntimeError):
         minimize_det(f)
 
 
-def test_compatibility_graph_matches_rev_map_reference():
-    dets = [prime_family(r).determinize()[0] for r in range(1, 5)]
-    dets += [f.determinize()[0] for f in (donut_world(), fig3_input(), fig3_minimizer())]
+def test_winning_deterministic_bound_built_wrong_raises(monkeypatch):
+    # the deterministic bound is compared by size and built only when it
+    # wins; its tables walk, and a fault in building its Filter is caught by
+    # _confirm, in minimize_nondet as in minimize_det
+    import filterkit.minimize as minimize
+
+    f = donut_world()
+    assert minimize_nondet(f).stats["upper_bound_source"] == "deterministic"
+    wrong = Filter(["q"], ["q"], f.observations, {}, f.colors, {"q": set(f.colors)})
+    monkeypatch.setattr(minimize, "_cover_filter", lambda ft, ref, partition, tables: wrong)
+    for minimize_f in (minimize_nondet, minimize_det):
+        with pytest.raises(RuntimeError):
+            minimize_f(f)
+
+
+def test_compatibility_graph_matches_rev_map_reference(monkeypatch):
+    # from a deterministic filter's own tables and from a filled reached-set
+    # table alike; a pending row wider than _NARROW bits is read through
+    # _flags, a narrower one bit by bit, and prime r=4 (228 subsets) has
+    # both kinds, the random filters (at most 64 subsets) mostly narrow ones
+    import filterkit.minimize as minimize
+
+    filters = [prime_family(r) for r in range(1, 5)]
+    filters += [donut_world(), fig3_input(), fig3_minimizer()]
     rng = random.Random(2718)
-    for _ in range(300):
-        f = random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
-        dets.append(f.determinize()[0])
-    for d in dets:
-        assert compatible(d) == compatibility_graph_oracle(d)
+    filters += [random_filter(rng, max_states=6, max_symbols=3, max_colors=3)
+                for _ in range(300)]
+    wide = []
+    monkeypatch.setattr(minimize, "_flags", lambda mask: wide.append(mask) or _flags(mask))
+    for f in filters:
+        d = f.determinize()[0]
+        before = len(wide)
+        expected = compatibility_graph_oracle(d)
+        assert compatible(d) == expected
+        assert compatible(d, table_rows(f)) == expected
+        assert len(wide) == before or d.size() > minimize._NARROW
+    assert wide and min(map(int.bit_count, wide)) > minimize._NARROW
 
 
 def test_capped_minimize_det_proves_only_at_the_lower_bound():
@@ -834,7 +899,7 @@ def test_bounds_bracket_the_brute_force_size():
 
 def test_bisimulation_quotients_simulate_both_ways():
     from filterkit.minimize import (
-        _BISIMULATION_WORK, _bisimulation_quotient, _Clock, _is_bisimulation)
+        _BISIMULATION_WORK, _bisimulation_partition, _Clock, _is_bisimulation, _quotient_filter)
 
     filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
     rng = random.Random(818)
@@ -845,9 +910,10 @@ def test_bisimulation_quotients_simulate_both_ways():
         ft = f.trim()
         assert not any("+" in s for s in ft.states)
         ref = _Reached(ft)
-        quotient = _bisimulation_quotient(ft, ref, _Clock(None).sub(_BISIMULATION_WORK))
-        if quotient is None:
+        partition = _bisimulation_partition(ref, _Clock(None).sub(_BISIMULATION_WORK))
+        if partition is None:
             continue
+        quotient = _quotient_filter(ft, partition)
         shrunk += 1
         assert quotient.size() < ft.size()
         assert simulates_oracle(quotient, ft)[0], f
@@ -858,9 +924,9 @@ def test_bisimulation_quotients_simulate_both_ways():
         assert _is_bisimulation(ref, block), f
         assert bisimulation_faults(ft, block) == set(), f
     assert shrunk >= 10
-    forward = _bisimulation_quotient(prime_family(2), _Reached(prime_family(2)),
-                                     _Clock(None).sub(_BISIMULATION_WORK))
-    assert forward.size() == 9
+    forward = _bisimulation_partition(_Reached(prime_family(2)),
+                                      _Clock(None).sub(_BISIMULATION_WORK))
+    assert len(forward) == 9
 
 
 def test_bisimulation_certificate_rejects_each_broken_condition():
@@ -981,8 +1047,9 @@ def test_max_clique_matches_brute_force():
     from filterkit.minimize import _Clock, _max_clique
 
     rng = random.Random(404)
+    stopped_early = 0
     for _ in range(200):
-        n = rng.randint(1, 11)
+        n = rng.randint(1, 14)
         density = rng.random()
         rows = [0] * n
         for u in range(n):
@@ -990,20 +1057,29 @@ def test_max_clique_matches_brute_force():
                 if rng.random() < density:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-        largest = max(
-            len(group) for size in range(1, n + 1)
-            for group in itertools.combinations(range(n), size)
-            if all(rows[u] >> v & 1 for u, v in itertools.combinations(group, 2))
-        )
-        clique, exact = _max_clique(rows, n, _Clock(None).sub(10_000))
+        # is_clique[mask] for every vertex set, from the set without its lowest vertex
+        is_clique = [True] * (1 << n)
+        for mask in range(1, 1 << n):
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            is_clique[mask] = is_clique[rest] and rows[v] & rest == rest
+        largest = max(mask.bit_count() for mask in range(1 << n) if is_clique[mask])
+        clock = _Clock(None).sub(10_000)
+        clique, exact = _max_clique(rows, n, clock)
         assert exact and len(clique) == largest
         assert all(rows[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
-        # the search stops at the first clique that reaches the target, and
-        # a clock that refuses a node leaves it inexact
-        target = rng.randint(1, largest)
-        assert len(_max_clique(rows, target, _Clock(None).sub(10_000))[0]) >= target
+        # the search stops at the first clique that reaches a target below
+        # the maximum, and a clock that refuses a node leaves it inexact
+        target = rng.randint(1, max(1, largest - 1))
+        early = _Clock(None).sub(10_000)
+        clique, exact = _max_clique(rows, target, early)
+        assert exact and len(clique) >= target
+        assert all(rows[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+        assert early.candidates <= clock.candidates
+        stopped_early += early.candidates < clock.candidates
         if largest > 1:
             assert _max_clique(rows, n, _Clock(None).sub(1))[1] is False
+    assert stopped_early >= 5
 
 
 def test_det_bound_skips_only_what_cannot_win():
@@ -1018,10 +1094,14 @@ def test_det_bound_skips_only_what_cannot_win():
         ft = f.trim()
         ref = _Reached(ft)
         cap = rng.choice((2, 4, 20))
-        full = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000)[1]
+        size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000)[1]
+        full = build()
+        assert full.size() == size
         for beat in range(1, ft.size() + 2):
-            quick = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000,
-                                  beat=beat)[1]
+            size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000,
+                                        beat=beat)[1]
+            quick = build()
+            assert quick.size() == size
             if full.size() < beat:
                 assert quick == full, (f, beat)
             skipped += quick.size() > full.size()
@@ -1050,6 +1130,9 @@ def test_det_bound_walks_within_the_subset_cap():
             bound = _det_bound(ft, ref, _Clock(None), beat)
             if bound is None:
                 continue
+            size, build = bound
+            bound = build()
+            assert bound.size() == size
             bounds += 1
             merged += bound.size() < reached_sets
             assert reached_sets <= _BOUND_SUBSETS
