@@ -28,7 +28,9 @@ class NfaError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A state-count cap was hit during subset construction."""
+    """A work cap was hit: more subsets than the cap in a subset
+    construction, more reached-set pairs in the output-simulation walk, or
+    more (state, subset) pairs in an NFA inclusion check."""
 
     def __init__(self, cap, context=""):
         msg = f"state cap {cap} exceeded"

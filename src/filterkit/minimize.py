@@ -10,9 +10,10 @@ without being walked; level 1 takes one walk of the input's reached sets and
 counts its candidates as one block.  So the `candidates` count (and the cap)
 covers every candidate in canonical order up to where the search stopped,
 walked or ruled out in a block, as if each were checked in turn; stats count
-the walks as `walked`.  A simulator that any search finds is built as a
-Filter and walked again (_confirm), so a fault raises instead of returning
-a filter that does not simulate the input.
+the walks as `walked`.  A search returns the mask tables of the simulator
+it finds, and _search_levels builds them as a Filter (_build) and walks
+that again (_confirm), so a fault raises instead of returning a filter that
+does not simulate the input.
 
 All three entry points search through one level driver, _search_levels,
 given the search of one size.  It tries the sizes of a range in turn and
@@ -30,10 +31,12 @@ bound is the answer, proven; otherwise only the levels between them are
 searched.  Each bound phase runs on a sub-clock of the search's _Clock:
 the same deadline, and a fixed work cap of its own, in search nodes or in
 states signed.  The bounds stay tables, compared by size, and only the
-winner is built as a Filter, names included.  The quotient is certified by
-a linear check and not walked; a deterministic winner other than the
-determinization itself is walked by _confirm once built, the cover's
-quotient after a walk of its tables inside the pipeline.
+winner is built as a Filter, names included.  Both quotients, the forward
+one and the cover's below, are one _quotient of mask tables by a
+partition, and _build makes the Filter of every quotient and search
+witness.  The forward quotient is certified by a linear check and not
+walked; the cover's quotient is walked as tables inside the pipeline and,
+if it wins, again by _confirm once built.
 
 minimize_det works on the determinization, read off the reference's
 reached-set table: the minimum clique cover of its compatibility graph is
@@ -163,10 +166,58 @@ def _capped(candidate_cap):
     return SearchBudget(candidate_cap=candidate_cap)
 
 
-def _candidate_filter(ref, n, init_mask, cand_colors, cand_step):
-    succ = [[tuple(_bits(mask)) for mask in table] for table in cand_step]
-    return Filter._from_tables(tuple(f"s{i}" for i in range(n)), ref.obs, ref.color_names,
-                               tuple(_bits(init_mask)), succ, list(cand_colors))
+def _build(ref, tables, names=None):
+    """The Filter of mask tables (initial mask, color mask per state, step,
+    as _walk takes them) over ref's observations and colors, its states
+    named names or else s0, s1, ..."""
+    init, colors, step = tables
+    if names is None:
+        names = tuple(f"s{i}" for i in range(len(colors)))
+    succ = [[() if not t else (t.bit_length() - 1,) if not t & (t - 1) else tuple(_bits(t))
+             for t in table] for table in step]
+    return Filter._from_tables(names, ref.obs, ref.color_names, tuple(_bits(init)), succ,
+                               list(colors))
+
+
+def _joined(names, partition):
+    """The names of partition's classes, lists of state indexes: their
+    members' names joined with +, made unique by _fresh_name."""
+    taken = set()
+    return tuple(_fresh_name("+".join(map(names.__getitem__, members)), taken)
+                 for members in partition)
+
+
+def _quotient(tables, partition):
+    """The mask tables of the quotient of tables (initial mask, color mask
+    per state, step) by partition, a list of lists of state indexes; None if
+    a class shares no color.  A class is colored by the colors its members
+    share and has the union of their edges."""
+    init, colors, step = tables
+    into = [0] * len(colors)  # into[i]: the bit of state i's class
+    shared = []
+    for k, members in enumerate(partition):
+        common = -1
+        for i in members:
+            into[i] = 1 << k
+            common &= colors[i]
+        if not common:
+            return None
+        shared.append(common)
+    start = functools.reduce(operator.or_, map(into.__getitem__, _bits(init)), 0)
+    quotient = []
+    for table in step:
+        out = []
+        for members in partition:
+            ends = 0
+            for i in members:
+                targets = table[i]
+                while targets:
+                    bit = targets & -targets
+                    ends |= into[bit.bit_length() - 1]
+                    targets ^= bit
+            out.append(ends)
+        quotient.append(out)
+    return start, shared, quotient
 
 
 def _confirm(ref, candidate):
@@ -178,7 +229,8 @@ def _confirm(ref, candidate):
 
 
 def _search_size(ref, n, clock):
-    """Exhaust the n-state candidates in canonical order."""
+    """Exhaust the n-state candidates in canonical order: (status, the mask
+    tables of the first simulator, or None)."""
     if n == 1:
         return _level_one(ref, clock)
     color_count = len(ref.color_names)
@@ -221,8 +273,7 @@ def _level_one(ref, clock):
         return _CAPPED, None
     if not c:
         return _EXHAUSTED, None
-    step = [[survive >> k & 1] for k in symbols]
-    return _FOUND, _confirm(ref, _candidate_filter(ref, 1, 1, [c], step))
+    return _FOUND, (1, [c], [[survive >> k & 1] for k in symbols])
 
 
 def _search_tables(ref, n, init_mask, colors, clock):
@@ -270,8 +321,7 @@ def _search_tables(ref, n, init_mask, colors, clock):
         if reach == full:
             failure = _walk(ref, init_mask, colors, tables)
             if failure is None:
-                found = _candidate_filter(ref, n, init_mask, colors, tables)
-                return _FOUND, _confirm(ref, found)
+                return _FOUND, (init_mask, colors, tables)
             _, node, parent, stride = failure
             read = 0
             if parent[node] is not None:
@@ -300,21 +350,23 @@ def _search_tables(ref, n, init_mask, colors, clock):
         set_digit(pos, digits[pos] + 1)
 
 
-def _search_levels(levels, clock, search):
+def _search_levels(ref, levels, clock, search):
     """Search the sizes of the range levels in turn, each by search(size,
-    clock) -> (status, witness): (status, witness, level).
+    clock) -> (status, tables found or None): (status, witness, level).
 
     Stops at the first size that finds a simulator or is capped, or _CAPPED
     at the first size above max_k or reached after the clock refused; else
-    returns (_EXHAUSTED, None, levels.stop).
+    returns (_EXHAUSTED, None, levels.stop).  The tables found are built as
+    the witness, a Filter over ref's observations and colors, and walked
+    again by _confirm.
     """
     max_k = clock.budget.max_k
     for level in levels:
         if (max_k is not None and level > max_k) or clock.refused:
             return _CAPPED, None, level
-        status, witness = search(level, clock)
-        if status != _EXHAUSTED:
-            return status, witness, level
+        status, found = search(level, clock)
+        if status != _EXHAUSTED:  # only a found simulator comes with tables
+            return status, found and _confirm(ref, _build(ref, found)), level
     return _EXHAUSTED, None, levels.stop
 
 
@@ -341,8 +393,9 @@ def decide_size_k(f, k, budget=None):
         # the trimmed filter is its own witness; no enumeration needed
         return SizeDecision(YES, ft, 0)
     clock = _Clock(budget)
-    search = functools.partial(_search_size, _Reached(ft))
-    status, witness, _ = _search_levels(range(1, k + 1), clock, search)
+    ref = _Reached(ft)
+    status, witness, _ = _search_levels(ref, range(1, k + 1), clock,
+                                        functools.partial(_search_size, ref))
     outcome = {_FOUND: YES, _CAPPED: BUDGET_EXHAUSTED, _EXHAUSTED: NO}[status]
     return SizeDecision(outcome, witness, clock.candidates)
 
@@ -368,7 +421,7 @@ def minimize_nondet(f, budget=None):
     max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
     search = functools.partial(_search_size, ref)
-    status, witness, level = _search_levels(range(1, min(2, len(ft.states))), clock, search)
+    status, witness, level = _search_levels(ref, range(1, min(2, len(ft.states))), clock, search)
     if status == _EXHAUSTED and len(ft.states) > 1:
         lower = 2
         if max_k is None or max_k > 1:
@@ -376,7 +429,7 @@ def minimize_nondet(f, budget=None):
             if lower < len(best.states):
                 pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
                 lower = max(lower, len(pairs))
-        status, witness, level = _search_levels(range(lower, len(best.states)), clock, search)
+        status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, search)
     if status == _FOUND:
         best, source = witness, "search"
     return _result(best, status, level, clock, start, trim_size=len(ft.states),
@@ -400,26 +453,26 @@ _FOOLING_NODES = 5_000      # clique-search nodes of the fooling-set bound
 
 def _upper_bound(ft, ref, clock, lower):
     """The smallest simulator among the trimmed filter, its certified
-    bisimulation quotient and the deterministic pipeline's result, with
-    the name of its source.  Stops once one has `lower` states, below which
-    the search has ruled everything out.
+    forward bisimulation quotient and the deterministic pipeline's result,
+    tried in that order, with the name of its source.  Stops once one has
+    `lower` states, below which the search has ruled everything out, or
+    once the deadline has passed.
 
     Each bound is a size and a build() that gives its Filter: the sizes are
-    compared, and only the winner is built, names included.  A
-    deterministic winner is walked again by _confirm once built, unless it
-    is the determinization itself; the quotient is certified instead."""
+    compared, and only the winner is built, names included.  The forward
+    quotient, certified instead of walked, is named by joining its members'
+    names; a deterministic winner is built by _det_pipeline's build()."""
     size, source, build = len(ft.states), "trim", None
-    for name in ("forward-bisimulation", "deterministic"):
-        if size <= lower or clock.expired():
-            break
-        if name == "deterministic":
-            bound = _det_bound(ft, ref, clock, size)
-        else:
-            partition = _bisimulation_partition(ref, clock.sub(_BISIMULATION_WORK))
-            bound = partition and (len(partition),
-                                   functools.partial(_quotient_filter, ft, partition))
+    if size > lower and not clock.expired():
+        partition = _bisimulation_partition(ref, clock.sub(_BISIMULATION_WORK))
+        if partition is not None:  # fewer classes than states
+            tables = (ref.members[0], ref.color_of, ref.step)
+            size, source = len(partition), "forward-bisimulation"
+            build = lambda: _build(ref, _quotient(tables, partition), _joined(ft.states, partition))
+    if size > lower and not clock.expired():
+        bound = _det_bound(ft, ref, clock, size)
         if bound and bound[0] < size:
-            (size, build), source = bound, name
+            (size, build), source = bound, "deterministic"
     return (ft if build is None else build()), source
 
 
@@ -692,10 +745,11 @@ def _incompatible(after, colors, clock):
     incompatible, so is every pair of states that one symbol leads to a and
     b.  The worklist holds the states whose rows gained bits that have not
     been propagated yet; a row of at most _NARROW pending bits is read bit
-    by bit, a wider one through a byte mask.  Every 256 pops the deadline
-    is checked, and once it has passed the rows are returned as they stand
-    with complete False: every bit in them is a proven incompatibility, but
-    some are missing.
+    by bit, a wider one through a byte mask.  The deadline is checked every
+    256 pops and before every wide row, which can cost milliseconds on
+    thousands of states, and once it has passed the rows are returned as
+    they stand with complete False: every bit in them is a proven
+    incompatibility, but some are missing.
     """
     n = len(colors)
     holders = {}  # color bit -> mask of the states that carry it
@@ -727,13 +781,14 @@ def _incompatible(after, colors, clock):
     work = [i for i in range(n) if bad[i]]
     pops = 0
     while work:
-        pops += 1
-        if not pops & 255 and clock.expired():
-            return bad, False
         a = work.pop()
         row = pending[a]
+        wide = row.bit_count() > _NARROW
+        pops += 1
+        if (wide or not pops & 255) and clock.expired():
+            return bad, False
         pending[a] = 0
-        flags = _flags(row) if row.bit_count() > _NARROW else None
+        flags = _flags(row) if wide else None
         for into, sources in preds:
             if not sources[a]:
                 continue
@@ -844,35 +899,11 @@ def _min_clique_cover(inc, clock):
     return partition, lower, exact
 
 
-def _quotient_filter(f, partition):
-    """Collapse each class of partition, a list of index lists, to one state,
-    colored by the colors its members share and with the union of their
-    edges; None if a class shares no color.  The states are named by their
-    members joined with +."""
-    new = [0] * len(f.states)
-    color = []
-    for k, members in enumerate(partition):
-        shared = -1
-        for i in members:
-            new[i] = k
-            shared &= f._color[i]
-        if not shared:
-            return None
-        color.append(shared)
-    taken = set()
-    names = [_fresh_name("+".join(f.states[i] for i in sorted(members)), taken)
-             for members in partition]
-    succ = [[tuple(sorted({new[j] for i in members for j in table[i]})) for members in partition]
-            for table in f._succ]
-    initial = tuple(sorted({new[i] for i in f._init}))
-    return Filter._from_tables(tuple(names), f.observations, f.colors, initial, succ, color)
-
-
 def _closed_cover(ref, inc, n, clock):
     """Search the deterministic simulators of at most n states: (status,
-    witness).  ref's table is filled, and inc holds the complete rows that
-    _incompatible gives for it: state p of the determinization is ref's
-    reached set p.
+    the mask tables of the first found, or None).  ref's table is filled,
+    and inc holds the complete rows that _incompatible gives for it: state
+    p of the determinization is ref's reached set p.
 
     A deterministic simulator reaches one state on each string the
     reference survives, so the pairs (reached set, state) it reaches are a
@@ -884,8 +915,8 @@ def _closed_cover(ref, inc, n, clock):
     is incompatible with a set already on its state, or shares no color with
     them; the search then backs up to the last choice with an option left,
     on an explicit stack.  Each option tried spends one candidate.  The
-    witness colors each state by the lowest color its sets share and has an
-    edge only where a pair needs one.
+    simulator found colors each state by the lowest color its sets share
+    and has an edge only where a pair needs one.
     """
     after, colors = ref.after, ref.colors
     sets = [1] + [0] * (n - 1)  # sets[q]: mask of the reached sets on state q
@@ -933,54 +964,7 @@ def _closed_cover(ref, inc, n, clock):
             needs.extend((row[r], t, k) for k, row in enumerate(after) if row[r] >= 0)
         pos += 1
     step = [[1 << t if t >= 0 else 0 for t in row[:used]] for row in delta]
-    found = _candidate_filter(ref, used, 1, [c & -c for c in shared[:used]], step)
-    return _FOUND, _confirm(ref, found)
-
-
-def _cover_quotient(ref, partition):
-    """Mask tables (initial mask, color mask per state, step), as _walk takes
-    them, of the quotient of ref's determinization by partition, a list of
-    lists of reached-set numbers; None if a class shares no color or one
-    symbol leads a class to two.  ref's table is filled.  A class is colored
-    by the colors its sets share and has the union of their edges, as in
-    _quotient_filter."""
-    block = [0] * len(ref.colors)
-    shared = []
-    for k, members in enumerate(partition):
-        common = -1
-        for r in members:
-            block[r] = k
-            common &= ref.colors[r]
-        if not common:
-            return None
-        shared.append(common)
-    step = []
-    for row in ref.after:
-        table = []
-        for members in partition:
-            targets = 0
-            for r in members:
-                if row[r] >= 0:
-                    targets |= 1 << block[row[r]]
-            if targets & (targets - 1):
-                return None
-            table.append(targets)
-        step.append(table)
-    return 1 << block[0], shared, step
-
-
-def _cover_filter(ft, ref, partition, tables):
-    """The Filter of the cover's quotient on its tables (see _cover_quotient):
-    a class is named by the names of its sets in the determinization of ft
-    joined with +, as _quotient_filter would name it."""
-    init, colors, step = tables
-    sets = _subset_names(ft.states, ref.members)
-    taken = set()
-    names = tuple(_fresh_name("+".join(map(sets.__getitem__, members)), taken)
-                  for members in partition)
-    return Filter._from_tables(
-        names, ref.obs, ref.color_names, (init.bit_length() - 1,),
-        [[(t.bit_length() - 1,) if t else () for t in table] for table in step], colors)
+    return _FOUND, (1, [c & -c for c in shared[:used]], step)
 
 
 def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=None):
@@ -992,14 +976,16 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     Returns (d's size, (size, build), cover lower bound, cover exact,
     search status, level), where build() gives the best simulator as a
     Filter, so that a caller comparing sizes builds only the one it keeps:
-    d, named by _determinize; the cover's quotient, built by _cover_filter
-    and walked by _confirm; or the closed cover the search found and walked.
-    node_cap caps the cover search.  The quotient is kept if its tables
-    show it deterministic and smaller than d; it is skipped when the lower
-    bound is not below both d and beat, once the deadline has passed, and
-    when the clock refuses the one candidate that the walk of its tables
-    spends.  The levels searched run from the lower bound up to one below
-    the best simulator, or below beat if that is lower.
+    d, named by _determinize; the cover's quotient, the _quotient of d's
+    tables by the cover, its classes named by their sets' names joined,
+    walked again by _confirm once built; or the closed cover that
+    _search_levels built and walked.  node_cap caps the cover search.  The
+    quotient is kept if no cell of its tables has two targets and it is
+    smaller than d; it is skipped when the lower bound is not below both d
+    and beat, once the deadline has passed, and when the clock refuses the
+    one candidate that the walk of its tables spends.  The levels searched
+    run from the lower bound up to one below the best simulator, or below
+    beat if that is lower.
 
     Such a quotient always simulates, so its walks are checks against
     faults.  Its classes share a color, and on every string w that d
@@ -1029,15 +1015,19 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     partition, lower, cover_exact = _min_clique_cover(inc, clock.sub(node_cap))
     top = n if beat is None else min(n, beat)
     if lower < top and len(partition) < n and not clock.expired():
-        tables = _cover_quotient(ref, partition)
-        if tables is not None and clock.spend():
+        cells = [1 << r for r in range(n)] + [0]  # cells[-1] is the empty set's
+        step = [list(map(cells.__getitem__, row)) for row in ref.after]
+        tables = _quotient((1, ref.colors, step), partition)
+        if (tables is not None and not any(t & (t - 1) for row in tables[2] for t in row)
+                and clock.spend()):
             clock.walked += 1
             if _walk(ref, *tables) is not None:
                 raise RuntimeError("the cover's quotient fails output simulation")
-            best = len(partition), lambda: _confirm(ref, _cover_filter(ft, ref, partition, tables))
+            best = len(partition), lambda: _confirm(ref, _build(
+                ref, tables, _joined(_subset_names(ft.states, ref.members), partition)))
     levels = range(lower, min(top, best[0]))
     search = functools.partial(_closed_cover, ref, inc)
-    status, witness, level = _search_levels(levels, clock, search)
+    status, witness, level = _search_levels(ref, levels, clock, search)
     if witness is not None:
         best = (len(witness.states), lambda: witness)
     return n, best, lower, cover_exact, status, level

@@ -10,7 +10,8 @@ candidates of one search level one at a time, in the canonical order the
 package's search counts them in.  compatibility_graph_oracle builds the
 compatibility graph from a reverse map over every pair of states.
 fooling_set_error re-checks a claimed fooling set by walking every string
-it names.  NamedFilter is the filter core kept on names: dicts keyed by
+it names.  named_quotient merges the classes of a partition through state
+names and sets.  NamedFilter is the filter core kept on names: dicts keyed by
 state names, one frozenset per edge label and color set; NamedNfa and the
 named_* functions are the automaton core and the reductions kept the same
 way; subset_dfa builds a complete DFA through named_subset_construct.
@@ -369,6 +370,31 @@ def bisimulation_faults(f, block):
         if any(ends(s, y) != ends(t, y) for y in f.observations):
             faults.add("edges")
     return faults
+
+
+def named_quotient(f, partition):
+    """The quotient of f by partition, a list of lists of state indexes,
+    through names and sets, or None if some class shares no color.
+
+    A class is named by its members' names joined with + (suffixed ~2, ~3,
+    ... where two print alike), is initial if it holds an initial state,
+    carries the colors that every member carries, and has an edge labelled
+    y to each class holding a y-successor of one of its members.
+    """
+    names = []
+    for members in partition:
+        names.append(_bump("+".join(f.states[i] for i in members), names, "~"))
+    class_of = {f.states[i]: name for name, members in zip(names, partition) for i in members}
+    coloring = {}
+    for name, members in zip(names, partition):
+        coloring[name] = frozenset.intersection(*(f.coloring[f.states[i]] for i in members))
+        if not coloring[name]:
+            return None
+    transitions = {}
+    for (u, v), symbols in f.transitions.items():
+        transitions.setdefault((class_of[u], class_of[v]), set()).update(symbols)
+    initial = {class_of[s] for s in f.initial}
+    return Filter(names, initial, f.observations, transitions, f.colors, coloring)
 
 
 def random_filter(rng, max_states=4, max_symbols=3, max_colors=3, edge_bias=0.5):

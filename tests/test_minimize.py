@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 import sys
@@ -31,6 +30,7 @@ from oracles import (
     canonical_search,
     compatibility_graph_oracle,
     fooling_set_error,
+    named_quotient,
     random_filter,
     simulates_oracle,
 )
@@ -381,15 +381,20 @@ def test_decide_size_k_is_monotone_in_k():
 
 
 def closed_cover_search(ft):
-    """The closed-cover search of ft's levels, as search(n, clock): on ft's
-    reached-set table, filled by determinizing it."""
+    """The closed-cover search of ft's levels, as search(n, clock) ->
+    (status, witness): on ft's reached-set table, filled by determinizing
+    it, with the tables it finds built as the witness."""
     from filterkit import DETERMINIZE_CAP
-    from filterkit.minimize import _closed_cover, _Clock, _incompatible
+    from filterkit.minimize import _build, _closed_cover, _Clock, _incompatible
 
     ref = _Reached(ft)
     ft._determinize(DETERMINIZE_CAP, ref)
-    return functools.partial(_closed_cover, ref,
-                             _incompatible(ref.after, ref.colors, _Clock(None))[0])
+    inc = _incompatible(ref.after, ref.colors, _Clock(None))[0]
+
+    def search(n, clock):
+        status, found = _closed_cover(ref, inc, n, clock)
+        return status, found and _build(ref, found)
+    return search
 
 
 def test_det_level_search_semantics():
@@ -585,11 +590,12 @@ def test_level_one_matches_one_by_one_reference():
     # level 1 is decided by one walk and charged as one block: the status,
     # the witness and the count are those of checking every candidate in
     # turn, under every cap up to one past the uncapped count
-    from filterkit.minimize import _CAPPED, _EXHAUSTED, _Clock, _search_size
+    from filterkit.minimize import _CAPPED, _EXHAUSTED, _build, _Clock, _search_size
 
     def level_one(ref, budget):
         clock = _Clock(budget)
-        status, witness = _search_size(ref, 1, clock)
+        status, found = _search_size(ref, 1, clock)
+        witness = found and _build(ref, found)
         return (status, as_dict(witness), clock.candidates), clock.walked
 
     rng = random.Random(1701)
@@ -785,7 +791,7 @@ def test_cover_quotient_failing_its_walk_raises(monkeypatch):
 
     f = donut_world()
     wrong = (1, [(1 << len(f.colors)) - 1], [[0] for _ in f.observations])
-    monkeypatch.setattr(minimize, "_cover_quotient", lambda ref, partition: wrong)
+    monkeypatch.setattr(minimize, "_quotient", lambda tables, partition: wrong)
     with pytest.raises(RuntimeError):
         minimize_det(f)
 
@@ -799,7 +805,7 @@ def test_winning_deterministic_bound_built_wrong_raises(monkeypatch):
     f = donut_world()
     assert minimize_nondet(f).stats["upper_bound_source"] == "deterministic"
     wrong = Filter(["q"], ["q"], f.observations, {}, f.colors, {"q": set(f.colors)})
-    monkeypatch.setattr(minimize, "_cover_filter", lambda ft, ref, partition, tables: wrong)
+    monkeypatch.setattr(minimize, "_build", lambda ref, tables, names=None: wrong)
     for minimize_f in (minimize_nondet, minimize_det):
         with pytest.raises(RuntimeError):
             minimize_f(f)
@@ -827,6 +833,27 @@ def test_compatibility_graph_matches_rev_map_reference(monkeypatch):
         assert compatible(d, table_rows(f)) == expected
         assert len(wide) == before or d.size() > minimize._NARROW
     assert wide and min(map(int.bit_count, wide)) > minimize._NARROW
+
+
+def test_incompatible_checks_the_clock_before_every_wide_row(monkeypatch):
+    # a row read through _flags can take milliseconds on thousands of
+    # reached sets, so the deadline is checked before each one as well as
+    # every 256 pops; the rows are still the compatibility graph's
+    import filterkit.minimize as minimize
+    from filterkit.minimize import _Clock, _incompatible
+
+    log = []
+    expired = _Clock.expired
+    monkeypatch.setattr(minimize, "_flags", lambda mask: log.append("flags") or _flags(mask))
+    monkeypatch.setattr(_Clock, "expired", lambda clock: log.append("clock") or expired(clock))
+    f = prime_family(4)
+    d = f.determinize()[0]
+    rows, complete = _incompatible(*table_rows(f), _Clock(SearchBudget(time_cap=60)))
+    assert complete and log.count("flags") > 1
+    assert log[0] == "clock" and ("flags", "flags") not in zip(log, log[1:])
+    graph = {s: {t for j, t in enumerate(d.states) if j != i and not row >> j & 1}
+             for i, (s, row) in enumerate(zip(d.states, rows))}
+    assert graph == compatibility_graph_oracle(d)
 
 
 def test_capped_minimize_det_proves_only_at_the_lower_bound():
@@ -897,9 +924,20 @@ def test_bounds_bracket_the_brute_force_size():
     assert gaps < 10
 
 
+def built_quotient(f, partition):
+    """The quotient of f by partition, lists of state indexes, as the
+    minimizers build it: the _quotient of f's own mask tables, or None,
+    built with a class named by its members' names joined with +."""
+    from filterkit.minimize import _build, _joined, _quotient
+
+    ref = _Reached(f)
+    tables = _quotient((ref.members[0], ref.color_of, ref.step), partition)
+    return tables and _build(ref, tables, _joined(f.states, partition))
+
+
 def test_bisimulation_quotients_simulate_both_ways():
     from filterkit.minimize import (
-        _BISIMULATION_WORK, _bisimulation_partition, _Clock, _is_bisimulation, _quotient_filter)
+        _BISIMULATION_WORK, _bisimulation_partition, _Clock, _is_bisimulation)
 
     filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
     rng = random.Random(818)
@@ -913,7 +951,7 @@ def test_bisimulation_quotients_simulate_both_ways():
         partition = _bisimulation_partition(ref, _Clock(None).sub(_BISIMULATION_WORK))
         if partition is None:
             continue
-        quotient = _quotient_filter(ft, partition)
+        quotient = built_quotient(ft, partition)
         shrunk += 1
         assert quotient.size() < ft.size()
         assert simulates_oracle(quotient, ft)[0], f
@@ -929,8 +967,57 @@ def test_bisimulation_quotients_simulate_both_ways():
     assert len(forward) == 9
 
 
+def random_partition(rng, n):
+    """A seeded partition of range(n) into ascending lists, ordered by their
+    first."""
+    classes = {}
+    for i in range(n):
+        classes.setdefault(rng.randrange(rng.randint(1, n)) if i else 0, []).append(i)
+    return sorted(classes.values())
+
+
+def test_quotient_matches_the_named_reference():
+    # the one quotient of mask tables, built with its classes' joined names,
+    # is the quotient that names and sets give: on the forward partitions of
+    # the filters of the bisimulation test, on the cover partitions of their
+    # determinizations, and on seeded random partitions of both, where a
+    # class may share no color and the quotient is then None
+    from filterkit import DETERMINIZE_CAP
+    from filterkit.minimize import (
+        _BISIMULATION_WORK, _COVER_NODES, _bisimulation_partition, _Clock, _incompatible,
+        _min_clique_cover)
+
+    def quotient(f, partition):
+        built = built_quotient(f, partition)
+        assert built == named_quotient(f, partition), (f, partition)
+        return built
+
+    filters = [prime_family(r) for r in (1, 2, 3, 4)] + [donut_world(), mergeable_pair()]
+    rng = random.Random(818)
+    filters += [random_filter(rng, max_states=6, max_symbols=2, max_colors=2)
+                for _ in range(150)]
+    forward = covers = shareless = 0
+    for f in filters:
+        ft = f.trim()
+        partition = _bisimulation_partition(_Reached(ft), _Clock(None).sub(_BISIMULATION_WORK))
+        if partition is not None:
+            forward += quotient(ft, partition) is not None
+        # the cover's quotient reads d's tables off the reference's table,
+        # as the deterministic pipeline does: d's state p is reached set p
+        ref = _Reached(ft)
+        d = ft._determinize(DETERMINIZE_CAP, ref)[0]
+        dref = _Reached(d)
+        step = [[1 << q if q >= 0 else 0 for q in row] for row in ref.after]
+        assert (1, ref.colors, step) == (dref.members[0], dref.color_of, dref.step)
+        inc = _incompatible(ref.after, ref.colors, _Clock(None))[0]
+        covers += quotient(d, _min_clique_cover(inc, _Clock(None).sub(_COVER_NODES))[0]) is not None
+        for g in (ft, d):
+            shareless += quotient(g, random_partition(rng, len(g.states))) is None
+    assert forward >= 10 and covers >= 100 and shareless >= 20
+
+
 def test_bisimulation_certificate_rejects_each_broken_condition():
-    from filterkit.minimize import _is_bisimulation, _quotient_filter
+    from filterkit.minimize import _is_bisimulation
 
     x, y, xy = {"x"}, {"y"}, {"x", "y"}
     # (filter, block per state, the one condition broken): each partition
@@ -950,8 +1037,8 @@ def test_bisimulation_certificate_rejects_each_broken_condition():
     for f, block, broken in cases:
         assert bisimulation_faults(f, block) == {broken}, broken
         assert not _is_bisimulation(_Reached(f), block), broken
-        quotient = _quotient_filter(f, [[i for i, b in enumerate(block) if b == k]
-                                        for k in range(max(block) + 1)])
+        quotient = built_quotient(f, [[i for i, b in enumerate(block) if b == k]
+                                      for k in range(max(block) + 1)])
         assert not (simulates_oracle(quotient, f)[0] and simulates_oracle(f, quotient)[0])
         # the partition into single states always passes
         assert _is_bisimulation(_Reached(f), list(range(f.size())))
