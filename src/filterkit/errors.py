@@ -30,10 +30,12 @@ class NfaError(ValueError):
 class CapExceeded(RuntimeError):
     """A work cap was hit: more subsets than the cap in a subset
     construction, more reached-set pairs in the output-simulation walk, or
-    more (state, subset) pairs in an NFA inclusion check."""
+    more (state, subset) pairs in an NFA inclusion check.  A time cap too,
+    of kind "time", when it passes during minimize_det's subset
+    construction, before any simulator exists to return."""
 
-    def __init__(self, cap, context=""):
-        msg = f"state cap {cap} exceeded"
+    def __init__(self, cap, context="", kind="state"):
+        msg = f"{kind} cap {cap} exceeded"
         if context:
             msg += f" while {context}"
         super().__init__(msg)

@@ -337,14 +337,16 @@ class _Reached:
         self._number = {self.members[0]: 0}
         self._rows = list(zip(self.step, self.after))
 
-    def fill(self, last=None, cap=math.inf):
+    def fill(self, last=None, cap=math.inf, expired=None):
         """Fill the rows in order up to row last, or all of them; returns
-        `done`.  Raises CapExceeded once more than cap sets have numbers."""
+        `done`.  Raises CapExceeded once more than cap sets have numbers.
+        expired, a deadline test, is called every 1,024 rows when given, and
+        the fill stops early once it returns True."""
         members, colors, color_of, rows = self.members, self.colors, self.color_of, self._rows
         number = self._number
         r = self.done
         for mask in itertools.islice(members, r, None if last is None else last + 1):
-            if len(members) > cap:
+            if len(members) > cap or expired is not None and not r & 1023 and expired():
                 break
             have = []
             while mask:

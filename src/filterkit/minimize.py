@@ -44,8 +44,9 @@ a sound lower bound on any deterministic minimizer, the cover's quotient
 an upper bound, and a search for closed covers (_closed_cover) decides the
 levels between them while the budget lasts; there `candidates` counts the
 choices tried.  The compatibility graph checks the deadline too, and past
-it the determinization is the answer, unproven.  Both minimizers build
-their result, and the stats they share, in _result.
+it the determinization is the answer, unproven; past it in the subset
+construction, before any simulator exists, CapExceeded is raised.  Both
+minimizers build their result, and the stats they share, in _result.
 """
 
 import functools
@@ -111,10 +112,13 @@ class MinimizationResult:
 
 class _Clock:
     """Candidates accounted for in canonical order, and the walks that checked
-    them (walked; level 1 takes one); the rest were ruled out in blocks.  In
-    the closed-cover search a candidate is one choice tried.  A sub-clock
-    meters a bound phase in its own unit: one clique or coloring search
-    node, or one state signed in a refinement round."""
+    them (walked): one per candidate not ruled out in a block, and one for
+    all of level 1.  In the closed-cover search a candidate is one choice
+    tried.  A sub-clock meters a bound phase in its own unit: one clique or
+    coloring search node, or one state signed in a refinement round.  The
+    phases without a unit of their own test the deadline alone (expired):
+    the subset construction every 1,024 subsets, the compatibility graph,
+    and the fooling set's tails."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
@@ -153,17 +157,18 @@ class _Clock:
         return self._deadline is not None and time.monotonic() > self._deadline
 
     def sub(self, candidate_cap):
-        """A fresh clock with its own candidate cap and this clock's deadline."""
-        clock = _Clock(_capped(candidate_cap))
+        """A fresh clock with its own candidate cap and this clock's time cap
+        and deadline."""
+        clock = _Clock(_capped(candidate_cap, self.budget.time_cap))
         clock._deadline = self._deadline
         return clock
 
 
 @functools.cache
-def _capped(candidate_cap):
-    """The budget of a sub-clock, checked once per cap; shared, as no clock
-    changes its budget."""
-    return SearchBudget(candidate_cap=candidate_cap)
+def _capped(candidate_cap, time_cap):
+    """The budget of a sub-clock, checked once per pair of caps; shared, as
+    no clock changes its budget."""
+    return SearchBudget(candidate_cap=candidate_cap, time_cap=time_cap)
 
 
 def _build(ref, tables, names=None):
@@ -278,76 +283,57 @@ def _level_one(ref, clock):
 
 def _search_tables(ref, n, init_mask, colors, clock):
     """Exhaust the transition tables of n-state candidates with a fixed
-    initial mask and coloring, in canonical order.
+    initial mask and coloring, in canonical order, once every smaller size
+    is ruled out.
 
-    The tables are an odometer of digits grouped by source state, state 0
-    most significant: a row holds one symbol-set bitmask per target state.
-    A candidate that fails depends only on the rows of the states its check
-    read: the reached states when it is not trim, else the candidate states
-    of every pair the walk expanded.  Every candidate that agrees with it up
-    to the highest of those rows fails in the same way, so the rest of that
-    block is charged to the clock without being checked.  The count and the
+    A table is one int: field u*n + k, b bits wide (b observations) and
+    field 0 most significant, is the mask of the symbols that lead state u
+    to state k, so row u is the u-th digit in base 2^(b*n), and the order
+    counts up from 0.  The walk alone judges a candidate: one with a state
+    no string reaches would shrink to a smaller simulator, so it fails.
+
+    A failure depends only on the rows of the candidate states in the pairs
+    its walk expanded, up to row j say, and the rows after j are zero: so
+    it rules out the next 2^low - 1 tables, low = b*n*(n-1-j), charged to
+    the clock without a walk, and the next candidate is table + 2^low.
+    Those rows are zero, as the jump adds one at the lowest bit of row j:
+    some row c <= j goes up, rows c+1..j wrap to 0, and the next walk
+    agrees with this one until it first expands a pair holding a state
+    >= c, which this one did, as it read row j; so the next failure reads
+    a row >= c.  RuntimeError if a jump finds otherwise.  The count and the
     first witness are those of checking every candidate in turn.
     """
-    width, radix = n, 1 << len(ref.obs)
-    size = n * width
-    digits = [0] * size
-    tables = [[0] * n for _ in ref.obs]  # the candidate's step, as _walk takes it
-    # targets[u]: mask of the states that row u reaches under any symbol
-    targets = [0] * n
-    full = (1 << n) - 1
-
-    def set_digit(pos, value):
-        u, k = divmod(pos, width)
-        old = digits[pos]
-        digits[pos] = value
-        bit = 1 << k
-        for j in _bits(old ^ value):
-            tables[j][u] ^= bit
-        if not old or not value:
-            targets[u] ^= bit
-
+    b = len(ref.obs)
+    width, top = b * n, n * n - 1  # the bits of a row, the number of the last field
+    step = [[0] * n for _ in ref.obs]  # the candidate's step, as _walk takes it
+    table = 0
     while True:
         if not clock.spend():
             return _CAPPED, None
         clock.walked += 1
-        reach = frontier = init_mask
-        while frontier and reach != full:
-            nxt = 0
-            for i in _bits(frontier):
-                nxt |= targets[i]
-            frontier = nxt & ~reach
-            reach |= nxt
-        if reach == full:
-            failure = _walk(ref, init_mask, colors, tables)
-            if failure is None:
-                return _FOUND, (init_mask, colors, tables)
-            _, node, parent, stride = failure
-            read = 0
-            if parent[node] is not None:
-                last_expanded = parent[node] // len(tables)
-                for pair in parent:
-                    read |= pair % stride
-                    if pair == last_expanded:
-                        break
-        else:
-            read = reach
-        # digits from `free` on belong to rows the failure does not depend on
-        free = read.bit_length() * width
-        skipped = 0
-        for pos in range(free, size):
-            skipped = skipped * radix + radix - 1 - digits[pos]
-            if digits[pos]:
-                set_digit(pos, 0)
-        if skipped and not clock.spend(skipped):
+        failure = _walk(ref, init_mask, colors, step)
+        if failure is None:
+            return _FOUND, (init_mask, colors, step)
+        _, node, parent, stride = failure
+        read = 0
+        if parent[node] is not None:
+            last_expanded = parent[node] // b
+            for pair in parent:
+                read |= pair % stride
+                if pair == last_expanded:
+                    break
+        low = width * (n - read.bit_length())  # the bits of the rows after the last read
+        if table & ((1 << low) - 1):
+            raise RuntimeError("the candidate search would skip tables it has not ruled out")
+        if low and not clock.spend((1 << low) - 1):
             return _CAPPED, None
-        pos = free - 1
-        while pos >= 0 and digits[pos] == radix - 1:
-            set_digit(pos, 0)
-            pos -= 1
-        if pos < 0:
+        nxt = table + (1 << low)
+        if nxt >> (width * n):
             return _EXHAUSTED, None
-        set_digit(pos, digits[pos] + 1)
+        for p in _bits(table ^ nxt):
+            u, k = divmod(top - p // b, n)
+            step[p % b][u] ^= 1 << k
+        table = nxt
 
 
 def _search_levels(ref, levels, clock, search):
@@ -971,7 +957,9 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     """The deterministic pipeline on the determinization d of ft, read off
     ref, the reference's own table: the clique cover of d's compatibility
     graph, the cover's quotient, then a closed-cover search of the levels
-    between them.  Raises CapExceeded past determinize_cap subsets.
+    between them.  Raises CapExceeded past determinize_cap subsets, or once
+    the deadline passes in the subset construction, which checks it every
+    1,024 subsets.
 
     Returns (d's size, (size, build), cover lower bound, cover exact,
     search status, level), where build() gives the best simulator as a
@@ -1002,7 +990,9 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     size.  That clique is a sound lower bound, as the rows only ever gain
     proven incompatibilities.
     """
-    n = ref.fill(cap=determinize_cap)
+    n = ref.fill(cap=determinize_cap, expired=clock.expired)
+    if n < len(ref.members):  # the deadline came first, and no simulator exists yet
+        raise CapExceeded(clock.budget.time_cap, "determinizing", "time")
 
     def determinization():
         return ft._determinize(determinize_cap, ref)[0]
@@ -1041,7 +1031,9 @@ def minimize_det(f, budget=None):
     cover, then searches the levels left between them for closed covers
     (see _closed_cover) under the budget.  A level the budget cuts short
     leaves the quotient, or the determinization, unproven; so does a
-    deadline that passes while the compatibility graph is computed.
+    deadline that passes while the compatibility graph is computed.  Raises
+    CapExceeded past DETERMINIZE_CAP subsets, or when the deadline passes
+    during the subset construction.
     """
     start = time.monotonic()
     ft = f.trim()

@@ -154,6 +154,13 @@ def test_validate_bad_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_deep_nesting(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["validate", str(deep)]) == 2
+    assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_validate_keeps_line_separators_in_ids(tmp_path, capsys):
     f = Filter(["a\u2028b", "c\x85"], ["a\u2028b"], ("y",), {("a\u2028b", "c\x85"): {"y"}},
                ("k",), {"a\u2028b": {"k"}, "c\x85": {"k"}})

@@ -107,6 +107,19 @@ def test_validation_errors():
         Filter(["a"], ["a"], (), {}, ("c",), {"a": {"c"}})
 
 
+@pytest.mark.parametrize("build, error, message", [
+    # a coloring may name only declared states; a document colors its
+    # states in their own entries, so only the constructor can err here
+    (lambda: Filter(["a"], ["a"], ("y",), {}, ("c",), {"a": {"c"}, "b": {"c"}}),
+     UnknownState, "colored state 'b' is not declared"),
+    (lambda: Filter.from_dict([]), FilterError, "filter description must be a mapping"),
+])
+def test_validation_error_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_determinism_flag():
     det = Filter(
         ["a", "b"], ["a"], ("y",), {("a", "b"): {"y"}}, ("c",), {"a": {"c"}, "b": {"c"}}

@@ -763,6 +763,18 @@ def test_compatibility_graph_stops_at_the_deadline():
     assert simulates_oracle(result.minimizer, f)[0]
 
 
+def test_subset_construction_stops_at_the_deadline():
+    # prime r=6 has 30,072 reached sets, about a third of a second of subset
+    # construction; it checks the deadline every 1,024 sets, and as no
+    # simulator exists before it ends, minimize_det raises CapExceeded
+    from filterkit import CapExceeded
+
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="^time cap 0.05 exceeded while determinizing$"):
+        minimize_det(prime_family(6), SearchBudget(time_cap=0.05))
+    assert time.monotonic() - start < 0.3
+
+
 def test_minimize_det_cover_stops_at_the_deadline():
     # a root leads, each on its own symbol, to one state per vertex of M6,
     # colored by the vertex's non-edges: two vertex states are compatible
@@ -965,6 +977,26 @@ def test_bisimulation_quotients_simulate_both_ways():
     forward = _bisimulation_partition(_Reached(prime_family(2)),
                                       _Clock(None).sub(_BISIMULATION_WORK))
     assert len(forward) == 9
+
+
+def test_bisimulation_refinement_stops_when_its_clock_refuses(monkeypatch):
+    # a round spends one unit per state before it signs them: the mergeable
+    # pair's color classes are stable after one round, and a second round
+    # finds that out, so a clock worth one round gives no partition
+    import filterkit.minimize as minimize
+    from filterkit.minimize import _bisimulation_partition, _Clock
+
+    ref = _Reached(mergeable_pair().trim())
+    n = len(ref.color_of)
+    assert _bisimulation_partition(ref, _Clock(None).sub(n)) is None
+    assert _bisimulation_partition(ref, _Clock(None).sub(2 * n)) == [[0], [1, 2]]
+    # with the refinement refused, minimize_nondet takes its bound elsewhere
+    f = prime_family(3)
+    assert minimize_nondet(f).stats["upper_bound_source"] == "forward-bisimulation"
+    monkeypatch.setattr(minimize, "_BISIMULATION_WORK", 1)
+    result = minimize_nondet(f)
+    assert result.stats["upper_bound_source"] != "forward-bisimulation"
+    assert simulates_oracle(result.minimizer, f)[0]
 
 
 def random_partition(rng, n):

@@ -114,6 +114,18 @@ def test_shape_validation():
         Nfa(["s"], ["s"], ("a",), {("s", "b"): frozenset({"s"})}, set())
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Nfa(["s"], ["s"], ("a", "a"), {}, set()), "duplicate alphabet symbols"),
+    (lambda: Nfa(["s"], ["s"], ("a",), {("s", "a"): frozenset({"t"})}, set()),
+     "transition target 't' is not declared"),
+    (lambda: union([]), "union of no automata"),
+])
+def test_shape_error_messages(build, message):
+    with pytest.raises(NfaError) as raised:
+        build()
+    assert type(raised.value) is NfaError and str(raised.value) == message
+
+
 def test_accepts():
     m = evens()
     assert m.accepts(())

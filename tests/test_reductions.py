@@ -15,6 +15,7 @@ from filterkit import (
     verify_reduction,
 )
 from filterkit.nfa import sigma_star
+from filterkit.reductions import ReductionInstance
 
 from oracles import subset_dfa
 
@@ -147,6 +148,22 @@ def test_dfa_union_requires_deterministic_inputs():
     )
     with pytest.raises(NfaError):
         from_dfa_union([nd])
+
+
+def unknown_kind():
+    instance = from_nfa_universality(sigma_star(("a",)))
+    return verify_reduction(ReductionInstance("other", instance.filter, instance.source,
+                                              instance.fresh_symbol, instance.details))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: from_dfa_union([]), NfaError, "union reduction needs at least one automaton"),
+    (unknown_kind, ValueError, "unknown reduction kind 'other'"),
+])
+def test_reduction_error_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_dfa_union_universal_pair():

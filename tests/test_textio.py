@@ -238,6 +238,16 @@ def test_parse_nfa_rejects_garbage():
         parse_nfa('{"alphabet": ["a"], "states": ["s"]}')
 
 
+@pytest.mark.parametrize("parse, error", [(parse_filter, FilterError), (parse_nfa, NfaError)])
+def test_parse_rejects_deep_nesting(parse, error):
+    # json.loads gives up with a RecursionError, which the parsers turn
+    # into their own error
+    with pytest.raises(error) as raised:
+        parse("[" * 200_000)
+    assert type(raised.value) is error
+    assert str(raised.value) == "not valid JSON: nested too deeply"
+
+
 def test_dot_output_is_deterministic_and_well_formed():
     f = donut_world()
     dot = filter_to_dot(f)
