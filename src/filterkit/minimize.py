@@ -6,21 +6,24 @@ colorings by declared color order, transition symbol-sets by symbol order)
 and tests them by the reached-set pair walk of the simulation module, which
 stops at the first failing pair of either kind.  A failure rules out the
 block of later candidates that agree on the transition rows it read, counted
-without being walked; level 1 takes one walk of the input's reached sets and
-counts its candidates as one block.  So the `candidates` count (and the cap)
-covers every candidate in canonical order up to where the search stopped,
-walked or ruled out in a block, as if each were checked in turn; stats count
-the walks as `walked`.  A search returns the mask tables of the simulator
-it finds, and _search_levels builds them as a Filter (_build) and walks
-that again (_confirm), so a fault raises instead of returning a filter that
-does not simulate the input.
+without being walked.  So the `candidates` count (and the cap) covers every
+candidate of the sizes searched in canonical order up to where the search
+stopped, walked or ruled out in a block, as if each were checked in turn;
+stats count the walks as `walked`, so walked <= candidates.  Size 1
+enumerates nothing: one pass over the input's reached sets decides it, and
+counts in neither.  A search returns the mask tables of the simulator it
+finds, and _search_levels builds them as a Filter (_build) and walks that
+again (_confirm), so a fault raises instead of returning a filter that does
+not simulate the input.
 
-All three entry points search through one level driver, _search_levels,
-given the search of one size.  It tries the sizes of a range in turn and
-stops at the first that finds a simulator or runs out of budget; capped, at
-the first size above max_k or once the clock has refused; else exhausted
-past the range, every size in it ruled out.  So max_k caps the sizes
-searched, not the bounds.
+One budget rule holds in both minimizers: max_k and the candidate cap limit
+only the sizes searched, never size 1 or the bounds, and the time cap and
+DETERMINIZE_CAP stop every phase, size 1 included.  All three entry points
+search through one level driver, _search_levels, given the search of one
+size.  It tries the sizes of a range in turn and stops at the first that
+finds a simulator or runs out of budget; capped, at the first size above
+max_k or once the clock has refused; else exhausted past the range, every
+size in it ruled out.
 
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its
@@ -43,10 +46,11 @@ reached-set table: the minimum clique cover of its compatibility graph is
 a sound lower bound on any deterministic minimizer, the cover's quotient
 an upper bound, and a search for closed covers (_closed_cover) decides the
 levels between them while the budget lasts; there `candidates` counts the
-choices tried.  The compatibility graph checks the deadline too, and past
-it the determinization is the answer, unproven; past it in the subset
-construction, before any simulator exists, CapExceeded is raised.  Both
-minimizers build their result, and the stats they share, in _result.
+choices tried, and none is walked.  The compatibility graph checks the
+deadline too, and past it the determinization is the answer, unproven;
+past it in the subset construction, before any simulator exists,
+CapExceeded is raised.  Both minimizers build their result, and the stats
+they share, in _result.
 """
 
 import functools
@@ -112,13 +116,13 @@ class MinimizationResult:
 
 class _Clock:
     """Candidates accounted for in canonical order, and the walks that checked
-    them (walked): one per candidate not ruled out in a block, and one for
-    all of level 1.  In the closed-cover search a candidate is one choice
-    tried.  A sub-clock meters a bound phase in its own unit: one clique or
-    coloring search node, or one state signed in a refinement round.  The
-    phases without a unit of their own test the deadline alone (expired):
-    the subset construction every 1,024 subsets, the compatibility graph,
-    and the fooling set's tails."""
+    them (walked): one per candidate not ruled out in a block.  In the
+    closed-cover search a candidate is one choice tried, and none is walked.
+    A sub-clock meters a bound phase in its own unit: one clique or coloring
+    search node, or one state signed in a refinement round.  The phases
+    without a unit of their own test the deadline alone (expired): size 1's
+    pass and the subset construction every 1,024 sets, the compatibility
+    graph, and the fooling set's tails."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
@@ -253,32 +257,30 @@ def _search_size(ref, n, clock):
 
 
 def _level_one(ref, clock):
-    """Level 1 of _search_size, decided by the rows of ref's table, in order.
+    """Level 1 of _search_size, decided by one pass over ref's reached sets
+    in order, which enumerates nothing and so spends no candidate.
 
     A one-state candidate with color mask c and self-loop mask d simulates
     the reference iff c lies in `common`, the colors that every reached set
-    shows, and d holds `survive`, the symbols some reached set survives.  The
-    candidates up to the first such one, or all, are charged as one block:
-    2^|Y| tables per coloring within the initial colors.
+    shows, and d holds `survive`, the symbols some reached set survives; the
+    first in canonical order takes the lowest color of common.  The pass
+    ends once common is empty, and is capped when the deadline or
+    DETERMINIZE_CAP sets stop the fill of ref's rows before that.
     """
-    symbols = range(len(ref.obs))
     colors, r = ref.colors, 0
     common = colors[0]
-    while common and r < len(colors):  # the sets numbered so far share a color: fill their rows
-        common = functools.reduce(operator.and_, colors[r:], common)
-        r = ref.fill(len(colors) - 1) if common else r
-    survive = sum(1 << k for k, row in enumerate(ref.after) if max(row, default=-1) >= 0)
-    clock.walked += 1
-    c = common & -common
-    # 2^|Y| tables per coloring below c; all colorings when common is empty (c - 1 = -1)
-    count = ((1 << (colors[0] & (c - 1)).bit_count()) - 1) << len(symbols)
-    if c:
-        count += survive + 1
-    if not clock.spend(count):
+    try:
+        while common and r < len(colors):  # the sets numbered so far share a color: fill their rows
+            common = functools.reduce(operator.and_, colors[r:], common)
+            r = len(colors)
+            if common and ref.fill(r - 1, DETERMINIZE_CAP, clock.expired) < r:
+                return _CAPPED, None
+    except CapExceeded:
         return _CAPPED, None
-    if not c:
+    if not common:
         return _EXHAUSTED, None
-    return _FOUND, (1, [c], [[survive >> k & 1] for k in symbols])
+    survive = sum(1 << k for k, row in enumerate(ref.after) if max(row, default=-1) >= 0)
+    return _FOUND, (1, [common & -common], [[survive >> k & 1] for k in range(len(ref.obs))])
 
 
 def _search_tables(ref, n, init_mask, colors, clock):
@@ -370,7 +372,9 @@ def decide_size_k(f, k, budget=None):
 
     Returns a SizeDecision; a YES carries the canonically-first witness.  At
     level |trim(f)| the trimmed filter itself settles the question, so
-    enumeration only ever runs below it.
+    enumeration only ever runs below it, and above size 1, which one pass
+    over f's reached sets settles.  The budget is the minimizers' (see the
+    module docstring).
     """
     if type(k) is not int or k < 1:  # not a bool either
         raise ValueError("k must be a positive integer")
@@ -397,24 +401,23 @@ def minimize_nondet(f, budget=None):
     the best upper bound, that filter is returned as proven optimal
     without a search; otherwise the levels from the lower bound up to one
     below the best upper bound are searched in turn, and the first level
-    with a simulator gives the canonically-first one.  The bounds are
-    computed only when max_k allows level 2.
+    with a simulator gives the canonically-first one.  max_k and the
+    candidate cap limit only that search; past the time cap or
+    DETERMINIZE_CAP sets in level 1, the trimmed filter is returned unproven.
     """
     start = time.monotonic()
     ft = f.trim()
     ref = _Reached(ft)
     clock = _Clock(budget)
-    max_k = clock.budget.max_k
     best, source, lower, lower_exact = ft, "trim", 1, True
     search = functools.partial(_search_size, ref)
     status, witness, level = _search_levels(ref, range(1, min(2, len(ft.states))), clock, search)
     if status == _EXHAUSTED and len(ft.states) > 1:
         lower = 2
-        if max_k is None or max_k > 1:
-            best, source = _upper_bound(ft, ref, clock, lower)
-            if lower < len(best.states):
-                pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
-                lower = max(lower, len(pairs))
+        best, source = _upper_bound(ft, ref, clock, lower)
+        if lower < len(best.states):
+            pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
+            lower = max(lower, len(pairs))
         status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, search)
     if status == _FOUND:
         best, source = witness, "search"
@@ -970,17 +973,16 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     _search_levels built and walked.  node_cap caps the cover search.  The
     quotient is kept if no cell of its tables has two targets and it is
     smaller than d; it is skipped when the lower bound is not below both d
-    and beat, once the deadline has passed, and when the clock refuses the
-    one candidate that the walk of its tables spends.  The levels searched
-    run from the lower bound up to one below the best simulator, or below
-    beat if that is lower.
+    and beat, and once the deadline has passed.  The levels searched run
+    from the lower bound up to one below the best simulator, or below beat
+    if that is lower.
 
     Such a quotient always simulates, so its walks are checks against
-    faults.  Its classes share a color, and on every string w that d
-    survives it reaches the class of d's state p(w), with colors inside
-    those of p(w), the colors of the reference's reached set.  By induction
-    on w: the initial class holds p(()), and as the quotient is
-    deterministic, the y-edges of the class of p(w) lead to one class,
+    faults, and spend no candidate.  Its classes share a color, and on every
+    string w that d survives it reaches the class of d's state p(w), with
+    colors inside those of p(w), the colors of the reference's reached set.
+    By induction on w: the initial class holds p(()), and as the quotient
+    is deterministic, the y-edges of the class of p(w) lead to one class,
     which holds p(wy), the y-successor of p(w).
 
     Once the deadline passes inside _incompatible, its rows lack some
@@ -1008,9 +1010,7 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
         cells = [1 << r for r in range(n)] + [0]  # cells[-1] is the empty set's
         step = [list(map(cells.__getitem__, row)) for row in ref.after]
         tables = _quotient((1, ref.colors, step), partition)
-        if (tables is not None and not any(t & (t - 1) for row in tables[2] for t in row)
-                and clock.spend()):
-            clock.walked += 1
+        if tables is not None and not any(t & (t - 1) for row in tables[2] for t in row):
             if _walk(ref, *tables) is not None:
                 raise RuntimeError("the cover's quotient fails output simulation")
             best = len(partition), lambda: _confirm(ref, _build(

@@ -111,7 +111,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
                     for text in (err.getvalue(), fresh.stderr)]
         assert timeless[0] == timeless[1], argv
         codes.append(code)
-    assert codes == [2, 0, 2, 2, 0, 3, 0, 2]
+    assert codes == [2, 0, 2, 2, 0, 0, 0, 2]
 
 
 def test_export_dot_bytes_do_not_depend_on_hash_seed(tmp_path):
@@ -343,14 +343,16 @@ def test_minimize_det_donut(tmp_path, capsys):
 def test_minimize_nondet_donut_is_proven_by_bounds(tmp_path, capsys):
     from filterkit import donut_world
 
+    # --max-k caps the sizes searched, not the bounds, so it changes nothing
     path = write_filter(tmp_path, donut_world())
-    start = time.monotonic()
-    assert main(["minimize", path, "--mode", "nondet"]) == 0
-    assert time.monotonic() - start < 1.0
-    out = capsys.readouterr().out
-    assert out.endswith(
-        "# states: 4\n# proven_optimal: true\n# lower_bound: 4\n# candidates: 8\n")
-    assert parse_filter(out).size() == 4
+    for max_k in ([], ["--max-k", "1"]):
+        start = time.monotonic()
+        assert main(["minimize", path, "--mode", "nondet", *max_k]) == 0
+        assert time.monotonic() - start < 1.0
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "# states: 4\n# proven_optimal: true\n# lower_bound: 4\n# candidates: 0\n")
+        assert parse_filter(out).size() == 4
 
 
 def test_minimize_budget_exhaustion(fig3_path, capsys):
@@ -360,8 +362,9 @@ def test_minimize_budget_exhaustion(fig3_path, capsys):
     out = captured.out
     assert "# proven_optimal: false" in out
     assert parse_filter(out).size() == 10
-    # the cap falls inside level 1; the level goes to stderr only
-    assert captured.err.splitlines()[-1] == "level: 1"
+    # level 1 counts nothing and the bounds give 7, so the cap falls inside
+    # level 7; the level goes to stderr only
+    assert captured.err.splitlines()[-1] == "level: 7"
     assert "level" not in out
 
 

@@ -114,15 +114,16 @@ def test_minimize_nondet_respects_candidate_cap():
 
 
 def test_minimize_nondet_max_k():
+    # max_k caps the sizes searched, not the bounds: they meet at 2 states
     result = minimize_nondet(mergeable_pair(), SearchBudget(max_k=1))
-    assert not result.proven_optimal
-    assert result.size() == 3
+    assert (result.size(), result.proven_optimal, result.stats["level"]) == (2, True, 2)
+    assert result.stats["candidates"] == 0
 
 
 def test_decide_size_k_stops_at_max_k():
     # the levels above max_k are not searched: below the answer the decision
-    # is BUDGET_EXHAUSTED, with the candidates of levels 1..max_k counted as
-    # if each were checked in turn
+    # is BUDGET_EXHAUSTED, with the candidates of levels 2..max_k counted as
+    # if each were checked in turn; level 1 counts none
     rng = random.Random(707)
     stopped = 0
     for _ in range(60):
@@ -187,14 +188,14 @@ def test_max_k_stops_minimize_det_between_its_bounds():
 
 
 def test_max_k_caps_the_search_not_the_bounds():
-    # donut's deterministic cover meets its upper bound at 4, so no level is
-    # searched and max_k=1 changes nothing; minimize_nondet skips its bounds
-    # when max_k rules out level 2, and returns the trimmed filter unproven
-    det = minimize_det(donut_world(), SearchBudget(max_k=1))
-    assert (det.size(), det.proven_optimal, det.stats["level"]) == (4, True, 4)
-    nondet = minimize_nondet(donut_world(), SearchBudget(max_k=1))
-    assert (nondet.size(), nondet.proven_optimal, nondet.stats["level"]) == (6, False, 2)
-    assert nondet.stats["upper_bound_source"] == "trim"
+    # donut's bounds meet at 4 in both modes, so no level is searched and
+    # max_k=1 changes nothing: level 1 is decided, and the bounds still run.
+    # Neither level 1 nor the check of the cover's quotient counts
+    for minimize in (minimize_det, minimize_nondet):
+        for budget in (None, SearchBudget(max_k=1)):
+            result = minimize(donut_world(), budget)
+            assert (result.size(), result.proven_optimal, result.stats["level"]) == (4, True, 4)
+            assert (result.stats["candidates"], result.stats["walked"]) == (0, 0)
 
 
 def test_minimize_nondet_matches_brute_force():
@@ -451,10 +452,15 @@ def search_caps(rng, ft, levels, limit):
 
 
 def reference_levels(ft, levels, cap):
-    """canonical_search over the levels in turn: (status, witness, spent)."""
+    """canonical_search over the levels in turn: (status, witness, spent).
+    Level 1 is searched uncapped and not counted, as one pass over the
+    reached sets decides it without enumerating."""
     spent = 0
     for n in levels:
-        status, witness, spent = canonical_search(ft, n, False, spent, cap)
+        if n == 1:
+            status, witness, _ = canonical_search(ft, 1, False)
+        else:
+            status, witness, spent = canonical_search(ft, n, False, spent, cap)
         if status != "exhausted":
             return status, witness, spent
     return "exhausted", None, spent
@@ -468,8 +474,8 @@ def test_nondet_search_matches_one_by_one_reference():
     # backjumping must not change the answer, the witness or the count,
     # also when the cap falls inside a block charged without a walk; the
     # bounds of minimize_nondet may only shrink its answer or prove it.
-    # Level 1 is one charged block, so most caps drawn inside blocks stop
-    # there: filters are drawn until every status has occurred, at most 2,000
+    # Level 1 is decided uncounted, so the caps fall in level 2: filters are
+    # drawn until every status has occurred, at most 2,000
     rng = random.Random(9090)
     statuses = []
     for _ in range(2000):
@@ -587,16 +593,16 @@ def test_closed_cover_deeper_than_the_recursion_limit_returns():
 
 
 def test_level_one_matches_one_by_one_reference():
-    # level 1 is decided by one walk and charged as one block: the status,
-    # the witness and the count are those of checking every candidate in
-    # turn, under every cap up to one past the uncapped count
+    # level 1 is decided by one pass over the reached sets: the status and
+    # the witness are those of checking every candidate in turn, under
+    # every candidate cap, and it spends and walks no candidate
     from filterkit.minimize import _CAPPED, _EXHAUSTED, _build, _Clock, _search_size
 
     def level_one(ref, budget):
         clock = _Clock(budget)
         status, found = _search_size(ref, 1, clock)
         witness = found and _build(ref, found)
-        return (status, as_dict(witness), clock.candidates), clock.walked
+        return status, as_dict(witness), clock.candidates, clock.walked
 
     rng = random.Random(1701)
     filters = [random_filter(rng, max_states=4) for _ in range(300)]
@@ -606,29 +612,25 @@ def test_level_one_matches_one_by_one_reference():
         if not ft.states:
             continue
         ref = _Reached(ft)
-        total = canonical_search(ft, 1, False)[2]
-        for cap in range(1, total + 2):
-            status, witness, spent = canonical_search(ft, 1, False, 0, cap)
-            statuses.add(status)
+        status, witness, _ = canonical_search(ft, 1, False)
+        statuses.add(status)
+        for cap in (1, 2, None):
             assert level_one(ref, SearchBudget(candidate_cap=cap)) == (
-                (status, as_dict(witness), spent), 1)
-    assert statuses == {"found", "capped", "exhausted"}
-    # fig3's level 1 has 32,768 candidates and no simulator; under a cap
-    # the one-by-one search stops at the first candidate past it
+                status, as_dict(witness), 0, 0)
+    assert statuses == {"found", "exhausted"}
+    # fig3's level 1 has 32,768 candidates and no simulator, under any cap
     for f in (fig3_input(), fig3_minimizer()):
         ft = f.trim()
-        ref = _Reached(ft)
         status, witness, spent = canonical_search(ft, 1, False)
         assert (status, spent) == ("exhausted", 32768)
-        assert level_one(ref, SearchBudget(candidate_cap=None)) == ((_EXHAUSTED, None, spent), 1)
-        for cap in range(1, spent + 2):
-            expected = (_CAPPED, None, cap + 1) if cap < spent else (_EXHAUSTED, None, spent)
-            assert level_one(ref, SearchBudget(candidate_cap=cap))[0] == expected
-    # past the deadline the count stops at the first multiple of 512
+        for cap in (1, 800, None):
+            assert level_one(_Reached(ft), SearchBudget(candidate_cap=cap)) == (
+                _EXHAUSTED, None, 0, 0)
+    # past the deadline the pass stops before its first row
     late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
     time.sleep(0.001)
     assert _search_size(_Reached(fig3_input()), 1, late) == (_CAPPED, None)
-    assert (late.candidates, late.walked) == (512, 1)
+    assert (late.candidates, late.walked) == (0, 0)
 
 
 def test_clock_charges_a_block_as_one_at_a_time():
@@ -656,6 +658,55 @@ def test_clock_charges_a_block_as_one_at_a_time():
         assert late.candidates == 512
 
 
+def last_symbols_chain(n):
+    """States q0..qn: q0 loops on a and b and goes to q1 on a, each qi goes
+    to qi+1 on a and b, and every state is colored x.  Its reached sets are
+    the 2^n that hold q0, all colored x, so level 1 reads every one of them
+    before it finds its one-state simulator."""
+    states = [f"q{i}" for i in range(n + 1)]
+    edges = {("q0", "q0"): {"a", "b"}, ("q0", "q1"): {"a"}}
+    edges.update(((u, v), {"a", "b"}) for u, v in zip(states[1:], states[2:]))
+    return Filter(states, ["q0"], ("a", "b"), edges, ("x",), {s: {"x"} for s in states})
+
+
+def test_candidate_cap_keeps_the_bounds():
+    # the cap limits only the levels searched: level 1 counts nothing, the
+    # bounds of both fig3 filters give 7, and level 7 stops one past the cap
+    for f in (fig3_input(), fig3_minimizer()):
+        result = minimize_nondet(f, SearchBudget(candidate_cap=800))
+        stats = result.stats
+        assert not result.proven_optimal
+        assert (stats["lower_bound"], stats["level"], stats["candidates"]) == (7, 7, 801)
+        assert_level(result)
+
+
+def test_level_one_stops_at_the_time_cap():
+    # the chain's 262,144 reached sets take level 1 over a second to read;
+    # the pass checks the deadline every 1,024 sets
+    f = last_symbols_chain(18)
+    budget = SearchBudget(time_cap=0.05)
+    start = time.monotonic()
+    assert decide_size_k(f, 1, budget).outcome == BUDGET_EXHAUSTED
+    assert time.monotonic() - start < 0.3
+    start = time.monotonic()
+    result = minimize_nondet(f, budget)
+    assert time.monotonic() - start < 0.3
+    assert not result.proven_optimal
+    assert (result.size(), result.stats["level"], result.stats["candidates"]) == (19, 1, 0)
+
+
+def test_level_one_stops_at_the_subset_cap(monkeypatch):
+    from filterkit import minimize
+
+    f = last_symbols_chain(10)  # 1,024 reached sets
+    assert decide_size_k(f, 1).outcome == YES
+    monkeypatch.setattr(minimize, "DETERMINIZE_CAP", 100)
+    assert decide_size_k(f, 1).outcome == BUDGET_EXHAUSTED
+    result = minimize_nondet(f)
+    assert not result.proven_optimal
+    assert (result.size(), result.stats["level"]) == (11, 1)
+
+
 def test_time_cap_stops_search_unproven():
     result = minimize_nondet(fig3_input(), SearchBudget(candidate_cap=None, time_cap=0.05))
     assert not result.proven_optimal
@@ -671,15 +722,19 @@ def test_stats_count_walked_candidates():
     ref = _Reached(donut_world())
     clock = _Clock(SearchBudget(candidate_cap=800))
     assert _search_size(ref, 1, clock) == (_EXHAUSTED, None)
+    assert (clock.candidates, clock.walked) == (0, 0)
     assert _search_size(ref, 2, clock) == (_CAPPED, None)
     assert clock.candidates == 801
     assert 0 < clock.walked < 80
-    # minimize_nondet searches level 1 only, in one walk: the bounds meet
-    # at 4 states
+    # minimize_nondet searches no level past level 1, which counts nothing:
+    # the bounds meet at 4 states.  The closed-cover search counts choices
+    # and walks none
     result = minimize_nondet(donut_world(), SearchBudget(candidate_cap=800))
-    assert (result.stats["candidates"], result.stats["walked"]) == (8, 1)
-    det = minimize_det(color_chain())
-    assert 0 < det.stats["walked"] <= det.stats["candidates"]
+    assert (result.stats["candidates"], result.stats["walked"]) == (0, 0)
+    rng = random.Random(3)
+    det = [minimize_det(color_lasso(rng, rng.randint(4, 8))).stats for _ in range(40)]
+    assert all(stats["walked"] == 0 for stats in det)
+    assert any(stats["candidates"] for stats in det)
 
 
 def test_clique_cover_of_deep_graph_returns():
@@ -882,8 +937,9 @@ def test_capped_minimize_det_proves_only_at_the_lower_bound():
 
 def assert_level(result):
     """The stats' level is the size proven, else one at or above the lower
-    bound and below the size returned."""
+    bound and below the size returned; and walked <= candidates."""
     stats = result.stats
+    assert stats["walked"] <= stats["candidates"]
     if result.proven_optimal:
         assert stats["level"] == result.size()
     else:
@@ -1095,7 +1151,7 @@ def test_prime_family_nondet_minimum_is_proven_fast():
         elapsed = time.monotonic() - start
         assert (result.size(), result.proven_optimal) == (size, True)
         assert result.stats["lower_bound"] == size
-        assert result.stats["candidates"] == 2 ** (r + 1)  # level 1 alone
+        assert result.stats["candidates"] == 0  # level 1 and the bounds count none
         if r <= 2:
             assert elapsed < 1.0
         assert output_simulates(result.minimizer, prime_family(r)).holds
@@ -1134,12 +1190,13 @@ def test_nondet_bounds_stay_on_the_clock():
     # in the first one it enters
     assert 2 <= result.stats["level"] == result.stats["lower_bound"] < result.size()
     # a deadline that has passed before the bounds skips every one of them;
-    # level 1 has fewer than 512 candidates, so the search stops in level 2
+    # level 1 checks it before its first reached set, so the search stops
+    # there, having counted nothing
     start = time.monotonic()
     result = minimize_nondet(prime_family(6), SearchBudget(candidate_cap=None, time_cap=1e-9))
     assert time.monotonic() - start < 5
     assert (result.size(), result.proven_optimal) == (83, False)
-    assert (result.stats["level"], result.stats["candidates"]) == (2, 512)
+    assert (result.stats["level"], result.stats["candidates"]) == (1, 0)
 
 
 def test_fooling_set_runs_before_the_confirm_walk():
