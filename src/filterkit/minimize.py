@@ -17,13 +17,13 @@ again (_confirm), so a fault raises instead of returning a filter that does
 not simulate the input.
 
 One budget rule holds in both minimizers: max_k and the candidate cap limit
-only the sizes searched, never size 1 or the bounds, and the time cap and
-DETERMINIZE_CAP stop every phase, size 1 included.  All three entry points
-search through one level driver, _search_levels, given the search of one
-size.  It tries the sizes of a range in turn and stops at the first that
-finds a simulator or runs out of budget; capped, at the first size above
-max_k or once the clock has refused; else exhausted past the range, every
-size in it ruled out.
+only the sizes searched, never size 1 or the bounds.  The time cap and
+DETERMINIZE_CAP stop size 1's pass and the subset construction, and the
+time cap every bound phase.  The walks of the sizes searched fill the sets
+they reach with no subset cap and meet the deadline only between
+candidates, and the walks that check a found simulator are not timed.  All
+three entry points search through one level driver, _search_levels, given
+the search of one size.
 
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its

@@ -1173,8 +1173,8 @@ def test_donut_nondet_is_proven_by_the_bounds():
     assert output_simulates(result.minimizer, donut_world()).holds
 
 
-def test_nondet_bounds_stay_on_the_clock():
-    from filterkit import CapExceeded
+def test_nondet_bounds_stay_on_the_clock(monkeypatch):
+    from filterkit import CapExceeded, minimize
     from filterkit.minimize import _BOUND_SUBSETS
 
     # the deterministic bound is skipped from prime r=5 on: its subset
@@ -1189,14 +1189,29 @@ def test_nondet_bounds_stay_on_the_clock():
     # every level below the lower bound is ruled out, and the search stops
     # in the first one it enters
     assert 2 <= result.stats["level"] == result.stats["lower_bound"] < result.size()
-    # a deadline that has passed before the bounds skips every one of them;
-    # level 1 checks it before its first reached set, so the search stops
-    # there, having counted nothing
+    # a deadline that has passed before level 1 stops it at its first
+    # reached set, having counted nothing
     start = time.monotonic()
     result = minimize_nondet(prime_family(6), SearchBudget(candidate_cap=None, time_cap=1e-9))
     assert time.monotonic() - start < 5
     assert (result.size(), result.proven_optimal) == (83, False)
     assert (result.stats["level"], result.stats["candidates"]) == (1, 0)
+
+    # a deadline that passes once level 1 is ruled out skips every bound;
+    # the search stops in level 2, at the first multiple of 512 it counts
+    def level_one_then_expire(ref, clock):
+        outcome = level_one(ref, clock)
+        clock._deadline = time.monotonic() - 1
+        return outcome
+
+    level_one = minimize._level_one
+    monkeypatch.setattr(minimize, "_level_one", level_one_then_expire)
+    start = time.monotonic()
+    result = minimize_nondet(prime_family(6), SearchBudget(candidate_cap=None, time_cap=60))
+    assert time.monotonic() - start < 5
+    assert (result.size(), result.proven_optimal) == (83, False)
+    assert (result.stats["level"], result.stats["candidates"]) == (2, 512)
+    assert (result.stats["lower_bound"], result.stats["upper_bound_source"]) == (2, "trim")
 
 
 def test_fooling_set_runs_before_the_confirm_walk():
