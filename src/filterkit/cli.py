@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CapExceeded, FilterError, NfaError, NoAcceptingState
-from .filters import DETERMINIZE_CAP
+from .filters import DETERMINIZE_CAP, _Reached
 from .minimize import SearchBudget, minimize_det, minimize_nondet
 from .nfa import INCLUSION_CAP
 from .reductions import from_dfa_union, from_nfa_universality
@@ -71,8 +71,7 @@ def _cmd_trace(args):
 
 def _cmd_determinize(args):
     f = parse_filter(_read(args.filter))
-    det, _ = f._determinize(args.cap)
-    _emit(args, emit_filter(det))
+    _emit(args, emit_filter(f._determinize(_Reached(f, args.cap))))
     return 0
 
 

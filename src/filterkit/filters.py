@@ -322,10 +322,12 @@ class _Reached:
     for the empty set, which has no number.  Rows are filled in order and on
     demand: the first `done` are, and every set they lead to is numbered.
     step[k][i] is the mask of the states observation k leads state i to.
-    color_names are the colors that encode writes candidates over.
+    color_names are the colors that encode writes candidates over.  Every
+    fill and walk (simulation._walk) meets the table's budget: cap sets, and
+    the deadline of clock, a search clock (minimize._Clock) with a time cap.
     """
 
-    def __init__(self, f):
+    def __init__(self, f, cap=math.inf, clock=None):
         self.obs = f.observations
         self.color_names = f.colors
         self.step = f._masks_over(f.observations)
@@ -334,20 +336,23 @@ class _Reached:
         self.colors = [functools.reduce(operator.or_, map(f._color.__getitem__, f._init))]
         self.after = [[] for _ in self.step]
         self.done = 0
+        self.cap = cap
+        self.clock = clock if clock is not None and clock.budget.time_cap is not None else None
         self._number = {self.members[0]: 0}
         self._rows = list(zip(self.step, self.after))
 
-    def fill(self, last=None, cap=math.inf, expired=None):
+    def fill(self, last=math.inf):
         """Fill the rows in order up to row last, or all of them; returns
-        `done`.  Raises CapExceeded once more than cap sets have numbers.
-        expired, a deadline test, is called every 1,024 rows when given, and
-        the fill stops early once it returns True."""
+        `done`.  Raises CapExceeded, with `done` rows filled, once more than
+        cap sets have numbers, and once the clock's deadline has passed,
+        which is tested every 1,024 rows."""
         members, colors, color_of, rows = self.members, self.colors, self.color_of, self._rows
-        number = self._number
+        number, cap, clock = self._number, self.cap, self.clock
         r = self.done
-        for mask in itertools.islice(members, r, None if last is None else last + 1):
-            if len(members) > cap or expired is not None and not r & 1023 and expired():
+        while r <= last and r < len(members):
+            if len(members) > cap or clock is not None and not r & 1023 and clock.expired():
                 break
+            mask = members[r]
             have = []
             while mask:
                 bit = mask & -mask
@@ -377,6 +382,8 @@ class _Reached:
             self._number = None  # every set has its row, so none is looked up again
         if len(members) > cap:
             raise CapExceeded(cap, "determinizing")
+        if r <= last and r < len(members):  # the deadline stopped the fill
+            raise CapExceeded(clock.budget.time_cap, "determinizing", "time")
         return r
 
     def encode(self, f):
@@ -484,25 +491,22 @@ class Filter(_Tables):
         """
         if math.isnan(cap):
             raise ValueError("cap must be a number")
-        det, members = self._determinize(cap)
-        names = self.states
-        mapping = {name: frozenset(itertools.compress(names, _flags(mask)))
-                   for name, mask in zip(det.states, members)}
+        table = _Reached(self, cap)
+        det = self._determinize(table)
+        mapping = {name: frozenset(itertools.compress(self.states, _flags(mask)))
+                   for name, mask in zip(det.states, table.members)}
         return det, mapping
 
-    def _determinize(self, cap, reached=None):
-        """(D, members) for determinize, where members[p] is the bitmask of
-        the states that D's state p stands for.  D is read off reached, this
-        filter's _Reached, or a new one, which is filled here."""
-        table = _Reached(self) if reached is None else reached
-        table.fill(cap=cap)
+    def _determinize(self, table):
+        """D for determinize, read off table, this filter's _Reached, which
+        is filled here: D's state p stands for the set table.members[p]."""
+        table.fill()
         members = table.members
         cells = [(q,) for q in range(len(members))] + [()]  # cells[-1] is the empty set's
         succ = [list(map(cells.__getitem__, row)) for row in table.after]
         # a filled table never changes, so D may share its colors
-        det = Filter._from_tables(_subset_names(self.states, members), self.observations,
-                                  self.colors, (0,), succ, table.colors)
-        return det, members
+        return Filter._from_tables(_subset_names(self.states, members), self.observations,
+                                   self.colors, (0,), succ, table.colors)
 
     # -- serialization ---------------------------------------------------
 

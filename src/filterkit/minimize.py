@@ -17,13 +17,14 @@ again (_confirm), so a fault raises instead of returning a filter that does
 not simulate the input.
 
 One budget rule holds in both minimizers: max_k and the candidate cap limit
-only the sizes searched, never size 1 or the bounds.  The time cap and
-DETERMINIZE_CAP stop size 1's pass and the subset construction, and the
-time cap every bound phase.  The walks of the sizes searched fill the sets
-they reach with no subset cap and meet the deadline only between
-candidates, and the walks that check a found simulator are not timed.  All
-three entry points search through one level driver, _search_levels, given
-the search of one size.
+only the sizes searched, never size 1 or the bounds.  The time cap stops
+every phase, and DETERMINIZE_CAP every subset construction: the reference's
+reached-set table holds both, and each fill and walk of it raises
+CapExceeded past either.  _search_levels, the level driver of all three
+entry points, is the one place where such a refusal (in size 1's pass, a
+candidate's walk or the walk confirming a found simulator) caps the search;
+in a bound phase it skips the bound, and only minimize_det's subset
+construction passes it on.
 
 minimize_nondet searches level 1, then bounds the optimum before it
 enumerates anything more.  Upper bounds come from the trimmed filter, its
@@ -38,8 +39,8 @@ winner is built as a Filter, names included.  Both quotients, the forward
 one and the cover's below, are one _quotient of mask tables by a
 partition, and _build makes the Filter of every quotient and search
 witness.  The forward quotient is certified by a linear check and not
-walked; the cover's quotient is walked as tables inside the pipeline and,
-if it wins, again by _confirm once built.
+walked; the cover's quotient is built and walked by _confirm inside the
+pipeline, and built again, named, if it wins.
 
 minimize_det works on the determinization, read off the reference's
 reached-set table: the minimum clique cover of its compatibility graph is
@@ -53,6 +54,7 @@ CapExceeded is raised.  Both minimizers build their result, and the stats
 they share, in _result.
 """
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -120,15 +122,15 @@ class _Clock:
     closed-cover search a candidate is one choice tried, and none is walked.
     A sub-clock meters a bound phase in its own unit: one clique or coloring
     search node, or one state signed in a refinement round.  The phases
-    without a unit of their own test the deadline alone (expired): size 1's
-    pass and the subset construction every 1,024 sets, the compatibility
-    graph, and the fooling set's tails."""
+    without a unit of their own test the deadline alone (expired): the
+    compatibility graph, the fooling set's tails, and the reached-set table
+    (_Reached), each fill of it every 1,024 sets and each walk over it
+    every 4,096 pairs."""
 
     def __init__(self, budget):
         self.budget = budget if budget is not None else SearchBudget()
         self.candidates = 0
         self.walked = 0
-        self.refused = False
         self._deadline = None
         if self.budget.time_cap is not None:
             self._deadline = time.monotonic() + self.budget.time_cap
@@ -138,8 +140,7 @@ class _Clock:
 
         Stops the count exactly where k calls that each account for one
         candidate would: at the first candidate past the cap, or at the
-        first multiple of 512 found past the deadline.  `refused` records
-        that a refusal happened.
+        first multiple of 512 found past the deadline.
         """
         old = self.candidates
         cap = self.budget.candidate_cap
@@ -147,11 +148,9 @@ class _Clock:
         if self._deadline is not None and last_checked >> 9 > old >> 9:
             if time.monotonic() > self._deadline:
                 self.candidates = ((old >> 9) + 1) << 9
-                self.refused = True
                 return False
         if cap is not None and old + k > cap:
             self.candidates = max(old + 1, cap + 1)
-            self.refused = True
             return False
         self.candidates = old + k
         return True
@@ -219,11 +218,8 @@ def _quotient(tables, partition):
         for members in partition:
             ends = 0
             for i in members:
-                targets = table[i]
-                while targets:
-                    bit = targets & -targets
-                    ends |= into[bit.bit_length() - 1]
-                    targets ^= bit
+                for j in _bits(table[i]):
+                    ends |= into[j]
             out.append(ends)
         quotient.append(out)
     return start, shared, quotient
@@ -233,7 +229,7 @@ def _confirm(ref, candidate):
     """Re-check a filter the search or the deterministic pipeline found,
     through its built Filter form; RuntimeError if it fails simulation."""
     if _walk(ref, *ref.encode(candidate)) is not None:
-        raise RuntimeError("the search accepted a filter that fails output simulation")
+        raise RuntimeError("a simulator found fails output simulation")
     return candidate
 
 
@@ -241,7 +237,7 @@ def _search_size(ref, n, clock):
     """Exhaust the n-state candidates in canonical order: (status, the mask
     tables of the first simulator, or None)."""
     if n == 1:
-        return _level_one(ref, clock)
+        return _level_one(ref)
     color_count = len(ref.color_names)
     for init_mask in range(1, 1 << n):
         for colors in itertools.product(range(1, 1 << color_count), repeat=n):
@@ -256,7 +252,7 @@ def _search_size(ref, n, clock):
     return _EXHAUSTED, None
 
 
-def _level_one(ref, clock):
+def _level_one(ref):
     """Level 1 of _search_size, decided by one pass over ref's reached sets
     in order, which enumerates nothing and so spends no candidate.
 
@@ -264,19 +260,16 @@ def _level_one(ref, clock):
     the reference iff c lies in `common`, the colors that every reached set
     shows, and d holds `survive`, the symbols some reached set survives; the
     first in canonical order takes the lowest color of common.  The pass
-    ends once common is empty, and is capped when the deadline or
-    DETERMINIZE_CAP sets stop the fill of ref's rows before that.
+    ends once common is empty; the fill of ref's rows raises CapExceeded
+    past the table's budget before that.
     """
     colors, r = ref.colors, 0
     common = colors[0]
-    try:
-        while common and r < len(colors):  # the sets numbered so far share a color: fill their rows
-            common = functools.reduce(operator.and_, colors[r:], common)
-            r = len(colors)
-            if common and ref.fill(r - 1, DETERMINIZE_CAP, clock.expired) < r:
-                return _CAPPED, None
-    except CapExceeded:
-        return _CAPPED, None
+    while common and r < len(colors):  # the sets numbered so far share a color: fill their rows
+        common = functools.reduce(operator.and_, colors[r:], common)
+        r = len(colors)
+        if common:
+            ref.fill(r - 1)
     if not common:
         return _EXHAUSTED, None
     survive = sum(1 << k for k, row in enumerate(ref.after) if max(row, default=-1) >= 0)
@@ -343,18 +336,22 @@ def _search_levels(ref, levels, clock, search):
     clock) -> (status, tables found or None): (status, witness, level).
 
     Stops at the first size that finds a simulator or is capped, or _CAPPED
-    at the first size above max_k or reached after the clock refused; else
-    returns (_EXHAUSTED, None, levels.stop).  The tables found are built as
-    the witness, a Filter over ref's observations and colors, and walked
-    again by _confirm.
+    at the first size above max_k or where a fill or a walk of ref, the
+    search's or _confirm's, refuses past the table's budget; else returns
+    (_EXHAUSTED, None, levels.stop).  The tables found are built as the
+    witness, a Filter over ref's observations and colors, and walked again
+    by _confirm, so none is returned unconfirmed.
     """
     max_k = clock.budget.max_k
     for level in levels:
-        if (max_k is not None and level > max_k) or clock.refused:
+        if max_k is not None and level > max_k:
             return _CAPPED, None, level
-        status, found = search(level, clock)
-        if status != _EXHAUSTED:  # only a found simulator comes with tables
-            return status, found and _confirm(ref, _build(ref, found)), level
+        try:
+            status, found = search(level, clock)
+            if status != _EXHAUSTED:  # only a found simulator comes with tables
+                return status, found and _confirm(ref, _build(ref, found)), level
+        except CapExceeded:
+            return _CAPPED, None, level
     return _EXHAUSTED, None, levels.stop
 
 
@@ -383,7 +380,7 @@ def decide_size_k(f, k, budget=None):
         # the trimmed filter is its own witness; no enumeration needed
         return SizeDecision(YES, ft, 0)
     clock = _Clock(budget)
-    ref = _Reached(ft)
+    ref = _Reached(ft, DETERMINIZE_CAP, clock)
     status, witness, _ = _search_levels(ref, range(1, k + 1), clock,
                                         functools.partial(_search_size, ref))
     outcome = {_FOUND: YES, _CAPPED: BUDGET_EXHAUSTED, _EXHAUSTED: NO}[status]
@@ -402,13 +399,13 @@ def minimize_nondet(f, budget=None):
     without a search; otherwise the levels from the lower bound up to one
     below the best upper bound are searched in turn, and the first level
     with a simulator gives the canonically-first one.  max_k and the
-    candidate cap limit only that search; past the time cap or
-    DETERMINIZE_CAP sets in level 1, the trimmed filter is returned unproven.
+    candidate cap limit only that search; past the reached-set table's
+    budget the best bound found is returned unproven.
     """
     start = time.monotonic()
     ft = f.trim()
-    ref = _Reached(ft)
     clock = _Clock(budget)
+    ref = _Reached(ft, DETERMINIZE_CAP, clock)
     best, source, lower, lower_exact = ft, "trim", 1, True
     search = functools.partial(_search_size, ref)
     status, witness, level = _search_levels(ref, range(1, min(2, len(ft.states))), clock, search)
@@ -416,7 +413,9 @@ def minimize_nondet(f, budget=None):
         lower = 2
         best, source = _upper_bound(ft, ref, clock, lower)
         if lower < len(best.states):
-            pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
+            pairs, lower_exact = [], False  # unless its fills stay within the table's budget
+            with contextlib.suppress(CapExceeded):
+                pairs, lower_exact = _fooling_set(ref, len(best.states), clock)
             lower = max(lower, len(pairs))
         status, witness, level = _search_levels(ref, range(lower, len(best.states)), clock, search)
     if status == _FOUND:
@@ -467,12 +466,11 @@ def _upper_bound(ft, ref, clock, lower):
 
 def _det_bound(ft, ref, clock, beat):
     """The deterministic pipeline's (size, build) under the bound caps, or
-    None when the determinization passes _BOUND_SUBSETS subsets."""
-    try:
-        return _det_pipeline(ft, ref, clock.sub(_BOUND_CANDIDATES), _BOUND_SUBSETS,
-                             _BOUND_COVER_NODES, beat)[1]
-    except CapExceeded:
-        return None
+    None past _BOUND_SUBSETS subsets or where a fill refuses."""
+    with contextlib.suppress(CapExceeded):
+        if ref.fill(_BOUND_SUBSETS - 1) == len(ref.members):  # at most _BOUND_SUBSETS sets
+            return _det_pipeline(ft, ref, clock.sub(_BOUND_CANDIDATES), _BOUND_COVER_NODES, beat)[1]
+    return None
 
 
 def _bisimulation_partition(ref, clock):
@@ -707,9 +705,9 @@ def _max_clique(rows, target, clock):
 
     try:
         expand([], (1 << len(rows)) - 1)
-    except _Stop:
-        pass
-    return [order[v] for v in best], not clock.refused
+    except _Stop:  # the target met, or the clock refused short of it
+        return [order[v] for v in best], len(best) >= target
+    return [order[v] for v in best], True
 
 
 # -- deterministic minimization ------------------------------------------
@@ -741,18 +739,16 @@ def _incompatible(after, colors, clock):
     incompatibility, but some are missing.
     """
     n = len(colors)
-    holders = {}  # color bit -> mask of the states that carry it
+    holders = {}  # color index -> mask of the states that carry it
     for i, c in enumerate(colors):
-        while c:
-            bit = c & -c
-            holders[bit] = holders.get(bit, 0) | 1 << i
-            c ^= bit
+        for j in _bits(c):
+            holders[j] = holders.get(j, 0) | 1 << i
     full = (1 << n) - 1
     disjoint = {}
     for c in set(colors):
         sharing = 0
-        for bit, there in holders.items():
-            if bit & c:
+        for j, there in holders.items():
+            if c >> j & 1:
                 sharing |= there
         disjoint[c] = full & ~sharing
     bad = [disjoint[c] for c in colors]
@@ -956,29 +952,27 @@ def _closed_cover(ref, inc, n, clock):
     return _FOUND, (1, [c & -c for c in shared[:used]], step)
 
 
-def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=None):
+def _det_pipeline(ft, ref, clock, node_cap=_COVER_NODES, beat=None):
     """The deterministic pipeline on the determinization d of ft, read off
     ref, the reference's own table: the clique cover of d's compatibility
     graph, the cover's quotient, then a closed-cover search of the levels
-    between them.  Raises CapExceeded past determinize_cap subsets, or once
-    the deadline passes in the subset construction, which checks it every
-    1,024 subsets.
+    between them.  Its subset construction, ref's fill, may raise CapExceeded.
 
     Returns (d's size, (size, build), cover lower bound, cover exact,
     search status, level), where build() gives the best simulator as a
     Filter, so that a caller comparing sizes builds only the one it keeps:
     d, named by _determinize; the cover's quotient, the _quotient of d's
-    tables by the cover, its classes named by their sets' names joined,
-    walked again by _confirm once built; or the closed cover that
-    _search_levels built and walked.  node_cap caps the cover search.  The
-    quotient is kept if no cell of its tables has two targets and it is
-    smaller than d; it is skipped when the lower bound is not below both d
-    and beat, and once the deadline has passed.  The levels searched run
-    from the lower bound up to one below the best simulator, or below beat
-    if that is lower.
+    tables by the cover, its classes named by their sets' names joined; or
+    the closed cover that _search_levels built and walked.  node_cap caps
+    the cover search.  The quotient is kept if no cell of its tables has two
+    targets, it is smaller than d, and the walk of its Filter by _confirm
+    ends before the deadline; it is skipped when the lower bound is not
+    below both d and beat, and once the deadline has passed.  The levels
+    searched run from the lower bound up to one below the best simulator, or
+    below beat if that is lower.
 
-    Such a quotient always simulates, so its walks are checks against
-    faults, and spend no candidate.  Its classes share a color, and on every
+    Such a quotient always simulates, so its walk is a check against
+    faults, and spends no candidate.  Its classes share a color, and on every
     string w that d survives it reaches the class of d's state p(w), with
     colors inside those of p(w), the colors of the reference's reached set.
     By induction on w: the initial class holds p(()), and as the quotient
@@ -992,14 +986,8 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
     size.  That clique is a sound lower bound, as the rows only ever gain
     proven incompatibilities.
     """
-    n = ref.fill(cap=determinize_cap, expired=clock.expired)
-    if n < len(ref.members):  # the deadline came first, and no simulator exists yet
-        raise CapExceeded(clock.budget.time_cap, "determinizing", "time")
-
-    def determinization():
-        return ft._determinize(determinize_cap, ref)[0]
-
-    best = (n, determinization)
+    n = ref.fill()
+    best = (n, functools.partial(ft._determinize, ref))
     inc, complete = _incompatible(ref.after, ref.colors, clock)
     if not complete:
         lower = len(_greedy_clique(inc)[1])
@@ -1011,10 +999,10 @@ def _det_pipeline(ft, ref, clock, determinize_cap, node_cap=_COVER_NODES, beat=N
         step = [list(map(cells.__getitem__, row)) for row in ref.after]
         tables = _quotient((1, ref.colors, step), partition)
         if tables is not None and not any(t & (t - 1) for row in tables[2] for t in row):
-            if _walk(ref, *tables) is not None:
-                raise RuntimeError("the cover's quotient fails output simulation")
-            best = len(partition), lambda: _confirm(ref, _build(
-                ref, tables, _joined(_subset_names(ft.states, ref.members), partition)))
+            with contextlib.suppress(CapExceeded):  # the deadline passed in its walk
+                _confirm(ref, _build(ref, tables))
+                best = len(partition), lambda: _build(
+                    ref, tables, _joined(_subset_names(ft.states, ref.members), partition))
     levels = range(lower, min(top, best[0]))
     search = functools.partial(_closed_cover, ref, inc)
     status, witness, level = _search_levels(ref, levels, clock, search)
@@ -1039,6 +1027,6 @@ def minimize_det(f, budget=None):
     ft = f.trim()
     clock = _Clock(budget)
     size, (_, build), lower, cover_exact, status, level = _det_pipeline(
-        ft, _Reached(ft), clock, DETERMINIZE_CAP)
+        ft, _Reached(ft, DETERMINIZE_CAP, clock), clock)
     return _result(build(), status, level, clock, start, determinized_size=size,
                    lower_bound=lower, cover_exact=cover_exact)

@@ -35,6 +35,8 @@ from .nfa import INCLUSION_CAP
 LANGUAGE_GAP = "language-gap"
 OUTPUT_VIOLATION = "output-violation"
 
+_CHECKPOINT = 4096  # pairs between a walk's tests of its table's deadline
+
 
 class SimulationVerdict:
     """Result of an output-simulation check.
@@ -78,7 +80,9 @@ def _walk(ref, init, colors, step, cap=None):
     len(step) + observation index, or None for the initial pair.  Candidate
     colors that are all zero check none, so such a walk looks for language
     gaps only.  Raises CapExceeded once more than cap pairs, the initial one
-    included, would be reached; a cap is None or at least 1.
+    included, would be reached; a cap is None or at least 1.  So it does
+    past the budget of ref's table: its fills meet it, and the walk tests
+    the table's deadline, if any, every _CHECKPOINT pairs as well.
     """
     # The candidate search runs this walk once per candidate, mostly to a
     # quick failure, so the pair check is written out twice (for the initial
@@ -99,6 +103,7 @@ def _walk(ref, init, colors, step, cap=None):
         m ^= bit
     if ccol & ~ref_colors[0]:
         return OUTPUT_VIOLATION, init, parent, stride
+    check = cap if ref.clock is None else min(cap or _CHECKPOINT, _CHECKPOINT)  # the next test
     done = ref.done
     queue = [init]
     for node in queue:
@@ -120,8 +125,12 @@ def _walk(ref, init, colors, step, cap=None):
             nxt = r2 << shift | cm2
             if nxt in parent:
                 continue
-            if cap is not None and len(parent) >= cap:
-                raise CapExceeded(cap, "checking output simulation")
+            if check is not None and len(parent) >= check:
+                if len(parent) == cap:
+                    raise CapExceeded(cap, "checking output simulation")
+                if ref.clock.expired():
+                    raise CapExceeded(ref.clock.budget.time_cap, "checking output simulation", "time")
+                check = min(cap or check + _CHECKPOINT, check + _CHECKPOINT)
             parent[nxt] = base + k
             if not cm2:
                 return LANGUAGE_GAP, nxt, parent, stride

@@ -261,6 +261,23 @@ def test_reached_table_matches_a_frozenset_walk():
     assert partial >= 100
 
 
+def test_row_by_row_fill_matches_one_fill():
+    # a walk fills the table one row per call, and that gives the members,
+    # colors and rows of one call that fills it all
+    rng = random.Random(4545)
+    filters = [random_filter(rng, max_states=6) for _ in range(100)]
+    filters += [prime_family(4), donut_world()]
+    for f in filters:
+        whole = _Reached(f)
+        whole.fill()
+        rows = _Reached(f)
+        while rows.done < len(rows.members):
+            r = rows.done
+            assert rows.fill(r) == r + 1
+        assert (rows.members, rows.colors, rows.after) == (whole.members, whole.colors, whole.after)
+        assert rows.done == whole.done == len(whole.members)
+
+
 def test_roundtrip_dict():
     f = two_lamp()
     again = Filter.from_dict(f.to_dict())

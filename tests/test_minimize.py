@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -383,13 +384,12 @@ def test_decide_size_k_is_monotone_in_k():
 
 def closed_cover_search(ft):
     """The closed-cover search of ft's levels, as search(n, clock) ->
-    (status, witness): on ft's reached-set table, filled by determinizing
-    it, with the tables it finds built as the witness."""
-    from filterkit import DETERMINIZE_CAP
+    (status, witness): on ft's reached-set table, filled, with the tables
+    it finds built as the witness."""
     from filterkit.minimize import _build, _closed_cover, _Clock, _incompatible
 
     ref = _Reached(ft)
-    ft._determinize(DETERMINIZE_CAP, ref)
+    ref.fill()
     inc = _incompatible(ref.after, ref.colors, _Clock(None))[0]
 
     def search(n, clock):
@@ -626,10 +626,19 @@ def test_level_one_matches_one_by_one_reference():
         for cap in (1, 800, None):
             assert level_one(_Reached(ft), SearchBudget(candidate_cap=cap)) == (
                 _EXHAUSTED, None, 0, 0)
-    # past the deadline the pass stops before its first row
+    # past the deadline the fill of the table refuses the pass before its
+    # first row, and the level driver caps the level
+    from filterkit import DETERMINIZE_CAP, CapExceeded
+    from filterkit.minimize import _search_levels
+
     late = _Clock(SearchBudget(candidate_cap=None, time_cap=1e-9))
     time.sleep(0.001)
-    assert _search_size(_Reached(fig3_input()), 1, late) == (_CAPPED, None)
+    ref = _Reached(fig3_input(), DETERMINIZE_CAP, late)
+    with pytest.raises(CapExceeded, match="^time cap 1e-09 exceeded while determinizing$"):
+        _search_size(ref, 1, late)
+    assert ref.done == 0
+    search = functools.partial(_search_size, ref)
+    assert _search_levels(ref, range(1, 2), late, search) == (_CAPPED, None, 1)
     assert (late.candidates, late.walked) == (0, 0)
 
 
@@ -705,6 +714,140 @@ def test_level_one_stops_at_the_subset_cap(monkeypatch):
     result = minimize_nondet(f)
     assert not result.proven_optimal
     assert (result.size(), result.stats["level"]) == (11, 1)
+
+
+def exit_chain(n):
+    """last_symbols_chain(n), and a state z colored y that q0 goes to on c.
+    Level 1 fails at once, as no color is on every reached set, but its one
+    2-state simulator (loop on a and b, colored x, and c to z) is walked
+    through all 2^n reached sets that hold q0 before it is accepted."""
+    states = [f"q{i}" for i in range(n + 1)] + ["z"]
+    edges = {("q0", "q0"): {"a", "b"}, ("q0", "q1"): {"a"}, ("q0", "z"): {"c"}}
+    edges.update(((u, v), {"a", "b"}) for u, v in zip(states[1:n], states[2:n + 1]))
+    coloring = {s: {"x"} for s in states}
+    coloring["z"] = {"y"}
+    return Filter(states, ["q0"], ("a", "b", "c"), edges, ("x", "y"), coloring)
+
+
+def test_level_walks_stop_at_the_time_cap():
+    # the walks of level 2 fill the reached-set table as they go, and it
+    # refuses past the deadline: the level is capped within the time cap
+    f = exit_chain(16)
+    budget = SearchBudget(time_cap=0.05)
+    start = time.monotonic()
+    result = minimize_nondet(f, budget)
+    assert time.monotonic() - start < 0.5
+    assert not result.proven_optimal
+    assert (result.size(), result.stats["level"]) == (18, 2)
+    start = time.monotonic()
+    assert decide_size_k(f, 2, budget).outcome == BUDGET_EXHAUSTED
+    assert time.monotonic() - start < 0.5
+    # uncapped, the walk of the simulator reads every reached set
+    result = minimize_nondet(f)
+    assert (result.size(), result.proven_optimal) == (2, True)
+    assert decide_size_k(f, 2).outcome == YES
+
+
+def test_level_walks_stop_at_the_subset_cap(monkeypatch):
+    # the table refuses every fill once it numbers more than DETERMINIZE_CAP
+    # sets, so the walks of level 2 cannot grow it past the cap by more than
+    # one row's sets
+    from filterkit import minimize
+
+    f = exit_chain(10)  # 1,025 reached sets
+    sizes = []
+    fill = _Reached.fill
+
+    def recorded_fill(table, *last):
+        try:
+            return fill(table, *last)
+        finally:
+            sizes.append(len(table.members))
+
+    monkeypatch.setattr(_Reached, "fill", recorded_fill)
+    monkeypatch.setattr(minimize, "DETERMINIZE_CAP", 100)
+    assert decide_size_k(f, 2).outcome == BUDGET_EXHAUSTED
+    result = minimize_nondet(f)
+    assert not result.proven_optimal
+    assert (result.size(), result.stats["level"]) == (12, 2)
+    assert 100 < max(sizes) <= 100 + len(f.observations)
+
+
+def test_walk_of_a_filled_table_meets_its_deadline():
+    # a walk that fills no row still tests the table's deadline, every
+    # _CHECKPOINT pairs: past it, the first test refuses
+    from filterkit import CapExceeded
+    from filterkit.minimize import _Clock
+    from filterkit.simulation import _CHECKPOINT, _walk
+
+    tests = []
+
+    class LateClock(_Clock):
+        def expired(self):
+            tests.append(True)
+            return True
+
+    f = last_symbols_chain(13)  # 8,192 reached sets, one pair each
+    ref = _Reached(f)
+    ref.fill()
+    assert _walk(ref, 1, [1], [[1], [1]]) is None
+    ref.clock = LateClock(SearchBudget(time_cap=60))
+    with pytest.raises(CapExceeded, match="^time cap 60 exceeded while checking output"):
+        _walk(ref, 1, [1], [[1], [1]])
+    assert len(tests) == 1 and len(ref.members) > _CHECKPOINT
+    # the pair cap is tested at the same count, first
+    with pytest.raises(CapExceeded, match="^state cap 10 exceeded"):
+        _walk(ref, 1, [1], [[1], [1]], cap=10)
+    assert len(tests) == 1
+
+
+def test_refusals_in_the_bounds_and_the_confirm_walk_cap_the_search(monkeypatch):
+    # refusals past the table's budget never raise out of the minimizers: a
+    # fill refused in the fooling set leaves the lower bound inexact, and a
+    # refused walk that confirms a found simulator caps the search, which
+    # returns the best bound found so far
+    from filterkit import CapExceeded, minimize
+
+    f = exit_chain(13)
+    fill, fooling_set = _Reached.fill, minimize._fooling_set
+    refusing = []
+
+    def refusing_fill(table, *last):
+        if refusing:
+            raise CapExceeded(60, "determinizing", "time")
+        return fill(table, *last)
+
+    def refusing_fooling_set(ref, target, clock):
+        refusing.append(True)
+        try:
+            return fooling_set(ref, target, clock)
+        finally:
+            refusing.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Reached, "fill", refusing_fill)
+        patch.setattr(minimize, "_fooling_set", refusing_fooling_set)
+        result = minimize_nondet(f)
+    assert (result.size(), result.proven_optimal) == (2, True)
+    assert (result.stats["lower_bound"], result.stats["lower_bound_exact"]) == (2, False)
+
+    # the confirm walk of a simulator of 2 states over 8,193 reached sets
+    # passes a deadline test at 4,096 pairs
+    confirm = minimize._confirm
+
+    def expire_then_confirm(ref, candidate):
+        ref.clock._deadline = time.monotonic() - 1
+        return confirm(ref, candidate)
+
+    monkeypatch.setattr(minimize, "_confirm", expire_then_confirm)
+    budget = SearchBudget(time_cap=60)
+    result = minimize_nondet(f, budget)
+    assert not result.proven_optimal
+    assert (result.stats["level"], result.stats["upper_bound_source"]) == (2, "trim")
+    assert decide_size_k(f, 2, budget).outcome == BUDGET_EXHAUSTED
+    result = minimize_det(f, budget)
+    assert not result.proven_optimal
+    assert result.minimizer == f.trim().determinize()[0]
 
 
 def test_time_cap_stops_search_unproven():
@@ -1070,7 +1213,6 @@ def test_quotient_matches_the_named_reference():
     # the filters of the bisimulation test, on the cover partitions of their
     # determinizations, and on seeded random partitions of both, where a
     # class may share no color and the quotient is then None
-    from filterkit import DETERMINIZE_CAP
     from filterkit.minimize import (
         _BISIMULATION_WORK, _COVER_NODES, _bisimulation_partition, _Clock, _incompatible,
         _min_clique_cover)
@@ -1093,7 +1235,7 @@ def test_quotient_matches_the_named_reference():
         # the cover's quotient reads d's tables off the reference's table,
         # as the deterministic pipeline does: d's state p is reached set p
         ref = _Reached(ft)
-        d = ft._determinize(DETERMINIZE_CAP, ref)[0]
+        d = ft._determinize(ref)
         dref = _Reached(d)
         step = [[1 << q if q >= 0 else 0 for q in row] for row in ref.after]
         assert (1, ref.colors, step) == (dref.members[0], dref.color_of, dref.step)
@@ -1199,9 +1341,9 @@ def test_nondet_bounds_stay_on_the_clock(monkeypatch):
 
     # a deadline that passes once level 1 is ruled out skips every bound;
     # the search stops in level 2, at the first multiple of 512 it counts
-    def level_one_then_expire(ref, clock):
-        outcome = level_one(ref, clock)
-        clock._deadline = time.monotonic() - 1
+    def level_one_then_expire(ref):
+        outcome = level_one(ref)
+        ref.clock._deadline = time.monotonic() - 1
         return outcome
 
     level_one = minimize._level_one
@@ -1285,11 +1427,11 @@ def test_det_bound_skips_only_what_cannot_win():
         ft = f.trim()
         ref = _Reached(ft)
         cap = rng.choice((2, 4, 20))
-        size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000)[1]
+        size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)))[1]
         full = build()
         assert full.size() == size
         for beat in range(1, ft.size() + 2):
-            size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)), 1000,
+            size, build = _det_pipeline(ft, ref, _Clock(SearchBudget(candidate_cap=cap)),
                                         beat=beat)[1]
             quick = build()
             assert quick.size() == size
@@ -1334,10 +1476,11 @@ def test_det_bound_walks_within_the_subset_cap():
 def test_determinization_reads_the_shared_table():
     # the deterministic bound determinizes the reference through the table
     # that level 1 or a failing walk has partly filled: the result, state
-    # names included, and the cap are those of a fresh subset construction,
-    # and a cap hit leaves the table whole
+    # names included, is that of a fresh subset construction.  The table
+    # owns its cap: every fill past it raises, the partial fill included,
+    # and the rows filled by then are those of a fresh table
     from filterkit import CapExceeded
-    from filterkit.minimize import _Clock, _level_one
+    from filterkit.minimize import _level_one
     from filterkit.simulation import _walk
 
     rng = random.Random(5151)
@@ -1350,20 +1493,31 @@ def test_determinization_reads_the_shared_table():
         det = ft.determinize()[0]
         with pytest.raises(CapExceeded):
             ft.determinize(det.size() - 1)
+        fresh = _Reached(ft)
+        fresh.fill()
         for cap in (det.size(), det.size() - 1):
-            ref = _Reached(ft)
-            if i % 3 == 0:
-                _level_one(ref, _Clock(None))
-            else:
-                # one state with the initial colors, and a self-loop on every
-                # symbol (i % 3 == 1) or no edge: it fails unless every
-                # reached set shows those colors
-                edges = [[1 if i % 3 == 1 else 0] for _ in ft.observations]
-                _walk(ref, 1, [ref.colors[0]], edges)
+            ref = _Reached(ft, cap)
+            try:
+                if i % 3 == 0:
+                    _level_one(ref)
+                else:
+                    # one state with the initial colors, and a self-loop on
+                    # every symbol (i % 3 == 1) or no edge: it fails unless
+                    # every reached set shows those colors
+                    edges = [[1 if i % 3 == 1 else 0] for _ in ft.observations]
+                    _walk(ref, 1, [ref.colors[0]], edges)
+            except CapExceeded:
+                assert cap < det.size()
             partial += ref.done < det.size()
             if cap < det.size():
-                with pytest.raises(CapExceeded):
-                    ft._determinize(cap, ref)
-            assert ft._determinize(det.size(), ref)[0] == det
-            assert ref.done == len(ref.members) == det.size()
+                for _ in range(2):
+                    with pytest.raises(CapExceeded, match="^state cap"):
+                        ft._determinize(ref)
+                assert ref.done < len(ref.members) <= cap + len(ft.observations)
+                assert ref.members == fresh.members[:len(ref.members)]
+                assert ref.colors == fresh.colors[:len(ref.members)]
+                assert [row[:ref.done] for row in fresh.after] == ref.after
+            else:
+                assert ft._determinize(ref) == det
+                assert ref.done == len(ref.members) == det.size()
     assert partial >= 80
